@@ -10,7 +10,11 @@ decreasing test function phi factorizes in spherical coordinates:
 ``pd_action`` evaluates that factorization with a singularity-aware radial
 rule (Gauss-Jacobi near the origin, oscillation-limited Gauss-Legendre
 panels outside) and tensor Gauss-Legendre angular grids for n in {2, 3};
-``pd_check`` scans a family of test functions for a sign violation.
+``pd_check`` scans a family of test functions for a sign violation.  The
+panels have equal widths, so the oscillatory factor cos(r c) at a panel node
+m + h x splits by angle addition into cos(c m), sin(c m) per panel and
+cos(c h x), sin(c h x) per node: every direction costs about one cosine and
+one sine per panel rather than per node, and the rule itself is unchanged.
 
 Test functions are Gaussians modulated to a center xi0 (their Fourier
 transforms are analytic, which removes one quadrature layer) or, for the
@@ -207,16 +211,57 @@ def _radial_modulated(a: float, kernel, r0: float, rmax: float, h: float,
     """2 * int_0^rmax r^(a-1) kernel(r) cos(r c) dr for each c in cabs.
 
     Gauss-Jacobi with weight r^(a-1) on [0, r0], oscillation-limited
-    Gauss-Legendre panels on [r0, rmax].
+    Gauss-Legendre panels on [r0, rmax].  The panels share one half-width
+    hp, so the far nodes are r_ji = m_j + hp x_i, and by angle addition
+
+        sum_ji W_ji cos(c r_ji) = sum_j cos(c m_j) A_j(c) - sin(c m_j) B_j(c),
+        A = cos(c hp x) @ W^T,   B = sin(c hp x) @ W^T,
+
+    with W the (panels, gl) weight table.  That is the same rule as the
+    direct sum over all nodes, with npan + gl instead of npan * gl cosines
+    and sines per direction and no (directions x nodes) matrix.
     """
     xj, wj = _jacobi(nj, a - 1.0)
     rj = r0 * (xj + 1.0) / 2.0
     near_w = (r0 / 2.0) ** a * wj * kernel(rj)
-    rf, wf = _panel_nodes(r0, rmax, h, gl)
-    far_w = wf * kernel(rf) * rf ** (a - 1.0)
-    nodes = np.concatenate([rj, rf])
-    node_w = np.concatenate([near_w, far_w])
-    return 2.0 * (np.cos(np.outer(cabs, nodes)) @ node_w)
+    near = np.cos(np.outer(cabs, rj)) @ near_w
+
+    npan = max(1, int(np.ceil((rmax - r0) / h)))
+    hp = (rmax - r0) / (2.0 * npan)
+    mid = r0 + (2.0 * np.arange(npan) + 1.0) * hp
+    x, w = _leggauss(gl)
+    rf = mid[:, None] + hp * x[None, :]
+    W = hp * w * kernel(rf) * rf ** (a - 1.0)
+    cx = np.outer(cabs, hp * x)
+    A = np.cos(cx) @ W.T
+    B = np.sin(cx) @ W.T
+    cm = np.outer(cabs, mid)
+    A *= np.cos(cm)
+    B *= np.sin(cm, out=cm)
+    far = A.sum(axis=1) - B.sum(axis=1)
+    return 2.0 * (near + far)
+
+
+def _bump_transform(n: int, s: np.ndarray) -> np.ndarray:
+    """Fourier transform of the unit bump in R^n at the radii ``s``.
+
+    Each value is one row sum over a fixed 1600-node rule, so it does not
+    depend on which other radii are evaluated with it.
+    """
+    x, w = _leggauss(1600)
+    r = (x + 1.0) / 2.0
+    w = w / 2.0
+    with np.errstate(divide="ignore", over="ignore"):
+        psi = np.where(r < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - r**2, 1e-300)), 0.0)
+    rs = np.outer(s, r)
+    if n == 2:
+        return 2.0 * np.pi * (j0(rs) * (psi * r * w)[None, :]).sum(axis=1)
+    if n == 3:
+        return 4.0 * np.pi * (np.sinc(rs / np.pi) * (psi * r**2 * w)[None, :]).sum(axis=1)
+    raise ValueError(f"bump profiles are provided for n in {{2, 3}}, got n={n}")
+
+
+_BUMP_BLOCK = 500  # grid rows per block; bounds the (rows x 1600) temporaries
 
 
 @lru_cache(maxsize=4)
@@ -225,19 +270,9 @@ def _bump_profile(n: int):
 
     Returns (spline on [0, s_cut], s_cut, tail magnitude estimate).
     """
-    x, w = _leggauss(1600)
-    r = (x + 1.0) / 2.0
-    w = w / 2.0
-    with np.errstate(divide="ignore", over="ignore"):
-        psi = np.where(r < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - r**2, 1e-300)), 0.0)
     s = np.linspace(0.0, 400.0, 8001)
-    rs = np.outer(s, r)
-    if n == 2:
-        vals = 2.0 * np.pi * (j0(rs) * (psi * r * w)[None, :]).sum(axis=1)
-    elif n == 3:
-        vals = 4.0 * np.pi * (np.sinc(rs / np.pi) * (psi * r**2 * w)[None, :]).sum(axis=1)
-    else:
-        raise ValueError(f"bump profiles are provided for n in {{2, 3}}, got n={n}")
+    vals = np.concatenate([_bump_transform(n, s[i:i + _BUMP_BLOCK])
+                           for i in range(0, s.size, _BUMP_BLOCK)])
     peak = abs(vals[0])
     big = np.nonzero(np.abs(vals) > 1e-12 * peak)[0]
     cut_idx = min(len(s) - 1, int(big[-1]) + 50)
@@ -381,9 +416,11 @@ def bump_family(n: int, widths=(0.5, 1.0), radii=(1.5, 3.0, 6.0)) -> list:
 
 def _refine_neighbors(phi: TestFunction) -> list:
     out = []
-    for ws in (0.71, 1.41):
-        out.append(replace(phi, width=phi.width * ws))
     rad = np.linalg.norm(phi.center)
+    for ws in (0.71, 1.41):
+        if phi.kind == "bump" and rad <= phi.width * ws:
+            continue
+        out.append(replace(phi, width=phi.width * ws))
     if rad > 0:
         for rs in (0.7, 1.35):
             cand = phi.center * rs

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 from scipy.special import gamma as _gamma
 
+from .fourier_pd import _jacobi, _leggauss
 from .homogeneous import HomogeneousFn, evaluate_many
 from .moments import MomentExistenceError, QuadratureFailure
 from .spectral import SpectralRep, _qsum, rep_hash
@@ -194,10 +195,6 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
                         tail_mass=tail_mass, condition=condition)
 
 
-def _leggauss(m):
-    return np.polynomial.legendre.leggauss(m)
-
-
 def _polar_box_integral(f: HomogeneousFn, spline, half_width: float,
                         r_inner: float, n_theta: int) -> float:
     """int f(x) rho(x) dx over the centered box, in polar coordinates.
@@ -213,8 +210,7 @@ def _polar_box_integral(f: HomogeneousFn, spline, half_width: float,
     w_theta = 2.0 * np.pi / n_theta
     R = half_width / np.maximum(np.abs(dirs[:, 0]), np.abs(dirs[:, 1]))
 
-    from scipy.special import roots_jacobi
-    xj, wj = roots_jacobi(24, 0.0, 1.0 + p)
+    xj, wj = _jacobi(24, 1.0 + p)
     uj = (xj + 1.0) / 2.0
     rj = r_inner * uj  # (24,)
     pts_x = np.outer(dirs[:, 0], rj).ravel()

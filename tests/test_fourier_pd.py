@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from stablecomp import fourier_pd
 from stablecomp import (HomogeneousFn, LrMatrixBase, TestFunction,
                         euclidean_power, euclidean_reference_action, evaluate,
                         gaussian_family, bump_family, lp_norm_power,
@@ -103,6 +104,64 @@ class TestPdAction:
                 assert abs(act.value - ref) <= max(5 * act.error_bound, 1e-6 * abs(ref))
 
 
+def _direct_radial(a, kernel, r0, rmax, h, cabs, nj, gl):
+    """The radial rule of _radial_modulated summed node by node: the
+    (directions x nodes) cosine matrix against the node weights.  Returns
+    the values and 2 * sum |node weights|."""
+    xj, wj = fourier_pd._jacobi(nj, a - 1.0)
+    rj = r0 * (xj + 1.0) / 2.0
+    near_w = (r0 / 2.0) ** a * wj * kernel(rj)
+    rf, wf = fourier_pd._panel_nodes(r0, rmax, h, gl)
+    far_w = wf * kernel(rf) * rf ** (a - 1.0)
+    nodes = np.concatenate([rj, rf])
+    node_w = np.concatenate([near_w, far_w])
+    return 2.0 * (np.cos(np.outer(cabs, nodes)) @ node_w), 2.0 * np.abs(node_w).sum()
+
+
+class TestRadialKernel:
+    # (kind, radius, width): a centered Gaussian (c = 0 in every direction),
+    # the narrowest and widest default Gaussians, a wide bump, and the
+    # largest |c| * rmax the default bump family reaches under refinement
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind,radius,width", [
+        ("gaussian", 0.0, 1.0), ("gaussian", 4.0, 0.25), ("gaussian", 1.5, 4.0),
+        ("bump", 1.5, 1.0), ("bump", 6.0, 0.25),
+    ])
+    def test_angle_addition_matches_direct_sum(self, monkeypatch, n, kind,
+                                               radius, width):
+        center = np.zeros(n)
+        center[0] = radius
+        phi = TestFunction(kind, center, width)
+        # |<theta, center>| over [0, |center|] sets the same rmax, r0 and
+        # panel width as the full sphere grid at a fraction of the cost
+        cabs = np.linspace(0.0, radius, 41)
+        calls = []
+        radial = fourier_pd._radial_modulated
+
+        def spy(*args):
+            calls.append(args)
+            return radial(*args)
+
+        monkeypatch.setattr(fourier_pd, "_radial_modulated", spy)
+        p = -1.5 if n == 2 else -2.5
+        for nj, gl in ((16, 10), (28, 14)):
+            vals, _ = fourier_pd._radial_profile(p, n, phi, cabs, nj, gl)
+            ref, weight_sum = _direct_radial(*calls[-1])
+            assert np.all(np.abs(vals - ref) <= 1e-13 * weight_sum)
+
+
+class TestBumpProfile:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_blocked_rows_equal_single_rows(self, n):
+        spline, s_cut, _ = fourier_pd._bump_profile(n)
+        knots = spline.x
+        assert knots[-1] == s_cut
+        block = fourier_pd._BUMP_BLOCK
+        for i in (0, 1, block - 1, block, block + 1, knots.size // 2, knots.size - 2):
+            row = fourier_pd._bump_transform(n, knots[i:i + 1])
+            assert spline(knots[i]) == row[0]
+
+
 class TestPdCheck:
     def test_euclidean_strictly_positive(self):
         report = pd_check(euclidean_power(2, -1.0))
@@ -124,6 +183,14 @@ class TestPdCheck:
         report = pd_check(max_abs_power(2, -1.5), mode="away-from-origin")
         assert report.verdict != "violation"
         assert all(w.kind == "bump" for w in [report.witness])
+
+    def test_refinement_skips_bumps_reaching_the_origin(self):
+        # growing the width 0.5 by 1.41 would make the support touch 0
+        phi = TestFunction("bump", np.array([0.7, 0.0]), 0.5)
+        report = pd_check(lp_norm_power(2, 1.0, -1.5), family=[phi],
+                          mode="away-from-origin")
+        assert report.verdict != "violation"
+        assert np.linalg.norm(report.witness.center) > report.witness.width
 
     def test_away_mode_rejects_gaussians(self):
         fam = gaussian_family(2)
