@@ -24,7 +24,7 @@ from .fourier_pd import (ActionResult, PDReport, TestFunction, bump_family,
                          euclidean_reference_action, gaussian_family,
                          pd_action, pd_check, radial_fourier_weight,
                          radon_action, subordination_norm_power)
-from .oracle2d import DensityField, OracleValue, density_2d, oracle_expectation
+from .oracle2d import DensityField, density_2d, oracle_expectation
 from .verify import (DiscreteLqVector, ExperimentConfig, TrialRecord,
                      VerificationReport, check_exp_ineq,
                      check_parallelogram_q, check_power_ineq, pd_certificate,
@@ -37,7 +37,7 @@ __all__ = [
     "ActionResult", "BlockSplit", "DensityField", "DiagEuclideanBase",
     "DiscreteLqVector", "ExperimentConfig", "HomogeneousFn", "LevyBase",
     "LevyMeasure", "LrMatrixBase", "MCEstimate", "MaxAbsBase",
-    "MomentExistenceError", "OracleValue", "PDReport", "QuadratureFailure",
+    "MomentExistenceError", "PDReport", "QuadratureFailure",
     "SampleBatch", "Seed", "SpectralRep", "TestFunction", "TrialRecord",
     "VerificationReport", "bump_family", "c_pq", "c_pq_oracle", "char_fn",
     "check_block_symmetry", "check_exp_ineq", "check_homogeneity",

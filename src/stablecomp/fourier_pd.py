@@ -101,6 +101,11 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class ActionResult:
+    """A quadrature value with its error bound; unpacks as (value, error_bound).
+
+    Returned by ``pd_action`` and by ``oracle2d.oracle_expectation``.
+    """
+
     value: float
     error_bound: float
 
@@ -206,6 +211,9 @@ def _panel_nodes(r_lo: float, r_hi: float, h: float, gl: int):
     return nodes, weights
 
 
+_DIR_BLOCK = 256  # directions per block; bounds the (directions x panels) arrays
+
+
 def _radial_modulated(a: float, kernel, r0: float, rmax: float, h: float,
                       cabs: np.ndarray, nj: int, gl: int):
     """2 * int_0^rmax r^(a-1) kernel(r) cos(r c) dr for each c in cabs.
@@ -219,7 +227,9 @@ def _radial_modulated(a: float, kernel, r0: float, rmax: float, h: float,
 
     with W the (panels, gl) weight table.  That is the same rule as the
     direct sum over all nodes, with npan + gl instead of npan * gl cosines
-    and sines per direction and no (directions x nodes) matrix.
+    and sines per direction and no (directions x nodes) matrix.  Directions
+    are taken in blocks of _DIR_BLOCK, so the (directions x panels) arrays
+    stay bounded however many directions and panels a scan needs.
     """
     xj, wj = _jacobi(nj, a - 1.0)
     rj = r0 * (xj + 1.0) / 2.0
@@ -232,13 +242,16 @@ def _radial_modulated(a: float, kernel, r0: float, rmax: float, h: float,
     x, w = _leggauss(gl)
     rf = mid[:, None] + hp * x[None, :]
     W = hp * w * kernel(rf) * rf ** (a - 1.0)
-    cx = np.outer(cabs, hp * x)
-    A = np.cos(cx) @ W.T
-    B = np.sin(cx) @ W.T
-    cm = np.outer(cabs, mid)
-    A *= np.cos(cm)
-    B *= np.sin(cm, out=cm)
-    far = A.sum(axis=1) - B.sum(axis=1)
+    far = np.empty(cabs.size)
+    for lo in range(0, cabs.size, _DIR_BLOCK):
+        cb = cabs[lo:lo + _DIR_BLOCK]
+        cx = np.outer(cb, hp * x)
+        A = np.cos(cx) @ W.T
+        B = np.sin(cx) @ W.T
+        cm = np.outer(cb, mid)
+        A *= np.cos(cm)
+        B *= np.sin(cm, out=cm)
+        far[lo:lo + _DIR_BLOCK] = A.sum(axis=1) - B.sum(axis=1)
     return 2.0 * (near + far)
 
 

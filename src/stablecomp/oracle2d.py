@@ -3,11 +3,18 @@
 The density of a nondegenerate 2-D law is recovered from its
 characteristic function by an FFT on a centered frequency grid whose
 extent is chosen so the characteristic function is below 1e-12 outside.
+The characteristic function is real, so a real FFT computes half of the
+spectrum and the other half follows from Hermitian symmetry,
+X[k1, k2] = conj X[-k1 mod M, -k2 mod M].
+
 Expectations of homogeneous functionals are then computed in polar
 coordinates with the radial weight r^(1+p) handled by Gauss-Jacobi rules
 (the integrand is singularity-free after that substitution for every
 p > -2), plus a heavy-tail correction beyond the grid that uses the known
-power tail order of the law.
+power tail order of the law.  Between grid points the density is the
+interpolating cubic B-spline of the uniform grid (mirror boundaries);
+points past the last grid line, which the centered box reaches by one
+cell, take the value on that line.
 
 This path never samples, so it provides margins with deterministic error
 estimates against which the Monte Carlo machinery is validated.
@@ -20,24 +27,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 from scipy.special import gamma as _gamma
 
-from .fourier_pd import _jacobi, _leggauss
+from .fourier_pd import ActionResult, _jacobi, _leggauss
 from .homogeneous import HomogeneousFn, evaluate_many
 from .moments import MomentExistenceError, QuadratureFailure
 from .spectral import SpectralRep, _qsum, rep_hash
 
-__all__ = ["DensityField", "OracleValue", "density_2d", "oracle_expectation"]
-
-
-@dataclass(frozen=True)
-class OracleValue:
-    value: float
-    error_bound: float
-
-    def __iter__(self):
-        return iter((self.value, self.error_bound))
+__all__ = ["DensityField", "density_2d", "oracle_expectation"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +47,12 @@ class DensityField:
     onto the grid: the trapezoidal grid mass must equal 1 within 1e-3
     (the construction-time validity gate), and ``tail_mass`` records the
     single-excursion estimate of how much of it is folded-in tail.
+
+    ``values`` come from a real FFT of the characteristic function, with
+    the missing half of the spectrum filled in by Hermitian symmetry.
+    ``oracle_expectation`` reads them through the interpolating cubic
+    B-spline of the grid, clamping points beyond ``axis[0]`` and
+    ``axis[-1]`` onto the edge.
     """
 
     axis: np.ndarray
@@ -159,19 +162,39 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
     T = np.log(1e12) ** (1.0 / rep.q) / smin
     dxi = 2.0 * T / M
     freq = (np.arange(M) - M / 2) * dxi
-    sign = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
 
     qsum = np.zeros((M, M))
+    proj = np.empty((M, M))
     for w, a in zip(rep.weights, rep.atoms):
-        proj = np.abs(a[0] * freq[:, None] + a[1] * freq[None, :])
-        qsum += w * proj**rep.q
-    phi = np.exp(-qsum)
-    del qsum
+        np.add(a[0] * freq[:, None], a[1] * freq[None, :], out=proj)
+        np.abs(proj, out=proj)
+        if rep.q == 2.0:
+            np.square(proj, out=proj)
+        elif rep.q != 1.0:
+            with np.errstate(divide="ignore"):
+                np.log(proj, out=proj)
+            proj *= rep.q
+            np.exp(proj, out=proj)
+        proj *= w
+        qsum += proj
+    del proj
+    phi = np.exp(np.negative(qsum, out=qsum), out=qsum)
+    # the checkerboard sign (-1)^(j1+j2) centres the grid on both sides
+    phi[1::2] *= -1.0
+    phi[:, 1::2] *= -1.0
 
-    spectrum = np.fft.fft2(phi * (sign[:, None] * sign[None, :]))
-    vals = (dxi / (2.0 * np.pi)) ** 2 * (sign[:, None] * sign[None, :]) * spectrum
-    imag_max = float(np.abs(vals.imag).max())
-    vals = vals.real
+    half = np.fft.rfft2(phi)
+    del phi, qsum
+    scale = (dxi / (2.0 * np.pi)) ** 2
+    imag_max = float(np.abs(half.imag).max()) * scale
+    # the missing columns follow from X[k1, k2] = conj X[-k1 mod M, -k2 mod M]
+    vals = np.empty((M, M))
+    vals[:, :M // 2 + 1] = half.real
+    vals[:, M // 2 + 1:] = half.real[(-np.arange(M)) % M, M // 2 - 1:0:-1]
+    del half
+    vals *= scale
+    vals[1::2] *= -1.0
+    vals[:, 1::2] *= -1.0
     asym = float(np.abs(vals[1:, 1:] - vals[1:, 1:][::-1, ::-1]).max())
     if max(imag_max, asym) > 1e-10:
         raise QuadratureFailure(
@@ -180,7 +203,7 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
     clipped = float(-vals[vals < 0].sum() * (np.pi / T) ** 2)
     if clipped > 1e-4:
         raise QuadratureFailure(f"negative ringing mass {clipped:.2e} exceeds 1e-4")
-    vals = np.maximum(vals, 0.0)
+    np.maximum(vals, 0.0, out=vals)
 
     dx = np.pi / T
     axis = (np.arange(M) - M / 2) * dx
@@ -195,7 +218,32 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
                         tail_mass=tail_mass, condition=condition)
 
 
-def _polar_box_integral(f: HomogeneousFn, spline, half_width: float,
+def _interpolant(axis: np.ndarray, values: np.ndarray):
+    """Cubic B-spline interpolant ``rho(x, y)`` of a field on the uniform grid
+    ``axis`` x ``axis``.
+
+    The coefficients are filtered once with mirror boundaries.  Points
+    beyond the grid are clamped onto its edge, as FITPACK's ``bispev``
+    clamps them; the centered box reaches one cell past ``axis[-1]``.
+    """
+    from scipy import ndimage  # about 70 ms to import; only the oracle needs it
+
+    coeffs = ndimage.spline_filter(values, order=3, mode="mirror")
+    x0, dx, top = float(axis[0]), float(axis[1] - axis[0]), axis.size - 1.0
+
+    def rho(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        coords = np.stack([np.ravel(x), np.ravel(y)])
+        coords -= x0
+        coords /= dx
+        np.clip(coords, 0.0, top, out=coords)
+        out = ndimage.map_coordinates(coeffs, coords, order=3, mode="mirror",
+                                      prefilter=False)
+        return out.reshape(np.shape(x))
+
+    return rho
+
+
+def _polar_box_integral(f: HomogeneousFn, rho_at, half_width: float,
                         r_inner: float, n_theta: int) -> float:
     """int f(x) rho(x) dx over the centered box, in polar coordinates.
 
@@ -213,9 +261,7 @@ def _polar_box_integral(f: HomogeneousFn, spline, half_width: float,
     xj, wj = _jacobi(24, 1.0 + p)
     uj = (xj + 1.0) / 2.0
     rj = r_inner * uj  # (24,)
-    pts_x = np.outer(dirs[:, 0], rj).ravel()
-    pts_y = np.outer(dirs[:, 1], rj).ravel()
-    rho = spline.ev(pts_x, pts_y).reshape(n_theta, rj.size)
+    rho = rho_at(np.outer(dirs[:, 0], rj), np.outer(dirs[:, 1], rj))
     near = (r_inner / 2.0) ** (2.0 + p) * (rho @ wj)
 
     # geometric panels from r_inner to max R, masked per direction
@@ -238,7 +284,7 @@ def _polar_box_integral(f: HomogeneousFn, spline, half_width: float,
         inside = r_nodes[None, :] <= R[active, None]
         px = da[:, 0:1] * cap
         py = da[:, 1:2] * cap
-        rho = spline.ev(px.ravel(), py.ravel()).reshape(px.shape)
+        rho = rho_at(px, py)
         contrib = (rho * cap ** (1.0 + p) * inside) @ w_nodes
         far[active] += contrib
     return float(w_theta * fbar @ (near + far))
@@ -264,7 +310,7 @@ def _tail_term(f: HomogeneousFn, rep: SpectralRep, half_width: float) -> float:
     return total
 
 
-def oracle_expectation(f: HomogeneousFn, field: DensityField) -> OracleValue:
+def oracle_expectation(f: HomogeneousFn, field: DensityField) -> ActionResult:
     """E f(X) against a recovered density, with an error estimate combining
     a coarse-grid refinement delta and the heavy-tail model uncertainty."""
     if f.n != 2:
@@ -277,15 +323,11 @@ def oracle_expectation(f: HomogeneousFn, field: DensityField) -> OracleValue:
         raise MomentExistenceError(f"E f(X) does not exist for p={p}, q={q}")
 
     ax, vals = field.axis, field.values
-    spline = RectBivariateSpline(ax, ax, vals, kx=3, ky=3, s=0)
     r_inner = 12.0 * field.dx
-    main = _polar_box_integral(f, spline, field.half_width, r_inner, n_theta=512)
-
-    coarse_ax = ax[::2]
-    coarse_spline = RectBivariateSpline(coarse_ax, coarse_ax, vals[::2, ::2],
-                                        kx=3, ky=3, s=0)
-    main_coarse = _polar_box_integral(f, coarse_spline, field.half_width,
-                                      2.0 * r_inner, n_theta=256)
+    main = _polar_box_integral(f, _interpolant(ax, vals), field.half_width,
+                               r_inner, n_theta=512)
+    main_coarse = _polar_box_integral(f, _interpolant(ax[::2], vals[::2, ::2]),
+                                      field.half_width, 2.0 * r_inner, n_theta=256)
 
     tail = _tail_term(f, field.rep, field.half_width)
     theta = (np.arange(64) + 0.5) * (np.pi / 32.0)
@@ -293,4 +335,4 @@ def oracle_expectation(f: HomogeneousFn, field: DensityField) -> OracleValue:
         f, np.column_stack([np.cos(theta), np.sin(theta)]))))
     err = (abs(main - main_coarse) + abs(tail)
            + field.clipped_mass * fbar_mean * field.half_width ** min(p, 0.0))
-    return OracleValue(value=main, error_bound=float(err))
+    return ActionResult(value=main, error_bound=float(err))

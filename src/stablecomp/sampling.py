@@ -89,19 +89,64 @@ def _chunk_rng(seed: Seed, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+# pi/2 as a float plus its rounding error, so cosines near +-pi/2 keep their digits
+_HALF_PI = 0.5 * np.pi
+_HALF_PI_LO = 6.123233995736766e-17
+
+
+def _sin(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """sin x in place for |x| < pi, as 2t / (1 + t^2) with t = tan(x/2).
+
+    numpy's float64 tan is several times cheaper than its sin and cos.
+    """
+    x *= 0.5
+    np.tan(x, out=x)
+    np.multiply(x, x, out=tmp)
+    tmp += 1.0
+    x += x
+    x /= tmp
+    return x
+
+
+def _cos(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """cos x in place for |x| <= pi/2, as sin(pi/2 - |x|)."""
+    np.abs(x, out=x)
+    np.subtract(_HALF_PI, x, out=x)
+    x += _HALF_PI_LO
+    return _sin(x, tmp)
+
+
 def _draw_standard(rng: np.random.Generator, q: float, size):
-    """CMS draws with characteristic function exp(-|t|^q)."""
+    """CMS draws with characteristic function exp(-|t|^q).
+
+    For general q this is sin(q u) cos(u)^(-1/q) (cos((1-q) u) / w)^((1-q)/q),
+    with both powers folded into one exp of two logs.
+    """
+    u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
     if q == 1.0:
         # standard Cauchy
-        u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
-        return np.tan(u)
-    u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
+        return np.tan(u, out=u)
     w = rng.standard_exponential(size)
+    tmp = np.empty_like(u)
     if q == 2.0:
         # centered Gaussian with variance 2
-        return 2.0 * np.sqrt(w) * np.sin(u)
-    cu = np.cos(u)
-    return (np.sin(q * u) / cu ** (1.0 / q)) * (np.cos((1.0 - q) * u) / w) ** ((1.0 - q) / q)
+        np.sqrt(w, out=w)
+        w *= 2.0
+        w *= _sin(u, tmp)
+        return w
+    expo = _cos(np.multiply(u, 1.0 - q), tmp)  # cos((1-q) u)
+    expo /= w
+    np.log(expo, out=expo)
+    expo *= (1.0 - q) / q
+    np.copyto(w, u)
+    cu = np.log(_cos(w, tmp), out=w)  # log cos(u)
+    cu /= q
+    expo -= cu
+    np.exp(expo, out=expo)
+    u *= q
+    _sin(u, tmp)
+    u *= expo
+    return u
 
 
 def sample_standard(q, seed, size=None):

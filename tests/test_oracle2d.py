@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from stablecomp import (BlockSplit, Seed, SpectralRep,
                         decouple, density_2d, euclidean_power, lp_norm_power,
                         max_abs_power, mc_expectation, oracle_expectation)
+from stablecomp.oracle2d import _interpolant, _polar_box_integral, _scale_profile
 
 
 def gaussian_rep():
@@ -116,3 +118,63 @@ class TestOracleExpectation:
         est = mc_expectation(f, rep, 300_000, Seed(32))
         # heavy regime: median-of-means, so only coarse agreement is claimed
         assert abs(val.value - est.value) <= 0.2 * abs(val.value)
+
+
+def tilted_rep(q):
+    return SpectralRep.from_atoms(q, [(1.0, (1.0, 0.3)), (0.6, (-0.4, 1.0))])
+
+
+def fft2_reference_values(rep, M):
+    """The density by a complex FFT of the full centered grid, clipped at 0."""
+    T = np.log(1e12) ** (1.0 / rep.q) / _scale_profile(rep)[0]
+    dxi = 2.0 * T / M
+    freq = (np.arange(M) - M / 2) * dxi
+    sign = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
+    qsum = np.zeros((M, M))
+    for w, a in zip(rep.weights, rep.atoms):
+        qsum += w * np.abs(a[0] * freq[:, None] + a[1] * freq[None, :]) ** rep.q
+    checker = sign[:, None] * sign[None, :]
+    spectrum = np.fft.fft2(np.exp(-qsum) * checker)
+    vals = ((dxi / (2.0 * np.pi)) ** 2 * checker * spectrum).real
+    return np.maximum(vals, 0.0)
+
+
+def fitpack_interpolant(axis, values):
+    spline = RectBivariateSpline(axis, axis, values, kx=3, ky=3, s=0)
+    return lambda x, y: spline.ev(np.ravel(x), np.ravel(y)).reshape(np.shape(x))
+
+
+class TestKernels:
+    @pytest.mark.parametrize("q,M", [(0.7, 1024), (1.0, 512), (1.5, 512), (2.0, 256)])
+    def test_density_matches_complex_fft(self, q, M):
+        rep = tilted_rep(q)
+        ref = fft2_reference_values(rep, M)
+        got = density_2d(rep, M=M).values
+        assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+    @pytest.mark.parametrize("q,M", [(1.0, 1024), (1.5, 512)])
+    def test_interpolant_matches_fitpack(self, q, M):
+        field = density_2d(tilted_rep(q), M=M)
+        ax, vals, dx = field.axis, field.values, field.dx
+        rho = _interpolant(ax, vals)
+        ref = fitpack_interpolant(ax, vals)
+        rng = np.random.default_rng(7)
+        # interior: the two boundary conditions differ within a few cells of the edge
+        x, y = rng.uniform(ax[0] + 16 * dx, ax[-1] - 16 * dx, (2, 5000))
+        assert np.abs(rho(x, y) - ref(x, y)).max() <= 1e-10 * vals.max()
+        # beyond the last grid line (the box reaches one cell past it) and
+        # before the first, both clamp onto the edge
+        out = np.concatenate([ax[-1] + np.array([0.6, 1.0, 7.6]) * dx,
+                              ax[0] - np.array([0.5, 3.0]) * dx])
+        inner = rng.uniform(ax[0] + 16 * dx, ax[-1] - 16 * dx, out.size)
+        for px, py in ((out, inner), (inner, out)):
+            assert np.abs(rho(px, py) - ref(px, py)).max() <= 1e-10 * vals.max()
+
+    @pytest.mark.parametrize("q,f", [(1.0, max_abs_power(2, -1.5)),
+                                     (1.5, lp_norm_power(2, 1.0, -0.5))])
+    def test_expectation_matches_fitpack_route(self, q, f):
+        field = density_2d(tilted_rep(q))
+        got = oracle_expectation(f, field)
+        ref = _polar_box_integral(f, fitpack_interpolant(field.axis, field.values),
+                                  field.half_width, 12.0 * field.dx, n_theta=512)
+        assert abs(got.value - ref) <= 1e-3 * got.error_bound

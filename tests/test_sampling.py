@@ -4,6 +4,7 @@ import pytest
 from stablecomp import (SampleBatch, Seed, SpectralRep, char_fn,
                         empirical_char_fn, sample_batch, sample_standard,
                         sample_vector)
+from stablecomp.sampling import _chunk_rng, _cos, _draw_standard
 
 
 class TestSeed:
@@ -50,6 +51,33 @@ class TestStandardGenerator:
 
     def test_scalar_default(self):
         assert isinstance(sample_standard(1.3, Seed(5)), float)
+
+
+def _cms_reference(u, w, q):
+    """The CMS transform written with numpy's sin, cos and powers."""
+    if q == 2.0:
+        return 2.0 * np.sqrt(w) * np.sin(u)
+    return ((np.sin(q * u) / np.cos(u) ** (1.0 / q))
+            * (np.cos((1.0 - q) * u) / w) ** ((1.0 - q) / q))
+
+
+class TestCmsTransform:
+    @pytest.mark.parametrize("q", [0.1, 0.7, 1.5, 1.99, 2.0])
+    def test_matches_direct_formula(self, q):
+        size = 1 << 18
+        rng = _chunk_rng(Seed(41), 0)
+        u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
+        w = rng.standard_exponential(size)
+        ref = _cms_reference(u, w, q)
+        got = _draw_standard(_chunk_rng(Seed(41), 0), q, size)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+    def test_cosine_near_the_endpoints(self):
+        # cos u at u = -pi/2 (the lowest uniform draw) is 6.1e-17, not 0
+        u = np.array([-0.5 * np.pi, np.nextafter(0.5 * np.pi, 0.0), 1e-300])
+        cu = _cos(u.copy(), np.empty(3))
+        assert np.allclose(cu, np.cos(u), rtol=1e-15, atol=0.0)
 
 
 class TestVectorSampling:
