@@ -25,23 +25,21 @@ from .fourier_pd import (ActionResult, PDReport, TestFunction, bump_family,
                          pd_action, pd_check, radial_fourier_weight,
                          radon_action, subordination_norm_power)
 from .oracle2d import DensityField, density_2d, oracle_expectation
-from .verify import (DiscreteLqVector, ExperimentConfig, TrialRecord,
-                     VerificationReport, check_exp_ineq,
-                     check_parallelogram_q, check_power_ineq, pd_certificate,
-                     random_block_symmetric_measure, random_rep,
-                     run_experiment, verify_cor3, verify_prop1, verify_thm1)
+from .verify import (ExperimentConfig, TrialRecord, VerificationReport,
+                     pd_certificate, random_block_symmetric_measure,
+                     random_rep, run_experiment, verify_cor3, verify_prop1,
+                     verify_thm1)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActionResult", "BlockSplit", "DensityField", "DiagEuclideanBase",
-    "DiscreteLqVector", "ExperimentConfig", "HomogeneousFn", "LevyBase",
+    "ExperimentConfig", "HomogeneousFn", "LevyBase",
     "LevyMeasure", "LrMatrixBase", "MCEstimate", "MaxAbsBase",
     "MomentExistenceError", "PDReport", "QuadratureFailure",
     "SampleBatch", "Seed", "SpectralRep", "TestFunction", "TrialRecord",
     "VerificationReport", "bump_family", "c_pq", "c_pq_oracle", "char_fn",
-    "check_block_symmetry", "check_exp_ineq", "check_homogeneity",
-    "check_parallelogram_q", "check_power_ineq", "decouple",
+    "check_block_symmetry", "check_homogeneity", "decouple",
     "default_workers", "density_2d", "empirical_char_fn", "euclidean_power",
     "euclidean_reference_action", "evaluate", "evaluate_many", "fn_from_json",
     "fn_to_json", "gaussian_family", "levy_expectation", "levy_norm_power",

@@ -7,14 +7,19 @@ decreasing test function phi factorizes in spherical coordinates:
     (f^, phi) = integral f(x) phi^(x) dx
              = (1/2) * int_S f(theta) [ int_R |r|^(n+p-1) phi^(r theta) dr ] dtheta.
 
-``pd_action`` evaluates that factorization with a singularity-aware radial
-rule (Gauss-Jacobi near the origin, oscillation-limited Gauss-Legendre
-panels outside) and tensor Gauss-Legendre angular grids for n in {2, 3};
-``pd_check`` scans a family of test functions for a sign violation.  The
-panels have equal widths, so the oscillatory factor cos(r c) at a panel node
-m + h x splits by angle addition into cos(c m), sin(c m) per panel and
-cos(c h x), sin(c h x) per node: every direction costs about one cosine and
-one sine per panel rather than per node, and the rule itself is unchanged.
+``pd_action`` evaluates that factorization on tensor Gauss-Legendre angular
+grids for n in {2, 3}; ``pd_check`` scans a family of test functions for a
+sign violation.  For a Gaussian test function the inner radial integral has
+a closed form in Kummer's M (see ``_radial_profile``), so its error bound is
+purely angular: the gap between a coarse and a fine angular grid plus a
+roundoff term.  For a bump the radial integral is a singularity-aware rule
+(Gauss-Jacobi near the origin, oscillation-limited Gauss-Legendre panels
+outside) over a tabulated profile, and the bound adds the gap between a
+coarse and a fine radial rule and a truncation term.  The panels have equal
+widths, so the oscillatory factor cos(r c) at a panel node m + h x splits by
+angle addition into cos(c m), sin(c m) per panel and cos(c h x), sin(c h x)
+per node: every direction costs about one cosine and one sine per panel
+rather than per node.
 
 Test functions are Gaussians modulated to a center xi0 (their Fourier
 transforms are analytic, which removes one quadrature layer) or, for the
@@ -34,13 +39,10 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma
-from scipy.special import i0e, j0, roots_jacobi
+from scipy.special import hyp1f1, i0e, j0, roots_jacobi
 
-from .homogeneous import (DiagEuclideanBase, HomogeneousFn, LevyBase,
-                          LrMatrixBase, evaluate_many)
+from .homogeneous import _LR_EXPONENT, HomogeneousFn, evaluate_many
 from .moments import QuadratureFailure
 
 __all__ = [
@@ -283,6 +285,7 @@ def _bump_profile(n: int):
 
     Returns (spline on [0, s_cut], s_cut, tail magnitude estimate).
     """
+    from scipy.interpolate import CubicSpline  # about 0.35 s to import; only bumps need it
     s = np.linspace(0.0, 400.0, 8001)
     vals = np.concatenate([_bump_transform(n, s[i:i + _BUMP_BLOCK])
                            for i in range(0, s.size, _BUMP_BLOCK)])
@@ -299,26 +302,29 @@ def _radial_profile(f_p: float, n: int, phi: TestFunction, cabs: np.ndarray,
                     nj: int, gl: int):
     """Inner radial integral of the spherical factorization, per direction.
 
-    Returns (values per direction, truncation bound per direction).
+    Returns (values per direction, truncation bound).  For a Gaussian,
+    phi^(r theta) = K exp(-sigma^2 r^2 / 2) cos(r c) with c = <theta, center>
+    and K = normalization (2 pi sigma^2)^(n/2), and with a = n + p the
+    integral is known exactly (Kummer's M, DLMF 13):
+
+        2 int_0^inf r^(a-1) K exp(-sigma^2 r^2 / 2) cos(r c) dr
+            = K Gamma(a/2) (2/sigma^2)^(a/2) M(a/2, 1/2, -c^2 / (2 sigma^2)).
+
+    Nothing is truncated, the bound is 0 and the coarse and fine calls give
+    the same values, so a Gaussian's action bound is purely angular.  Bumps
+    go through the tabulated profile and the panel rule of
+    ``_radial_modulated``.
     """
     a = n + f_p
+    if phi.kind == "gaussian":
+        s2 = phi.width**2
+        K = phi.normalization * (2.0 * np.pi * s2) ** (n / 2.0)
+        vals = K * _gamma(a / 2.0) * (2.0 / s2) ** (a / 2.0) \
+            * hyp1f1(a / 2.0, 0.5, -cabs**2 / (2.0 * s2))
+        return vals, 0.0
+
     cmax = float(cabs.max()) if cabs.size else 0.0
     c_h = 2.4 / cmax if cmax > 0 else np.inf
-    if phi.kind == "gaussian":
-        sigma = phi.width
-        K = phi.normalization * (2.0 * np.pi * sigma**2) ** (n / 2.0)
-        rmax = (9.5 + np.sqrt(max(a, 1.0))) / sigma
-        r0 = min(0.6 / sigma, rmax / 6.0, 0.78 / cmax if cmax > 0 else np.inf)
-        h = min(c_h, 1.1 / sigma)
-
-        def kernel(r):
-            return K * np.exp(-0.5 * (sigma * r) ** 2)
-
-        vals = _radial_modulated(a, kernel, r0, rmax, h, cabs, nj, gl)
-        trunc = 2.0 * K * np.exp(-0.5 * (sigma * rmax) ** 2) \
-            * rmax ** (a - 1.0) / (sigma**2 * rmax)
-        return vals, float(trunc)
-
     spline, s_cut, tail = _bump_profile(n)
     rho = phi.width
     K = phi.normalization * rho**n
@@ -548,6 +554,8 @@ def euclidean_reference_action(n: int, p: float, phi: TestFunction) -> float:
         raise ValueError("reference action is implemented for gaussian tests")
     if not (-n < p < 0.0):
         raise ValueError(f"requires p in (-n, 0); got {p}")
+    from scipy import integrate  # about 0.35 s to import; only reference routes need it
+
     sigma = phi.width
     b = float(np.linalg.norm(phi.center))
     cnp = 2.0 ** (n + p) * np.pi ** (n / 2.0) * _gamma((n + p) / 2.0) / _gamma(-p / 2.0)
@@ -585,13 +593,6 @@ def euclidean_reference_action(n: int, p: float, phi: TestFunction) -> float:
     return float(phi.normalization * cnp * area * radial)
 
 
-_BASE_EXPONENT = {
-    LrMatrixBase: lambda b: b.r,
-    DiagEuclideanBase: lambda b: 2.0,
-    LevyBase: lambda b: b.measure.p,
-}
-
-
 def subordination_norm_power(f: HomogeneousFn, x, r=None) -> float:
     """Reconstruct N(x)^p for p < 0 through the exponential subordination
 
@@ -604,8 +605,10 @@ def subordination_norm_power(f: HomogeneousFn, x, r=None) -> float:
     p = f.p
     if p >= 0:
         raise ValueError("subordination reconstruction applies to negative exponents")
+    from scipy import integrate  # about 0.35 s to import; only reference routes need it
+
     if r is None:
-        getter = _BASE_EXPONENT.get(type(f.base))
+        getter = _LR_EXPONENT.get(type(f.base))
         if getter is None:
             raise ValueError("no natural subordination exponent for this base; pass r")
         r = getter(f.base)

@@ -133,6 +133,14 @@ class LevyBase:
         return {"kind": "levy", "measure": self.measure.to_json_dict()}
 
 
+# r for which each base is the norm of a subspace of L_r
+_LR_EXPONENT = {
+    LrMatrixBase: lambda b: b.r,
+    DiagEuclideanBase: lambda b: 2.0,
+    LevyBase: lambda b: b.measure.p,
+}
+
+
 _BASE_KINDS = {
     "max_abs": lambda d: MaxAbsBase(n=int(d["n"])),
     "lr_matrix": lambda d: LrMatrixBase(matrix=np.array(d["matrix"], dtype=float),

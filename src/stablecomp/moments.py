@@ -28,10 +28,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as _gamma
 
-from .sampling import CHUNK, Seed, as_seed, _chunk_points, default_workers
+from .sampling import Seed, _chunk_points, _map_chunks, as_seed, default_workers
 from .spectral import SpectralRep, _qsum, check_stable_index, rep_hash
 
 __all__ = [
@@ -199,6 +198,8 @@ def c_pq(p, q) -> float:
 
 
 def _quad(fn, a, b, rel=1e-11):
+    from scipy import integrate  # about 0.35 s to import; only c_pq_oracle needs it
+
     out = integrate.quad(fn, a, b, epsabs=1e-14, epsrel=rel,
                          limit=400, full_output=1)
     if len(out) > 3:
@@ -280,21 +281,11 @@ def _mc_values(f, rep: SpectralRep, N: int, seed: Seed, workers: int) -> np.ndar
 
     mix = (rep.weights ** (1.0 / rep.q))[:, None] * rep.atoms
     values = np.empty(N, dtype=float)
-    n_chunks = -(-N // CHUNK)
 
-    def fill(ci):
-        lo = ci * CHUNK
-        hi = min(N, lo + CHUNK)
-        pts = _chunk_points(rep, mix, seed, ci, hi - lo)
-        values[lo:hi] = evaluate_many(f, pts)
+    def fill(ci, lo, hi):
+        values[lo:hi] = evaluate_many(f, _chunk_points(rep, mix, seed, ci, hi - lo))
 
-    if workers > 1 and n_chunks > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_chunks)))
-    else:
-        for ci in range(n_chunks):
-            fill(ci)
+    _map_chunks(N, workers, fill)
     return values
 
 

@@ -220,6 +220,26 @@ def _chunk_points(rep: SpectralRep, mix: np.ndarray, seed: Seed,
     return z @ mix
 
 
+def _map_chunks(N: int, workers: int, fill) -> None:
+    """Run fill(ci, lo, hi) over the CHUNK-sized chunks [lo, hi) of range(N),
+    on a thread pool when workers > 1.
+
+    ``fill`` must draw only from chunk ci's stream and write only rows
+    [lo, hi); the result is then the same for any worker count.
+    """
+    def run(ci):
+        lo = ci * CHUNK
+        fill(ci, lo, min(N, lo + CHUNK))
+
+    n_chunks = -(-N // CHUNK)
+    if workers > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(n_chunks)))
+    else:
+        for ci in range(n_chunks):
+            run(ci)
+
+
 def sample_batch(rep: SpectralRep, N: int, seed, workers=None) -> SampleBatch:
     """N i.i.d. draws with characteristic function char_fn(rep, .).
 
@@ -239,20 +259,12 @@ def sample_batch(rep: SpectralRep, N: int, seed, workers=None) -> SampleBatch:
         out = np.empty((N, rep.n), dtype=float)
     except MemoryError as exc:
         raise RuntimeError(f"cannot allocate sample batch of shape ({N}, {rep.n})") from exc
-    n_chunks = -(-N // CHUNK)
     workers = workers if workers is not None else default_workers()
 
-    def fill(ci):
-        lo = ci * CHUNK
-        hi = min(N, lo + CHUNK)
+    def fill(ci, lo, hi):
         out[lo:hi] = _chunk_points(rep, mix, seed, ci, hi - lo)
 
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_chunks)))
-    else:
-        for ci in range(n_chunks):
-            fill(ci)
+    _map_chunks(N, workers, fill)
     return SampleBatch(points=out, rep_hash=rep_hash(rep), seed=seed)
 
 

@@ -2,8 +2,8 @@
 
 Margins are oriented so that nonnegative means "inequality holds":
 
-* elementary L_q margins (exp / power / parallelogram forms) for vectors in
-  a discrete L_q space;
+* elementary L_q margins (exp / power / parallelogram forms) for row pairs
+  of vectors in a discrete L_q space;
 * exact finite-sum comparison of E||X||^p against the block-decoupled
   companion (and its sign-reflected average form) for norms given by a
   spherical measure;
@@ -23,22 +23,17 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .homogeneous import (HomogeneousFn, DiagEuclideanBase, LevyBase,
-                          LrMatrixBase, check_block_symmetry,
-                          check_homogeneity, euclidean_power, lp_norm_power,
-                          max_abs_power)
+from .homogeneous import (_LR_EXPONENT, HomogeneousFn, LrMatrixBase,
+                          check_block_symmetry, check_homogeneity,
+                          euclidean_power, lp_norm_power, max_abs_power)
 from .moments import LevyMeasure, levy_expectation, mc_expectation
 from .sampling import Seed, as_seed, _chunk_rng
 from .spectral import BlockSplit, SpectralRep, decouple, reflect, rep_hash
 
 __all__ = [
-    "DiscreteLqVector",
     "ExperimentConfig",
     "TrialRecord",
     "VerificationReport",
-    "check_exp_ineq",
-    "check_parallelogram_q",
-    "check_power_ineq",
     "pd_certificate",
     "random_block_symmetric_measure",
     "random_rep",
@@ -52,75 +47,6 @@ GENERATOR_NOTE = ("atom counts 1-8, heavy-tailed symmetric (Cauchy) entries, "
                   "exponential weights, k uniform in 1..n-1")
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteLqVector:
-    """Element of L_q over an atomic measure with unit weights."""
-
-    values: np.ndarray
-    q: float
-
-    def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.values, dtype=float)).copy()
-        if not np.all(np.isfinite(v)):
-            raise ValueError("entries must be finite")
-        if not (0.0 < self.q <= 2.0):
-            raise ValueError(f"q must lie in (0, 2], got {self.q}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "q", float(self.q))
-
-    def qnorm_q(self) -> float:
-        """||x||_q^q = sum |x_i|^q."""
-        return float((np.abs(self.values) ** self.q).sum())
-
-
-def _pair_qsums(x: DiscreteLqVector, y: DiscreteLqVector):
-    if x.q != y.q:
-        raise ValueError(f"mismatched exponents q={x.q} vs {y.q}")
-    if x.values.shape != y.values.shape:
-        raise ValueError("mismatched dimensions")
-    q = x.q
-    sx = x.qnorm_q()
-    sy = y.qnorm_q()
-    sp = float((np.abs(x.values + y.values) ** q).sum())
-    sm = float((np.abs(x.values - y.values) ** q).sum())
-    return q, sx, sy, sp, sm
-
-
-def check_parallelogram_q(x: DiscreteLqVector, y: DiscreteLqVector) -> float:
-    """2(||x||_q^q + ||y||_q^q) - ||x+y||_q^q - ||x-y||_q^q, nonnegative for q <= 2."""
-    _, sx, sy, sp, sm = _pair_qsums(x, y)
-    return 2.0 * (sx + sy) - sp - sm
-
-
-def check_exp_ineq(x: DiscreteLqVector, y: DiscreteLqVector) -> float:
-    """exp(-||x+y||^q) + exp(-||x-y||^q) - 2 exp(-||x||^q - ||y||^q) >= 0."""
-    _, sx, sy, sp, sm = _pair_qsums(x, y)
-    return float(np.exp(-sp) + np.exp(-sm) - 2.0 * np.exp(-sx - sy))
-
-
-def check_power_ineq(x: DiscreteLqVector, y: DiscreteLqVector, p: float) -> float:
-    """Power-form margin; direct for 0 < p <= q, reversed for q = 2, p > 2."""
-    q, sx, sy, sp, sm = _pair_qsums(x, y)
-    if 0.0 < p <= q:
-        return 2.0 * (sx + sy) ** (p / q) - sp ** (p / q) - sm ** (p / q)
-    if q == 2.0 and p > 2.0:
-        return sp ** (p / 2.0) + sm ** (p / 2.0) - 2.0 * (sx + sy) ** (p / 2.0)
-    raise ValueError(f"(p, q)=({p}, {q}) is outside both regimes")
-
-
-def power_margin_scale(x: DiscreteLqVector, y: DiscreteLqVector, p: float) -> float:
-    """Magnitude of the terms entering check_power_ineq, for relative tolerances."""
-    q, sx, sy, sp, sm = _pair_qsums(x, y)
-    e = p / q
-    return 2.0 * (sx + sy) ** e + sp**e + sm**e
-
-
-def parallelogram_scale(x: DiscreteLqVector, y: DiscreteLqVector) -> float:
-    _, sx, sy, sp, sm = _pair_qsums(x, y)
-    return 2.0 * (sx + sy) + sp + sm
-
-
 # ---------------------------------------------------------------------------
 # vectorized sweeps (used by the acceptance suite and run_experiment)
 
@@ -129,9 +55,25 @@ def lemma1_margin_batch(X: np.ndarray, Y: np.ndarray, q: float, p_list,
                         reversed_p_list=()):
     """Margins of the exp, power, and parallelogram forms for row pairs.
 
-    Returns a dict with arrays of margins and of the scales used by the
-    relative tolerances.
+    Each row of X and Y is a vector of L_q over an atomic measure with unit
+    weights, 0 < q <= 2.  The power form takes 0 < p <= q; the reversed
+    form takes q = 2 and p > 2.  Returns a dict with arrays of margins and
+    of the scales used by the relative tolerances.
     """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or X.shape != Y.shape:
+        raise ValueError(f"X and Y must be 2-D of one shape; got {X.shape} and {Y.shape}")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+        raise ValueError("entries must be finite")
+    if not (0.0 < q <= 2.0):
+        raise ValueError(f"q must lie in (0, 2], got {q}")
+    for p in p_list:
+        if not (0.0 < p <= q):
+            raise ValueError(f"power form needs 0 < p <= q; got p={p}, q={q}")
+    for p in reversed_p_list:
+        if not (q == 2.0 and p > 2.0):
+            raise ValueError(f"reversed form needs q = 2 and p > 2; got p={p}, q={q}")
     aX = np.abs(X) ** q
     aY = np.abs(Y) ** q
     sx = aX.sum(axis=1)
@@ -231,9 +173,6 @@ def block_symmetry_witness(gamma: LevyMeasure, k: int, tol: float = 1e-12):
     return None
 
 
-_SUBSPACE_BASES = (LrMatrixBase, DiagEuclideanBase, LevyBase)
-
-
 def pd_certificate(f: HomogeneousFn) -> str | None:
     """Reason the descriptor is known positive definite, if any.
 
@@ -247,12 +186,8 @@ def pd_certificate(f: HomogeneousFn) -> str | None:
         return "prop3-window"
     if not (-n < p < 0):
         return None
-    base = f.base
-    if isinstance(base, LrMatrixBase) and base.r <= 2.0:
-        return "subspace-Lr"
-    if isinstance(base, DiagEuclideanBase):
-        return "subspace-Lr"
-    if isinstance(base, LevyBase) and base.measure.p <= 2.0:
+    getter = _LR_EXPONENT.get(type(f.base))
+    if getter is not None and getter(f.base) <= 2.0:
         return "subspace-Lr"
     return None
 

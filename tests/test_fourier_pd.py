@@ -118,6 +118,27 @@ def _direct_radial(a, kernel, r0, rmax, h, cabs, nj, gl):
     return 2.0 * (np.cos(np.outer(cabs, nodes)) @ node_w), 2.0 * np.abs(node_w).sum()
 
 
+def _gaussian_quadrature(p, n, phi, cabs, nj, gl):
+    """The Gaussian radial integral by the Gauss-Jacobi/Legendre rule and
+    r0/rmax/h heuristics that the closed form replaced.  Returns the
+    values, 2 * sum |node weights| and the truncation term past rmax."""
+    a = n + p
+    sigma = phi.width
+    K = phi.normalization * (2.0 * np.pi * sigma**2) ** (n / 2.0)
+    cmax = float(cabs.max())
+    rmax = (9.5 + np.sqrt(max(a, 1.0))) / sigma
+    r0 = min(0.6 / sigma, rmax / 6.0, 0.78 / cmax if cmax > 0 else np.inf)
+    h = min(2.4 / cmax if cmax > 0 else np.inf, 1.1 / sigma)
+
+    def kernel(r):
+        return K * np.exp(-0.5 * (sigma * r) ** 2)
+
+    vals, weight_sum = _direct_radial(a, kernel, r0, rmax, h, cabs, nj, gl)
+    trunc = 2.0 * K * np.exp(-0.5 * (sigma * rmax) ** 2) \
+        * rmax ** (a - 1.0) / (sigma**2 * rmax)
+    return vals, weight_sum, trunc
+
+
 class TestRadialKernel:
     # (kind, radius, width): a centered Gaussian (c = 0 in every direction),
     # the narrowest and widest default Gaussians, a wide bump, and the
@@ -129,6 +150,12 @@ class TestRadialKernel:
     ])
     def test_angle_addition_matches_direct_sum(self, monkeypatch, n, kind,
                                                radius, width):
+        """Bumps: the angle-addition sum of _radial_modulated against the same
+        rule summed node by node, at both rules pd_action uses.  Gaussians:
+        the closed form against the quadrature it replaced, summed node by
+        node at the fine rule, within that rule's truncation term.  (The
+        coarse rule misses by up to 133 times that term here, an error that
+        pd_action's |fine - coarse| delta used to carry.)"""
         center = np.zeros(n)
         center[0] = radius
         phi = TestFunction(kind, center, width)
@@ -144,10 +171,35 @@ class TestRadialKernel:
 
         monkeypatch.setattr(fourier_pd, "_radial_modulated", spy)
         p = -1.5 if n == 2 else -2.5
-        for nj, gl in ((16, 10), (28, 14)):
-            vals, _ = fourier_pd._radial_profile(p, n, phi, cabs, nj, gl)
-            ref, weight_sum = _direct_radial(*calls[-1])
-            assert np.all(np.abs(vals - ref) <= 1e-13 * weight_sum)
+        rules = ((16, 10), (28, 14)) if kind == "bump" else ((28, 14),)
+        for nj, gl in rules:
+            vals, trunc = fourier_pd._radial_profile(p, n, phi, cabs, nj, gl)
+            if kind == "bump":
+                ref, weight_sum = _direct_radial(*calls[-1])
+                allowance = 1e-13 * weight_sum
+            else:
+                assert not calls and trunc == 0.0
+                ref, weight_sum, old_trunc = _gaussian_quadrature(p, n, phi, cabs, nj, gl)
+                allowance = old_trunc + 1e-13 * weight_sum
+            assert np.all(np.abs(vals - ref) <= allowance)
+
+    @pytest.mark.parametrize("n,p", [(2, -1.5), (2, -0.5), (3, -2.5), (3, -1.2)])
+    def test_gaussian_closed_form_matches_mpmath(self, n, p):
+        # sigma and |c| span the reach of refinement on the default family:
+        # width 0.25 * 0.71 * 0.71 and radius 4 * 1.35 * 1.35
+        mpmath = pytest.importorskip("mpmath")
+        cabs = np.linspace(0.0, 7.3, 25)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(n + p)
+            for sigma in (0.126, 0.25, 1.0, 4.0):
+                phi = TestFunction("gaussian", np.zeros(n), sigma)
+                vals, _ = fourier_pd._radial_profile(p, n, phi, cabs, 28, 14)
+                s2 = mpmath.mpf(sigma) ** 2
+                K = (2 * mpmath.pi * s2) ** (mpmath.mpf(n) / 2)
+                pref = K * mpmath.gamma(a / 2) * (2 / s2) ** (a / 2)
+                ref = np.array([float(pref * mpmath.hyp1f1(a / 2, 0.5, -(c * c) / (2 * s2)))
+                                for c in map(mpmath.mpf, cabs)])
+                assert np.all(np.abs(vals - ref) <= 1e-14 * abs(ref[0]))
 
 
 class TestBumpProfile:

@@ -3,62 +3,64 @@ import json
 import numpy as np
 import pytest
 
-from stablecomp import (BlockSplit, DiscreteLqVector, ExperimentConfig,
-                        LevyMeasure, Seed, SpectralRep, check_exp_ineq,
-                        check_parallelogram_q, check_power_ineq,
-                        lp_norm_power, max_abs_power, pd_certificate,
-                        random_block_symmetric_measure, random_rep,
-                        run_experiment, verify_cor3, verify_prop1, verify_thm1)
-from stablecomp.verify import (block_symmetry_witness, lemma1_margin_batch,
-                               parallelogram_scale, power_margin_scale)
+from stablecomp import (BlockSplit, ExperimentConfig, LevyMeasure, Seed,
+                        SpectralRep, lp_norm_power, max_abs_power,
+                        pd_certificate, random_block_symmetric_measure,
+                        random_rep, run_experiment, verify_cor3, verify_prop1,
+                        verify_thm1)
+from stablecomp.verify import block_symmetry_witness, lemma1_margin_batch
 
 
-def vec(values, q):
-    return DiscreteLqVector(values=np.asarray(values, dtype=float), q=q)
+def margins(x, y, q, p_list=(), reversed_p_list=()):
+    """lemma1_margin_batch on the single row pair (x, y)."""
+    return lemma1_margin_batch(np.array([x], dtype=float), np.array([y], dtype=float),
+                               q, p_list, reversed_p_list)
 
 
 class TestElementaryMargins:
     def test_zero_y_is_exact_zero(self):
-        x = vec([1.3, -0.4, 2.0], 1.5)
-        y = vec([0.0, 0.0, 0.0], 1.5)
-        assert check_parallelogram_q(x, y) == 0.0
-        assert check_exp_ineq(x, y) == 0.0
+        out = margins([1.3, -0.4, 2.0], [0.0, 0.0, 0.0], 1.5)
+        assert out["parallelogram"][0] == 0.0
+        assert out["exp"][0] == 0.0
 
     def test_q2_parallelogram_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            x = vec(rng.standard_normal(6), 2.0)
-            y = vec(rng.standard_normal(6), 2.0)
-            m = check_parallelogram_q(x, y)
-            assert abs(m) <= 1e-12 * parallelogram_scale(x, y)
+            out = margins(rng.standard_normal(6), rng.standard_normal(6), 2.0)
+            assert abs(out["parallelogram"][0]) <= 1e-12 * out["parallelogram_scale"][0]
 
     def test_l1_hand_values(self):
-        assert check_parallelogram_q(vec([1, 0], 1.0), vec([0, 1], 1.0)) == 0.0
-        assert check_parallelogram_q(vec([1, 1], 1.0), vec([1, -1], 1.0)) == 4.0
+        assert margins([1, 0], [0, 1], 1.0)["parallelogram"][0] == 0.0
+        assert margins([1, 1], [1, -1], 1.0)["parallelogram"][0] == 4.0
 
     def test_exp_equal_vectors(self):
-        x = vec([0.5, 0.5], 1.0)  # ||x||_1 = 1
-        m = check_exp_ineq(x, x)
+        x = [0.5, 0.5]  # ||x||_1 = 1
+        m = margins(x, x, 1.0)["exp"][0]
         assert m == pytest.approx(1.0 - np.exp(-2.0), rel=1e-12)
 
     def test_power_reversed_equality_case(self):
-        x = vec([1.0, 0.0], 2.0)
-        y = vec([0.0, 1.0], 2.0)
-        m = check_power_ineq(x, y, 4.0)
-        assert abs(m) <= 1e-12 * power_margin_scale(x, y, 4.0)
+        out = margins([1.0, 0.0], [0.0, 1.0], 2.0, reversed_p_list=(4.0,))
+        assert abs(out["reversed"][4.0][0]) <= 1e-12 * out["reversed_scale"][4.0][0]
 
     def test_power_regime_validation(self):
-        x = vec([1.0, 0.0], 1.5)
+        x = [1.0, 0.0]
         with pytest.raises(ValueError):
-            check_power_ineq(x, x, 2.0)  # p > q with q < 2
+            margins(x, x, 1.5, p_list=(2.0,))  # p > q
         with pytest.raises(ValueError):
-            check_power_ineq(vec([1.0], 2.0), vec([1.0], 2.0), -1.0)
+            margins([1.0], [1.0], 2.0, p_list=(-1.0,))
+        with pytest.raises(ValueError):
+            margins(x, x, 1.5, reversed_p_list=(3.0,))  # reversed needs q = 2
+        with pytest.raises(ValueError):
+            margins(x, x, 2.0, reversed_p_list=(2.0,))  # and p > 2
+        with pytest.raises(ValueError):
+            margins(x, x, 2.5)  # Lemma 1 needs q <= 2
 
     def test_mismatch(self):
+        # numpy would broadcast a (K, 1) array against a (K, d) one
         with pytest.raises(ValueError):
-            check_exp_ineq(vec([1.0], 1.0), vec([1.0], 2.0))
+            lemma1_margin_batch(np.ones((3, 1)), np.ones((3, 2)), 1.0, ())
         with pytest.raises(ValueError):
-            check_exp_ineq(vec([1.0], 1.0), vec([1.0, 2.0], 1.0))
+            margins([1.0], [1.0, 2.0], 1.0)
 
     def test_random_sweep(self):
         rng = np.random.default_rng(1)
