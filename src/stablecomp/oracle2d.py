@@ -183,19 +183,23 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
     phi[1::2] *= -1.0
     phi[:, 1::2] *= -1.0
 
-    half = np.fft.rfft2(phi)
+    # rfft2 runs its second pass in place in ``out``
+    half = np.fft.rfft2(phi, out=np.empty((M, M // 2 + 1), dtype=complex))
     del phi, qsum
     scale = (dxi / (2.0 * np.pi)) ** 2
     imag_max = float(np.abs(half.imag).max()) * scale
     # the missing columns follow from X[k1, k2] = conj X[-k1 mod M, -k2 mod M]
     vals = np.empty((M, M))
     vals[:, :M // 2 + 1] = half.real
-    vals[:, M // 2 + 1:] = half.real[(-np.arange(M)) % M, M // 2 - 1:0:-1]
+    vals[0, M // 2 + 1:] = half.real[0, M // 2 - 1:0:-1]
+    vals[1:, M // 2 + 1:] = half.real[:0:-1, M // 2 - 1:0:-1]
     del half
     vals *= scale
     vals[1::2] *= -1.0
     vals[:, 1::2] *= -1.0
-    asym = float(np.abs(vals[1:, 1:] - vals[1:, 1:][::-1, ::-1]).max())
+    diff = np.subtract(vals[1:, 1:], vals[1:, 1:][::-1, ::-1])
+    asym = float(np.abs(diff, out=diff).max())
+    del diff
     if max(imag_max, asym) > 1e-10:
         raise QuadratureFailure(
             f"inversion lost the even symmetry (imag {imag_max:.2e}, asym {asym:.2e})")
@@ -207,7 +211,11 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
 
     dx = np.pi / T
     axis = (np.arange(M) - M / 2) * dx
-    grid_mass = float(np.trapezoid(np.trapezoid(vals, dx=dx), dx=dx))
+    # the inner trapezoid a block of rows at a time, so no M x M temporary
+    rows = np.empty(M)
+    for lo in range(0, M, 256):
+        rows[lo:lo + 256] = np.trapezoid(vals[lo:lo + 256], dx=dx)
+    grid_mass = float(np.trapezoid(rows, dx=dx))
     tail_mass = _box_exit_tail_mass(rep, M / 2 * dx)
     if abs(grid_mass - 1.0) > 1e-3:
         raise QuadratureFailure(

@@ -45,6 +45,9 @@ CHUNK = 1 << 16
 
 _WORKER_ENV = "STABLECOMP_WORKERS"
 
+# Rows formatted by one ``%`` in SampleBatch.to_csv.
+_CSV_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class Seed:
@@ -192,9 +195,15 @@ class SampleBatch:
         }
 
     def to_csv(self, path) -> None:
-        header = ",".join(f"x{i + 1}" for i in range(self.n))
-        np.savetxt(path, self.points, delimiter=",", header=header,
-                   comments="", fmt="%.17g")
+        """An ``x1,...,xn`` header, then one row per point with each value
+        as ``%.17g``: the bytes of ``np.savetxt(fmt="%.17g")``, written a
+        block of rows at a time."""
+        row = ",".join(["%.17g"] * self.n) + "\n"
+        with open(path, "w") as fh:
+            fh.write(",".join(f"x{i + 1}" for i in range(self.n)) + "\n")
+            for lo in range(0, len(self), _CSV_ROWS):
+                block = self.points[lo:lo + _CSV_ROWS]
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
     def to_binary(self, path) -> None:
         """Row-major little-endian float64 dump plus a JSON sidecar header."""

@@ -13,13 +13,26 @@ Margins are oriented so that nonnegative means "inequality holds":
 A Monte Carlo trial only counts as a failure when its margin drops below
 minus three combined standard errors; the exact finite-sum checks use a
 relative floating point allowance instead.
+
+Lemma-1 runs produce tens of thousands of records, so they keep each batch
+of trials as numpy columns and build a TrialRecord only when one is read.
+Their JSONL is written a batch at a time from a ``%`` template that
+``json.dumps`` itself makes from one record holding sentinel values, so key
+order, separators and escaping are json's.  The slots are filled with
+``float.__repr__`` strings, which is what json writes for a finite float; a
+row holding NaN or an infinity goes through ``json.dumps`` instead.  The
+bytes therefore equal ``json.dumps`` of every record.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import time
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, asdict
+from itertools import repeat
 
 import numpy as np
 
@@ -222,6 +235,120 @@ class TrialRecord:
         }
 
 
+def _json_line(rec: TrialRecord) -> str:
+    return json.dumps(rec.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+_CSV_ROW = "%d,%s,%r,%r,%d\n"  # index, mode, margin, tolerance, passed
+
+
+def _csv_line(rec: TrialRecord) -> str:
+    return _CSV_ROW % (rec.index, rec.mode, rec.margin, rec.tolerance, rec.passed)
+
+
+_LEMMA1_TOL = 1e-12  # absolute allowance of the exp-form margin
+
+
+@dataclass(frozen=True, eq=False)
+class _Lemma1Batch:
+    """One batch of lemma1 trials as columns, one entry per trial.
+
+    ``power`` and ``reversed`` map ``str(p)`` to that exponent's margins.
+    """
+
+    start: int
+    q: float
+    dim: int
+    margin: np.ndarray
+    passed: np.ndarray
+    parallelogram: np.ndarray
+    power: dict
+    reversed: dict
+
+    def __len__(self) -> int:
+        return len(self.margin)
+
+    def _values(self) -> list:
+        return [self.margin, self.parallelogram, *self.power.values(),
+                *self.reversed.values()]
+
+    def _record(self, index, passed, values) -> TrialRecord:
+        margin, parallelogram, *rest = values
+        k = len(self.power)
+        return TrialRecord(
+            index=index, mode="lemma1",
+            config={"q": self.q, "dim": self.dim, "generator": GENERATOR_NOTE},
+            lhs=0.0, rhs=0.0, margin=margin, tolerance=_LEMMA1_TOL, passed=passed,
+            extra={"parallelogram": parallelogram,
+                   "power": dict(zip(self.power, rest[:k])),
+                   "reversed": dict(zip(self.reversed, rest[k:]))})
+
+    def record(self, j: int) -> TrialRecord:
+        return self._record(self.start + j, bool(self.passed[j]),
+                            [float(col[j]) for col in self._values()])
+
+    def _template(self) -> tuple:
+        """The JSONL line of a record as a ``%`` template, and for each slot
+        the column that fills it (0 index, 1 passed, then ``_values``)."""
+        marks = [f"@{i}@" for i in range(2 + len(self._values()))]
+        text = _json_line(self._record(marks[0], marks[1], marks[2:])).replace("%", "%%")
+        slots = [json.dumps(m) for m in marks]
+        order = sorted(range(len(slots)), key=lambda i: text.index(slots[i]))
+        for i, slot in enumerate(slots):
+            assert text.count(slot) == 1
+            text = text.replace(slot, "%d" if i == 0 else "%s" if i == 1 else "%r")
+        return text, order
+
+    def jsonl(self) -> str:
+        template, order = self._template()
+        index = range(self.start, self.start + len(self))
+        passed = self.passed.tolist()
+        values = [col.tolist() for col in self._values()]
+        cols = [index, ["true" if p else "false" for p in passed], *values]
+        rows = zip(*(cols[i] for i in order))
+        finite = np.logical_and.reduce([np.isfinite(col) for col in self._values()])
+        if finite.all():
+            return "".join(map(template.__mod__, rows))
+        return "".join(template % row if ok else _json_line(self._record(i, p, vals))
+                       for ok, row, i, p, *vals
+                       in zip(finite.tolist(), rows, index, passed, *values))
+
+    def csv(self) -> str:
+        n = len(self)
+        rows = zip(range(self.start, self.start + n), repeat("lemma1", n),
+                   self.margin.tolist(), repeat(_LEMMA1_TOL, n), self.passed.tolist())
+        return "".join(map(_CSV_ROW.__mod__, rows))
+
+
+class _Lemma1Records(Sequence):
+    """The TrialRecords of a lemma1 run, each built from its batch's columns
+    when it is read."""
+
+    def __init__(self, batches: list):
+        self.batches = batches
+        self._starts = [b.start for b in batches]
+        self._len = sum(len(b) for b in batches)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._len))]
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("record index out of range")
+        b = self.batches[bisect_right(self._starts, i) - 1]
+        return b.record(i - b.start)
+
+    def __iter__(self):
+        for b in self.batches:
+            for j in range(len(b)):
+                yield b.record(j)
+
+
 def verify_prop1(rep: SpectralRep, split: BlockSplit, gamma: LevyMeasure,
                  p: float, index: int = 0) -> TrialRecord:
     """Exact finite-sum comparison of E||X||^p with the decoupled companion.
@@ -400,7 +527,7 @@ class ExperimentConfig:
 @dataclass
 class VerificationReport:
     config: ExperimentConfig
-    records: list
+    records: Sequence
     min_margin: float
     failures: int
     runtime_s: float
@@ -410,18 +537,19 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.failures == 0
 
+    def _texts(self, batch_text, record_text):
+        if isinstance(self.records, _Lemma1Records):
+            return map(batch_text, self.records.batches)
+        return map(record_text, self.records)
+
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec.to_json_dict(), sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+            fh.writelines(self._texts(_Lemma1Batch.jsonl, _json_line))
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("index,mode,margin,tolerance,passed\n")
-            for rec in self.records:
-                fh.write(f"{rec.index},{rec.mode},{rec.margin!r},"
-                         f"{rec.tolerance!r},{int(rec.passed)}\n")
+            fh.writelines(self._texts(_Lemma1Batch.csv, _csv_line))
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -452,8 +580,8 @@ def _random_thm1_fn(rng: np.random.Generator, n: int, k: int,
     return HomogeneousFn(base=base, p=p, block_split=k)
 
 
-def _run_lemma1(config: ExperimentConfig) -> list:
-    records = []
+def _run_lemma1(config: ExperimentConfig) -> _Lemma1Records:
+    batches = []
     idx = 0
     batch = 4096
     for qi, q in enumerate(config.q_values):
@@ -468,29 +596,21 @@ def _run_lemma1(config: ExperimentConfig) -> list:
             X = rng.standard_cauchy((count, dim)) * rng.uniform(0.2, 2.0)
             Y = rng.standard_cauchy((count, dim)) * rng.uniform(0.2, 2.0)
             out = lemma1_margin_batch(X, Y, q, p_list, rev_list)
-            tol_e = 1e-12
-            ok = out["exp"] >= -tol_e
-            margins = out["exp"].copy()
-            tols = np.full(count, tol_e)
+            ok = out["exp"] >= -_LEMMA1_TOL
             ok &= out["parallelogram"] >= -1e-10 * out["parallelogram_scale"]
             for p in p_list:
                 ok &= out["power"][p] >= -1e-10 * out["power_scale"][p]
             for p in rev_list:
                 ok &= out["reversed"][p] >= -1e-10 * out["reversed_scale"][p]
-            for j in range(count):
-                records.append(TrialRecord(
-                    index=idx, mode="lemma1",
-                    config={"q": q, "dim": dim, "generator": GENERATOR_NOTE},
-                    lhs=0.0, rhs=0.0, margin=float(margins[j]),
-                    tolerance=float(tols[j]), passed=bool(ok[j]),
-                    extra={"parallelogram": float(out["parallelogram"][j]),
-                           "power": {str(p): float(out["power"][p][j]) for p in p_list},
-                           "reversed": {str(p): float(out["reversed"][p][j])
-                                        for p in rev_list}}))
-                idx += 1
+            batches.append(_Lemma1Batch(
+                start=idx, q=q, dim=dim, margin=out["exp"], passed=ok,
+                parallelogram=out["parallelogram"],
+                power={str(p): out["power"][p] for p in p_list},
+                reversed={str(p): out["reversed"][p] for p in rev_list}))
+            idx += count
             remaining -= count
             bi += 1
-    return records
+    return _Lemma1Records(batches)
 
 
 def _run_prop1(config: ExperimentConfig) -> list:
@@ -637,8 +757,12 @@ def run_experiment(config: ExperimentConfig) -> VerificationReport:
     else:
         records = _run_oracle(config)
     runtime = time.perf_counter() - t0
-    min_margin = min((r.margin for r in records), default=float("nan"))
-    failures = sum(0 if r.passed else 1 for r in records)
+    if isinstance(records, _Lemma1Records):
+        min_margin = min((b.margin.min() for b in records.batches), default=float("nan"))
+        failures = sum(int(np.count_nonzero(~b.passed)) for b in records.batches)
+    else:
+        min_margin = min((r.margin for r in records), default=float("nan"))
+        failures = sum(0 if r.passed else 1 for r in records)
     report = VerificationReport(config=config, records=records,
                                 min_margin=float(min_margin),
                                 failures=failures, runtime_s=runtime)

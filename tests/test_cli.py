@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from stablecomp import SpectralRep, fn_to_json, max_abs_power
+from stablecomp import Seed, SpectralRep, fn_to_json, max_abs_power, sample_batch
+from stablecomp.sampling import CHUNK
 from stablecomp.cli import main
 
 
@@ -22,6 +23,19 @@ def test_sample_csv(tmp_path, rep_file):
     assert rc == 0
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data.shape == (200, 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_csv_reloads_exactly(tmp_path, rep_file, workers):
+    out = tmp_path / "draws.csv"
+    N = CHUNK + 3
+    rc = main(["sample", "--rep", str(rep_file), "-N", str(N), "--seed", "8",
+               "--stream", "1", "--workers", str(workers), "--format", "csv",
+               "--out", str(out)])
+    assert rc == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    ref = sample_batch(SpectralRep.from_json(rep_file.read_text()), N, Seed(8, 1)).points
+    assert data.shape == ref.shape and np.array_equal(data, ref)
 
 
 def test_sample_binary_sidecar(tmp_path, rep_file):

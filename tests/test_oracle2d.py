@@ -152,6 +152,15 @@ class TestKernels:
         got = density_2d(rep, M=M).values
         assert np.abs(got - ref).max() <= 1e-12 * ref.max()
 
+    @pytest.mark.parametrize("q,M", [(0.7, 1024), (1.5, 600)])
+    def test_grid_mass_is_the_full_trapezoid(self, q, M):
+        rep = tilted_rep(q)
+        field = density_2d(rep, M=M)
+        # density_2d's cell width, which field.dx (an axis difference) rounds
+        dx = np.pi / (np.log(1e12) ** (1.0 / q) / _scale_profile(rep)[0])
+        full = np.trapezoid(np.trapezoid(field.values, dx=dx), dx=dx)
+        assert field.grid_mass == float(full)
+
     @pytest.mark.parametrize("q,M", [(1.0, 1024), (1.5, 512)])
     def test_interpolant_matches_fitpack(self, q, M):
         field = density_2d(tilted_rep(q), M=M)

@@ -4,7 +4,7 @@ import pytest
 from stablecomp import (SampleBatch, Seed, SpectralRep, char_fn,
                         empirical_char_fn, sample_batch, sample_standard,
                         sample_vector)
-from stablecomp.sampling import _chunk_rng, _cos, _draw_standard
+from stablecomp.sampling import _CSV_ROWS, CHUNK, _chunk_rng, _cos, _draw_standard
 
 
 class TestSeed:
@@ -146,6 +146,20 @@ class TestExport:
         batch.to_csv(path)
         loaded = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(loaded, batch.points)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("N", [1, _CSV_ROWS - 1, _CSV_ROWS + 1, CHUNK + 1])
+    def test_csv_bytes_match_savetxt(self, tmp_path, N, n):
+        pts = np.random.default_rng(N + n).standard_cauchy((N, n))
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7976931348623157e308]
+        flat = pts.reshape(-1)
+        flat[:len(special)] = special[:flat.size]
+        batch = SampleBatch(points=pts, rep_hash="0" * 16, seed=Seed(0))
+        path, ref = tmp_path / "draws.csv", tmp_path / "savetxt.csv"
+        batch.to_csv(path)
+        np.savetxt(ref, pts, delimiter=",", fmt="%.17g", comments="",
+                   header=",".join(f"x{i + 1}" for i in range(n)))
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_binary_round_trip(self, tmp_path):
         rep = SpectralRep.from_atoms(0.8, [(1.0, (1.0, -0.5)), (0.3, (0.0, 2.0))])

@@ -8,7 +8,8 @@ from stablecomp import (BlockSplit, ExperimentConfig, LevyMeasure, Seed,
                         pd_certificate, random_block_symmetric_measure,
                         random_rep, run_experiment, verify_cor3, verify_prop1,
                         verify_thm1)
-from stablecomp.verify import block_symmetry_witness, lemma1_margin_batch
+from stablecomp.verify import (GENERATOR_NOTE, TrialRecord, _Lemma1Batch, _trial_rng,
+                               block_symmetry_witness, lemma1_margin_batch)
 
 
 def margins(x, y, q, p_list=(), reversed_p_list=()):
@@ -226,3 +227,116 @@ class TestRunExperiment:
         back = ExperimentConfig.from_json_dict(
             json.loads(json.dumps(config.to_json_dict())))
         assert back == config
+
+
+def _json_line(rec: TrialRecord) -> str:
+    return json.dumps(rec.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _csv_line(rec: TrialRecord) -> str:
+    return (f"{rec.index},{rec.mode},{rec.margin!r},"
+            f"{rec.tolerance!r},{int(rec.passed)}\n")
+
+
+def _first_difference(got: str, want: str):
+    """(line number, got line, wanted line) where two texts first differ, or
+    None; keeps a failure report short for multi-megabyte outputs."""
+    g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i in range(max(len(g), len(w))):
+        a, b = g[i] if i < len(g) else None, w[i] if i < len(w) else None
+        if a != b:
+            return i, a, b
+    return None
+
+
+def _per_trial_records(config: ExperimentConfig) -> list:
+    """Lemma-1 records built one trial at a time from the same draws: one
+    TrialRecord with its own dicts per trial, numpy scalars indexed one by one."""
+    records = []
+    idx = 0
+    for qi, q in enumerate(config.q_values):
+        p_list = (q / 4.0, q / 2.0, q)
+        rev_list = (2.5, 3.0, 4.0) if q == 2.0 else ()
+        remaining, bi = config.trials, 0
+        while remaining > 0:
+            count = min(4096, remaining)
+            rng = _trial_rng(config.seed, (qi + 1) * 100_000 + bi)
+            dim = int(rng.integers(2, 17))
+            X = rng.standard_cauchy((count, dim)) * rng.uniform(0.2, 2.0)
+            Y = rng.standard_cauchy((count, dim)) * rng.uniform(0.2, 2.0)
+            out = lemma1_margin_batch(X, Y, q, p_list, rev_list)
+            ok = out["exp"] >= -1e-12
+            ok &= out["parallelogram"] >= -1e-10 * out["parallelogram_scale"]
+            for p in p_list:
+                ok &= out["power"][p] >= -1e-10 * out["power_scale"][p]
+            for p in rev_list:
+                ok &= out["reversed"][p] >= -1e-10 * out["reversed_scale"][p]
+            for j in range(count):
+                records.append(TrialRecord(
+                    index=idx, mode="lemma1",
+                    config={"q": q, "dim": dim, "generator": GENERATOR_NOTE},
+                    lhs=0.0, rhs=0.0, margin=float(out["exp"][j]), tolerance=1e-12,
+                    passed=bool(ok[j]),
+                    extra={"parallelogram": float(out["parallelogram"][j]),
+                           "power": {str(p): float(out["power"][p][j]) for p in p_list},
+                           "reversed": {str(p): float(out["reversed"][p][j])
+                                        for p in rev_list}}))
+                idx += 1
+            remaining -= count
+            bi += 1
+    return records
+
+
+class TestLemma1Output:
+    @pytest.mark.parametrize("trials", [1, 4096, 4097])
+    @pytest.mark.parametrize("q", [0.5, 0.7, 1.0, 1.5, 2.0])
+    def test_jsonl_bytes_match_per_record_dumps(self, tmp_path, q, trials):
+        out = tmp_path / "lemma1.jsonl"
+        report = run_experiment(ExperimentConfig(
+            mode="lemma1", trials=trials, seed=21, q_values=(q,), out_jsonl=str(out)))
+        text = out.read_text()
+        assert _first_difference(text, "".join(map(_json_line, report.records))) is None
+        reference = "".join(map(_json_line, _per_trial_records(report.config)))
+        assert _first_difference(text, reference) is None
+        lines = text.splitlines()
+        assert len(lines) == len(report.records) == trials
+        for i, line in enumerate(lines):
+            assert report.records[i].to_json_dict() == json.loads(line)
+        if q == 2.0:
+            assert set(json.loads(lines[-1])["extra"]["reversed"]) == {"2.5", "3.0", "4.0"}
+
+    def test_report_summary_from_columns(self):
+        report = run_experiment(ExperimentConfig(
+            mode="lemma1", trials=4097, seed=22, q_values=(0.7, 2.0)))
+        records = list(report.records)
+        assert len(records) == 8194
+        assert [r.index for r in records] == list(range(8194))
+        assert report.min_margin == min(r.margin for r in records)
+        assert report.failures == sum(not r.passed for r in records)
+        assert report.records[-1] == records[-1]
+        assert report.records[4095:4098] == records[4095:4098]
+        with pytest.raises(IndexError):
+            report.records[8194]
+
+    def test_csv_bytes_match_per_record_route(self, tmp_path):
+        out = tmp_path / "lemma1.csv"
+        report = run_experiment(ExperimentConfig(
+            mode="lemma1", trials=4097, seed=23, q_values=(1.0, 2.0), out_csv=str(out)))
+        expected = "index,mode,margin,tolerance,passed\n" + "".join(
+            _csv_line(rec) for rec in _per_trial_records(report.config))
+        assert _first_difference(out.read_text(), expected) is None
+
+    def test_non_finite_rows_read_as_json_writes_them(self):
+        col = np.array([0.5, np.nan, np.inf, -np.inf, -2.5e-300, 1e300])
+        batch = _Lemma1Batch(
+            start=7, q=2.0, dim=3, margin=col.copy(), passed=np.isfinite(col),
+            parallelogram=col[::-1].copy(),
+            power={"0.5": np.roll(col, 1), "1.0": col.copy(), "2.0": np.roll(col, 2)},
+            reversed={"2.5": np.roll(col, 3), "3.0": col.copy(), "4.0": col.copy()})
+        records = [batch.record(j) for j in range(len(batch))]
+        text = batch.jsonl()
+        assert _first_difference(text, "".join(map(_json_line, records))) is None
+        for token in ("NaN", "Infinity", "-Infinity"):
+            assert token in text
+        assert "nan" not in text and "inf" not in text.replace("Infinity", "")
+        assert _first_difference(batch.csv(), "".join(map(_csv_line, records))) is None
