@@ -39,6 +39,18 @@ def _add_rep_args(sp):
                        help="generate a random representation of this dimension and index")
 
 
+def _add_experiment_args(sp):
+    sp.add_argument("--config", help="JSON experiment configuration")
+    sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument("-N", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--q", type=float, action="append",
+                    help="stability index (repeatable)")
+    sp.add_argument("--out-jsonl", default=None)
+    sp.add_argument("--out-csv", default=None)
+    sp.add_argument("--workers", type=int, default=None)
+
+
 def _cmd_sample(args) -> int:
     rep = _load_rep(args)
     batch = sample_batch(rep, args.N, Seed(args.seed, args.stream), workers=args.workers)
@@ -90,13 +102,13 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-def _config_from_args(args, mode: str) -> ExperimentConfig:
+def _config_from_args(args) -> ExperimentConfig:
     base = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
-    base["mode"] = mode
     overrides = {
+        "mode": args.mode,
         "trials": args.trials,
         "N": args.N,
         "seed": args.seed,
@@ -104,33 +116,19 @@ def _config_from_args(args, mode: str) -> ExperimentConfig:
         "out_csv": args.out_csv,
         "workers": args.workers,
         "p_value": args.p,
+        "n_values": tuple(args.n) if args.n else None,
+        "q_values": tuple(args.q) if args.q else None,
     }
-    if args.n:
-        overrides["n_values"] = tuple(args.n)
-    if args.q:
-        overrides["q_values"] = tuple(args.q)
-    for key, val in overrides.items():
-        if val is not None:
-            base[key] = val
-    return ExperimentConfig.from_json_dict(base)
+    return ExperimentConfig.from_json_dict(
+        base, **{key: val for key, val in overrides.items() if val is not None})
 
 
-def _report_outcome(report) -> int:
+def _cmd_verify(args) -> int:
+    report = run_experiment(_config_from_args(args))
     print(f"mode={report.config.mode} trials={len(report.records)} "
           f"failures={report.failures} min_margin={report.min_margin:.6g} "
           f"runtime={report.runtime_s:.2f}s")
     return 0 if report.passed else 1
-
-
-def _cmd_verify(args) -> int:
-    config = _config_from_args(args, args.mode)
-    return _report_outcome(run_experiment(config))
-
-
-def _cmd_oracle(args) -> int:
-    config = _config_from_args(args, "oracle-crosscheck")
-    config.n_values = (2,)
-    return _report_outcome(run_experiment(config))
 
 
 def _cmd_pd_check(args) -> int:
@@ -140,9 +138,12 @@ def _cmd_pd_check(args) -> int:
     else:
         kind, n, p = args.builtin
         n, p = int(float(n)), float(p)
-        maker = {"max-abs": max_abs_power, "euclidean": euclidean_power,
-                 "l1": lambda n, p: lp_norm_power(n, 1.0, p)}[kind]
-        f = maker(n, p)
+        makers = {"max-abs": max_abs_power, "euclidean": euclidean_power,
+                  "l1": lambda n, p: lp_norm_power(n, 1.0, p)}
+        if kind not in makers:
+            raise ValueError(f"unknown --builtin KIND {kind!r}; choose from "
+                             f"{', '.join(makers)}")
+        f = makers[kind](n, p)
     report = pd_check(f, mode=args.mode)
     if args.json:
         print(report.to_json())
@@ -188,19 +189,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="randomized inequality experiments")
     sp.add_argument("mode", choices=("lemma1", "prop1", "thm1", "cor3"))
-    sp.add_argument("--config", help="JSON experiment configuration")
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("-N", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    _add_experiment_args(sp)
     sp.add_argument("--n", type=int, action="append",
                     help="dimension (repeatable)")
-    sp.add_argument("--q", type=float, action="append",
-                    help="stability index (repeatable)")
     sp.add_argument("--p", type=float, default=None,
-                    help="fixed functional exponent (default: per-trial random)")
-    sp.add_argument("--out-jsonl", default=None)
-    sp.add_argument("--out-csv", default=None)
-    sp.add_argument("--workers", type=int, default=None)
+                    help="fixed functional exponent for prop1, thm1 and cor3 "
+                         "(default: per-trial random)")
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("pd-check",
@@ -217,16 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle",
                         help="two-dimensional density-oracle cross-check of the "
                              "Monte Carlo margins")
-    sp.add_argument("--config", help="JSON experiment configuration")
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("-N", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--q", type=float, action="append")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--out-jsonl", default=None)
-    sp.add_argument("--out-csv", default=None)
-    sp.add_argument("--workers", type=int, default=None)
-    sp.set_defaults(func=_cmd_oracle, n=None)
+    _add_experiment_args(sp)
+    sp.set_defaults(func=_cmd_verify, mode="oracle-crosscheck", n=[2], p=None)
     return parser
 
 

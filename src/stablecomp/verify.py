@@ -14,6 +14,13 @@ A Monte Carlo trial only counts as a failure when its margin drops below
 minus three combined standard errors; the exact finite-sum checks use a
 relative floating point allowance instead.
 
+``run_experiment`` runs every mode but lemma1 through one loop over the
+``_TRIALS`` table: ``trial(config, t, rng)`` draws trial ``t``'s setup from
+its own generator ``_trial_rng(seed, t)`` and returns its TrialRecord.  The
+oracle-crosscheck trial is a thm1 comparison run by ``verify_thm1`` with
+``oracle=True``; it keeps the deterministic oracle margin as the verdict and
+checks that the Monte Carlo estimates agree with the oracle values.
+
 Lemma-1 runs produce tens of thousands of records, so they keep each batch
 of trials as numpy columns and build a TrialRecord only when one is read.
 Their JSONL is written a batch at a time from a ``%`` template that
@@ -31,7 +38,7 @@ import operator
 import time
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from itertools import repeat
 
 import numpy as np
@@ -397,7 +404,8 @@ def verify_thm1(rep: SpectralRep, split: BlockSplit, f: HomogeneousFn,
     three combined standard errors (or median-of-means deviation bounds in
     the infinite-variance regime).  Descriptors without a positive
     definiteness certificate are flagged, not rejected.  With ``oracle``
-    set and n = 2, deterministic density-based margins are attached.
+    set and n = 2, the density oracle's values, margin and error bounds
+    are attached.
     """
     split.validate(rep.n)
     if f.n != rep.n:
@@ -437,6 +445,8 @@ def verify_thm1(rep: SpectralRep, split: BlockSplit, f: HomogeneousFn,
         extra["oracle_bound"] = ox.error_bound + oy.error_bound
         extra["oracle_x"] = ox.value
         extra["oracle_y"] = oy.value
+        extra["oracle_x_bound"] = ox.error_bound
+        extra["oracle_y_bound"] = oy.error_bound
     passed = margin >= -tol
     return TrialRecord(
         index=index, mode=mode,
@@ -462,9 +472,6 @@ def verify_cor3(rep: SpectralRep, split: BlockSplit, p: float, N: int, seed,
 
 # ---------------------------------------------------------------------------
 # experiment configuration and execution
-
-
-_MODES = ("lemma1", "prop1", "thm1", "cor3", "pd", "oracle-crosscheck")
 
 
 @dataclass
@@ -493,20 +500,21 @@ class ExperimentConfig:
             raise ValueError("dimensions must be integers >= 2")
         if self.mode == "oracle-crosscheck" and any(n != 2 for n in self.n_values):
             raise ValueError("oracle-crosscheck runs in dimension 2 only")
-        if self.p_value is not None:
-            p = self.p_value
-            if self.mode == "cor3":
-                if not all(-n < p < -n + 1 for n in self.n_values):
-                    raise ValueError(
-                        f"cor3 requires p in (-n, -n+1) for every configured n; got p={p}")
-            elif self.mode in ("thm1", "pd"):
-                if not all(-n < p < 0 for n in self.n_values):
-                    raise ValueError(f"{self.mode} requires p in (-n, 0); got p={p}")
-            elif self.mode == "prop1":
-                ok = all(0 < p <= q or (q == 2.0 and p > 2.0) for q in self.q_values)
-                if not ok:
-                    raise ValueError(
-                        f"prop1 requires 0 < p <= q (or q = 2 with p > 2); got p={p}")
+        if self.mode == "pd" and any(n not in (2, 3) for n in self.n_values):
+            raise ValueError("pd mode runs in dimensions 2 and 3 only")
+        p = self.p_value
+        if p is None:
+            return
+        if self.mode in ("lemma1", "oracle-crosscheck"):
+            raise ValueError(f"{self.mode} draws its own exponents; p_value must be unset")
+        if self.mode == "cor3" and not all(-n < p < -n + 1 for n in self.n_values):
+            raise ValueError(
+                f"cor3 requires p in (-n, -n+1) for every configured n; got p={p}")
+        if self.mode in ("thm1", "pd") and not all(-n < p < 0 for n in self.n_values):
+            raise ValueError(f"{self.mode} requires p in (-n, 0); got p={p}")
+        if self.mode == "prop1" and not all(0 < p <= q or (q == 2.0 and p > 2.0)
+                                            for q in self.q_values):
+            raise ValueError(f"prop1 requires 0 < p <= q (or q = 2 with p > 2); got p={p}")
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -515,8 +523,15 @@ class ExperimentConfig:
         return d
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
+    def from_json_dict(cls, d: dict, **overrides) -> "ExperimentConfig":
+        """Config from a JSON object; ``overrides`` replace its entries."""
+        if not isinstance(d, dict):
+            raise ValueError(f"an experiment configuration is a JSON object, "
+                             f"not {type(d).__name__}")
+        d = {**d, **overrides}
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown experiment configuration keys {unknown}")
         if "n_values" in d:
             d["n_values"] = tuple(d["n_values"])
         if "q_values" in d:
@@ -556,9 +571,8 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return _chunk_rng(Seed(seed, stream_id=trial), 2**31)
 
 
-def _random_thm1_fn(rng: np.random.Generator, n: int, k: int,
-                    families=("max_abs", "l1", "euclidean", "lr_subspace")) -> HomogeneousFn:
-    family = families[int(rng.integers(0, len(families)))]
+def _random_thm1_fn(rng: np.random.Generator, n: int, k: int) -> HomogeneousFn:
+    family = ("max_abs", "l1", "euclidean", "lr_subspace")[int(rng.integers(0, 4))]
     if family == "max_abs":
         p = float(rng.uniform(-n + 0.08, -n + 0.92))
         return max_abs_power(n, p, block_split=k)
@@ -568,7 +582,12 @@ def _random_thm1_fn(rng: np.random.Generator, n: int, k: int,
     if family == "euclidean":
         w = np.exp(rng.uniform(-1.0, 1.0, n))
         return euclidean_power(n, p, weights=w, block_split=k)
-    # block-symmetric subspace-of-L_r norm: random rows plus their mirrors
+    return HomogeneousFn(base=_random_lr_subspace(rng, n, k), p=p, block_split=k)
+
+
+def _random_lr_subspace(rng: np.random.Generator, n: int, k: int) -> LrMatrixBase:
+    """Block-symmetric subspace-of-L_r norm: the axes plus random rows and
+    their mirrors under the trailing-block sign flip."""
     r = float(rng.uniform(0.5, 2.0))
     rows = [np.eye(n)[i] for i in range(n)]
     for _ in range(int(rng.integers(1, 4))):
@@ -576,8 +595,7 @@ def _random_thm1_fn(rng: np.random.Generator, n: int, k: int,
         m = v.copy()
         m[k:] *= -1.0
         rows += [v, m]
-    base = LrMatrixBase(matrix=np.vstack(rows), r=r)
-    return HomogeneousFn(base=base, p=p, block_split=k)
+    return LrMatrixBase(matrix=np.vstack(rows), r=r)
 
 
 def _run_lemma1(config: ExperimentConfig) -> _Lemma1Records:
@@ -613,129 +631,107 @@ def _run_lemma1(config: ExperimentConfig) -> _Lemma1Records:
     return _Lemma1Records(batches)
 
 
-def _run_prop1(config: ExperimentConfig) -> list:
-    records = []
-    for t in range(config.trials):
-        rng = _trial_rng(config.seed, t)
-        n = int(config.n_values[int(rng.integers(0, len(config.n_values)))])
-        q = float(config.q_values[int(rng.integers(0, len(config.q_values)))])
-        k = int(rng.integers(1, n))
-        if config.p_value is not None:
-            p = config.p_value
-        else:
-            p = float(rng.uniform(0.15, 1.0) * q)
-        rep = random_rep(rng, n, q)
-        gamma = random_block_symmetric_measure(rng, n, k, p)
-        records.append(verify_prop1(rep, BlockSplit(k), gamma, p, index=t))
-    return records
+def _pick(rng: np.random.Generator, values):
+    return values[int(rng.integers(0, len(values)))]
 
 
-def _run_mc(config: ExperimentConfig, mode: str) -> list:
-    records = []
-    for t in range(config.trials):
-        rng = _trial_rng(config.seed, t)
-        n = int(config.n_values[int(rng.integers(0, len(config.n_values)))])
-        q = float(config.q_values[int(rng.integers(0, len(config.q_values)))])
-        k = int(rng.integers(1, n))
-        rep = random_rep(rng, n, q, full_rank=True, max_condition=1e4)
-        seed = Seed(config.seed, stream_id=t)
-        if mode == "cor3":
-            p = config.p_value if config.p_value is not None \
-                else float(rng.uniform(-n + 0.08, -n + 0.92))
-            rec = verify_cor3(rep, BlockSplit(k), p, config.N, seed, index=t,
-                              workers=config.workers)
-        else:
-            f = _random_thm1_fn(rng, n, k)
-            if config.p_value is not None:
-                f = HomogeneousFn(base=f.base, p=config.p_value, block_split=k)
-            rec = verify_thm1(rep, BlockSplit(k), f, config.N, seed, index=t,
-                              workers=config.workers)
-        records.append(rec)
-    return records
+def _draw_nqk(config: ExperimentConfig, rng: np.random.Generator) -> tuple:
+    n = int(_pick(rng, config.n_values))
+    q = float(_pick(rng, config.q_values))
+    return n, q, int(rng.integers(1, n))
 
 
-def _run_pd(config: ExperimentConfig) -> list:
+def _prop1_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) -> TrialRecord:
+    n, q, k = _draw_nqk(config, rng)
+    p = config.p_value if config.p_value is not None else float(rng.uniform(0.15, 1.0) * q)
+    rep = random_rep(rng, n, q)
+    gamma = random_block_symmetric_measure(rng, n, k, p)
+    return verify_prop1(rep, BlockSplit(k), gamma, p, index=t)
+
+
+def _mc_rep(config: ExperimentConfig, rng: np.random.Generator) -> tuple:
+    n, q, k = _draw_nqk(config, rng)
+    return n, k, random_rep(rng, n, q, full_rank=True, max_condition=1e4)
+
+
+def _thm1_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) -> TrialRecord:
+    n, k, rep = _mc_rep(config, rng)
+    f = _random_thm1_fn(rng, n, k)
+    if config.p_value is not None:
+        f = HomogeneousFn(base=f.base, p=config.p_value, block_split=k)
+    return verify_thm1(rep, BlockSplit(k), f, config.N, Seed(config.seed, t), index=t,
+                       workers=config.workers)
+
+
+def _cor3_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) -> TrialRecord:
+    n, k, rep = _mc_rep(config, rng)
+    p = config.p_value if config.p_value is not None \
+        else float(rng.uniform(-n + 0.08, -n + 0.92))
+    return verify_cor3(rep, BlockSplit(k), p, config.N, Seed(config.seed, t), index=t,
+                       workers=config.workers)
+
+
+def _pd_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) -> TrialRecord:
     from .fourier_pd import pd_check
 
-    records = []
-    for t in range(config.trials):
-        rng = _trial_rng(config.seed, t)
-        n = int(config.n_values[int(rng.integers(0, len(config.n_values)))])
-        if n not in (2, 3):
-            raise ValueError("pd mode runs in dimensions 2 and 3 only")
-        k = max(1, n - 1)
-        f = _random_thm1_fn(rng, n, k,
-                            families=("max_abs", "l1", "euclidean", "lr_subspace"))
-        p = config.p_value if config.p_value is not None \
-            else float(rng.uniform(-n + 0.08, -n + 0.92))
-        f = HomogeneousFn(base=f.base, p=p, block_split=None)
-        report = pd_check(f)
-        passed = report.verdict != "violation"
-        records.append(TrialRecord(
-            index=t, mode="pd",
-            config={"n": n, "p": p, "family": f.base.to_json_dict()["kind"],
-                    "generator": GENERATOR_NOTE},
-            lhs=report.min_action, rhs=0.0, margin=report.min_action,
-            tolerance=report.quadrature_error_bound, passed=passed,
-            extra={"verdict": report.verdict,
-                   "witness": report.witness.to_json_dict(),
-                   "family_size": report.family_size}))
-    return records
+    n = int(_pick(rng, config.n_values))
+    f = _random_thm1_fn(rng, n, n - 1)
+    p = config.p_value if config.p_value is not None \
+        else float(rng.uniform(-n + 0.08, -n + 0.92))
+    f = HomogeneousFn(base=f.base, p=p, block_split=None)
+    report = pd_check(f)
+    return TrialRecord(
+        index=t, mode="pd",
+        config={"n": n, "p": p, "family": f.base.to_json_dict()["kind"],
+                "generator": GENERATOR_NOTE},
+        lhs=report.min_action, rhs=0.0, margin=report.min_action,
+        tolerance=report.quadrature_error_bound, passed=report.verdict != "violation",
+        extra={"verdict": report.verdict, "witness": report.witness.to_json_dict(),
+               "family_size": report.family_size})
 
 
-def _run_oracle(config: ExperimentConfig) -> list:
-    from .oracle2d import density_2d, oracle_expectation
+def _oracle_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) -> TrialRecord:
+    q = float(_pick(rng, config.q_values))
+    rep = random_rep(rng, 2, q, full_rank=True, max_condition=1e4)
+    family = ("max_abs", "l1", "euclidean")[int(rng.integers(0, 3))]
+    if family == "max_abs":
+        p = float(rng.uniform(-1.9, -1.1))
+        f = max_abs_power(2, p, block_split=1)
+    else:
+        # plain-variance regime (2p > -n) so the unbiased mean is comparable
+        # to the oracle value directly
+        p = float(rng.uniform(-0.95, -0.15))
+        f = lp_norm_power(2, 1.0, p, block_split=1) if family == "l1" \
+            else euclidean_power(2, p, block_split=1)
+    mc = verify_thm1(rep, BlockSplit(1), f, config.N, Seed(config.seed, t),
+                     oracle=True, workers=config.workers)
+    x = mc.extra
+    margin = x["oracle_margin"]
+    if x["estimator"] == "plain":
+        # the oracle's own reported error participates in the allowance
+        sides = ((x["oracle_x"], mc.lhs, x["stderr_x"], x["oracle_x_bound"]),
+                 (x["oracle_y"], mc.rhs, x["stderr_y"], x["oracle_y_bound"]))
+        agree = all(abs(o - v) <= max(3.0 * se, 1e-2 * abs(o)) + bound
+                    for o, v, se, bound in sides)
+    else:
+        # median-of-means is median-biased for heavy-tailed integrands
+        # (several percent of the value, largely shared by both sides),
+        # so only a coarse margin-level consistency check is sound here
+        agree = abs(margin - mc.margin) <= max(mc.tolerance, 0.35 * abs(margin))
+    return TrialRecord(
+        index=t, mode="oracle-crosscheck",
+        config={"n": 2, "q": q, "k": 1, "p": p, "family": family, "N": config.N,
+                "rep_hash": mc.config["rep_hash"], "generator": GENERATOR_NOTE},
+        lhs=x["oracle_x"], rhs=x["oracle_y"], margin=margin, tolerance=x["oracle_bound"],
+        passed=bool(margin >= -x["oracle_bound"] and agree),
+        extra={"mc_margin": mc.margin, "mc_tolerance": mc.tolerance, "mc_x": mc.lhs,
+               "mc_y": mc.rhs, "estimator": x["estimator"]})
 
-    records = []
-    for t in range(config.trials):
-        rng = _trial_rng(config.seed, t)
-        q = float(config.q_values[int(rng.integers(0, len(config.q_values)))])
-        rep = random_rep(rng, 2, q, full_rank=True, max_condition=1e4)
-        k = 1
-        family = ("max_abs", "l1", "euclidean")[int(rng.integers(0, 3))]
-        if family == "max_abs":
-            p = float(rng.uniform(-1.9, -1.1))
-            f = max_abs_power(2, p, block_split=k)
-        else:
-            # plain-variance regime (2p > -n) so the unbiased mean is comparable
-            # to the oracle value directly
-            p = float(rng.uniform(-0.95, -0.15))
-            f = lp_norm_power(2, 1.0, p, block_split=k) if family == "l1" \
-                else euclidean_power(2, p, block_split=k)
-        rep_y = decouple(rep, BlockSplit(k))
-        ox = oracle_expectation(f, density_2d(rep))
-        oy = oracle_expectation(f, density_2d(rep_y))
-        margin = ox.value - oy.value
-        bound = ox.error_bound + oy.error_bound
-        est_x = mc_expectation(f, rep, config.N, Seed(config.seed, 2 * t),
-                               workers=config.workers)
-        est_y = mc_expectation(f, rep_y, config.N, Seed(config.seed, 2 * t + 1),
-                               workers=config.workers)
-        comb = float(np.hypot(est_x.uncertainty, est_y.uncertainty))
-        mc_margin = est_x.value - est_y.value
-        if est_x.estimator == "plain":
-            # the oracle's own reported error participates in the allowance
-            agree = abs(ox.value - est_x.value) <= max(
-                3.0 * est_x.uncertainty, 1e-2 * abs(ox.value)) + ox.error_bound
-            agree &= abs(oy.value - est_y.value) <= max(
-                3.0 * est_y.uncertainty, 1e-2 * abs(oy.value)) + oy.error_bound
-        else:
-            # median-of-means is median-biased for heavy-tailed integrands
-            # (several percent of the value, largely shared by both sides),
-            # so only a coarse margin-level consistency check is sound here
-            agree = abs(margin - mc_margin) <= max(3.0 * comb, 0.35 * abs(margin))
-        passed = bool(margin >= -bound and agree)
-        records.append(TrialRecord(
-            index=t, mode="oracle-crosscheck",
-            config={"n": 2, "q": q, "k": k, "p": p, "family": family,
-                    "N": config.N, "rep_hash": rep_hash(rep),
-                    "generator": GENERATOR_NOTE},
-            lhs=ox.value, rhs=oy.value, margin=margin, tolerance=bound,
-            passed=passed,
-            extra={"mc_margin": mc_margin, "mc_tolerance": 3.0 * comb,
-                   "mc_x": est_x.value, "mc_y": est_y.value,
-                   "estimator": est_x.estimator}))
-    return records
+
+# mode -> trial(config, t, rng) making the TrialRecord of trial t from its rng
+_TRIALS = {"prop1": _prop1_trial, "thm1": _thm1_trial, "cor3": _cor3_trial,
+           "pd": _pd_trial, "oracle-crosscheck": _oracle_trial}
+_MODES = ("lemma1", *_TRIALS)
 
 
 def run_experiment(config: ExperimentConfig) -> VerificationReport:
@@ -748,14 +744,9 @@ def run_experiment(config: ExperimentConfig) -> VerificationReport:
     t0 = time.perf_counter()
     if config.mode == "lemma1":
         records = _run_lemma1(config)
-    elif config.mode == "prop1":
-        records = _run_prop1(config)
-    elif config.mode in ("thm1", "cor3"):
-        records = _run_mc(config, config.mode)
-    elif config.mode == "pd":
-        records = _run_pd(config)
     else:
-        records = _run_oracle(config)
+        trial = _TRIALS[config.mode]
+        records = [trial(config, t, _trial_rng(config.seed, t)) for t in range(config.trials)]
     runtime = time.perf_counter() - t0
     if isinstance(records, _Lemma1Records):
         min_margin = min((b.margin.min() for b in records.batches), default=float("nan"))

@@ -19,7 +19,7 @@ from stablecomp import (BlockSplit, HomogeneousFn, LrMatrixBase, Seed,
                         verify_thm1)
 from stablecomp.sampling import _chunk_rng
 from stablecomp.verify import (lemma1_margin_batch, random_block_symmetric_measure,
-                               random_rep, _random_thm1_fn)
+                               random_rep, _random_lr_subspace)
 
 
 def _report(name, detail, elapsed, limit):
@@ -210,8 +210,8 @@ def test_mc_decoupling_bounds():
                 f = euclidean_power(n, p, block_split=k)
             else:
                 rng2 = _chunk_rng(Seed(777), t)
-                f = _random_thm1_fn(rng2, n, k, families=("lr_subspace",))
-                f = HomogeneousFn(base=f.base, p=p, block_split=k)
+                rng2.uniform()  # the generator's exponent draw; p replaces it
+                f = HomogeneousFn(base=_random_lr_subspace(rng2, n, k), p=p, block_split=k)
             rec = verify_thm1(rep, BlockSplit(k), f, N, Seed(2026, t))
         assert rec.passed, rec.to_json_dict()
         if rec.tolerance > 0:

@@ -99,11 +99,37 @@ def test_verify_invalid_config():
     assert main(["verify", "cor3", "--trials", "1", "--p", "-0.5"]) == 2
 
 
+@pytest.mark.parametrize("content, message", [('{"trails": 3}', "['trails']"),
+                                              ('[1, 2]', "JSON object"),
+                                              ('"prop1"', "JSON object")])
+def test_verify_bad_config_file(tmp_path, capsys, content, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(content)
+    assert main(["verify", "prop1", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_p_rejected_where_exponents_are_drawn(tmp_path, capsys):
+    assert main(["verify", "lemma1", "--trials", "3", "--p", "7"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--trials", "1", "--p", "5"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"trials": 1, "p_value": -0.5}))
+    assert main(["oracle", "--config", str(cfg)]) == 2
+    assert "p_value" in capsys.readouterr().err
+
+
 def test_pd_check_builtin(capsys):
     rc = main(["pd-check", "--builtin", "max-abs", "2", "-1.5", "--json"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "consistent-with-pd"
+
+
+def test_pd_check_unknown_builtin(capsys):
+    assert main(["pd-check", "--builtin", "foo", "2", "-1.5"]) == 2
+    assert "max-abs, euclidean, l1" in capsys.readouterr().err
 
 
 def test_pd_check_descriptor_file(tmp_path):

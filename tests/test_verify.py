@@ -179,8 +179,12 @@ class TestThm1Cor3:
         rep = SpectralRep.from_atoms(2.0, [(1.0, (1.0, 0.6)), (0.7, (0.3, 1.0))])
         rec = verify_thm1(rep, BlockSplit(1), lp_norm_power(2, 1.0, -0.5),
                           100_000, Seed(7), oracle=True)
-        assert rec.extra["oracle_margin"] >= -rec.extra["oracle_bound"]
-        assert abs(rec.extra["oracle_margin"] - rec.margin) < 0.05
+        x = rec.extra
+        assert x["oracle_margin"] >= -x["oracle_bound"]
+        assert abs(x["oracle_margin"] - rec.margin) < 0.05
+        assert x["oracle_margin"] == x["oracle_x"] - x["oracle_y"]
+        assert x["oracle_bound"] == x["oracle_x_bound"] + x["oracle_y_bound"]
+        assert x["oracle_x_bound"] > 0 and x["oracle_y_bound"] > 0
 
 
 class TestRunExperiment:
@@ -227,6 +231,34 @@ class TestRunExperiment:
         back = ExperimentConfig.from_json_dict(
             json.loads(json.dumps(config.to_json_dict())))
         assert back == config
+
+    def test_config_json_overrides_and_unknown_keys(self):
+        config = ExperimentConfig.from_json_dict({"mode": "prop1", "trials": 3}, trials=5)
+        assert config.trials == 5
+        with pytest.raises(ValueError, match=r"\['bogus', 'trails'\]"):
+            ExperimentConfig.from_json_dict({"mode": "prop1", "bogus": 1}, trails=3)
+
+    def test_pd_mode(self, tmp_path):
+        texts = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"pd_{tag}.jsonl"
+            report = run_experiment(ExperimentConfig(
+                mode="pd", trials=2, seed=4, n_values=(2,), out_jsonl=str(out)))
+            assert len(report.records) == 2 and report.passed
+            for rec in report.records:
+                assert rec.mode == "pd" and rec.passed and rec.config["n"] == 2
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("n_values", [(4,), (2, 4)])
+    def test_pd_dimension_rejected_before_any_trial(self, monkeypatch, n_values):
+        from stablecomp import verify
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setitem(verify._TRIALS, "pd", no_trial)
+        with pytest.raises(ValueError, match="dimensions 2 and 3"):
+            run_experiment(ExperimentConfig(mode="pd", trials=3, n_values=n_values))
 
 
 def _json_line(rec: TrialRecord) -> str:
