@@ -14,12 +14,12 @@ from .sampling import (SampleBatch, Seed, default_workers, empirical_char_fn,
                        sample_batch, sample_standard, sample_vector)
 from .moments import (LevyMeasure, MCEstimate, MomentExistenceError,
                       QuadratureFailure, c_pq, c_pq_oracle, levy_expectation,
-                      mc_expectation, norm_from_levy)
+                      mc_expectation)
 from .homogeneous import (DiagEuclideanBase, HomogeneousFn, LevyBase,
                           LrMatrixBase, MaxAbsBase, check_block_symmetry,
                           check_homogeneity, euclidean_power, evaluate,
                           evaluate_many, fn_from_json, fn_to_json,
-                          levy_norm_power, lp_norm_power, max_abs_power)
+                          lp_norm_power, max_abs_power)
 from .fourier_pd import (ActionResult, PDReport, TestFunction, bump_family,
                          euclidean_reference_action, gaussian_family,
                          pd_action, pd_check, radial_fourier_weight,
@@ -42,10 +42,10 @@ __all__ = [
     "check_block_symmetry", "check_homogeneity", "decouple",
     "default_workers", "density_2d", "empirical_char_fn", "euclidean_power",
     "euclidean_reference_action", "evaluate", "evaluate_many", "fn_from_json",
-    "fn_to_json", "gaussian_family", "levy_expectation", "levy_norm_power",
-    "lp_norm_power", "marginal_block", "max_abs_power", "mc_expectation",
-    "norm_from_levy", "oracle_expectation", "pd_action", "pd_certificate",
-    "pd_check", "radial_fourier_weight", "radon_action",
+    "fn_to_json", "gaussian_family", "levy_expectation", "lp_norm_power",
+    "marginal_block", "max_abs_power", "mc_expectation", "oracle_expectation",
+    "pd_action", "pd_certificate", "pd_check", "radial_fourier_weight",
+    "radon_action",
     "random_block_symmetric_measure", "random_rep", "reflect", "rep_hash",
     "run_experiment", "sample_batch", "sample_standard", "sample_vector",
     "scale_q", "subordination_norm_power", "verify_cor3", "verify_prop1",

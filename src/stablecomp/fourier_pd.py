@@ -14,12 +14,13 @@ a closed form in Kummer's M (see ``_radial_profile``), so its error bound is
 purely angular: the gap between a coarse and a fine angular grid plus a
 roundoff term.  For a bump the radial integral is a singularity-aware rule
 (Gauss-Jacobi near the origin, oscillation-limited Gauss-Legendre panels
-outside) over a tabulated profile, and the bound adds the gap between a
-coarse and a fine radial rule and a truncation term.  The panels have equal
-widths, so the oscillatory factor cos(r c) at a panel node m + h x splits by
-angle addition into cos(c m), sin(c m) per panel and cos(c h x), sin(c h x)
-per node: every direction costs about one cosine and one sine per panel
-rather than per node.
+outside) over a tabulated profile, read through the cubic B-spline of its
+uniform grid (``_interpolant``, which the 2-D oracle shares), and the bound
+adds the gap between a coarse and a fine radial rule and a truncation
+term.  The panels have equal widths, so the oscillatory factor cos(r c) at
+a panel node m + h x splits by angle addition into cos(c m), sin(c m) per
+panel and cos(c h x), sin(c h x) per node: every direction costs about one
+cosine and one sine per panel rather than per node.
 
 Test functions are Gaussians modulated to a center xi0 (their Fourier
 transforms are analytic, which removes one quadrature layer) or, for the
@@ -43,7 +44,7 @@ from scipy.special import gamma as _gamma
 from scipy.special import hyp1f1, i0e, j0, roots_jacobi
 
 from .homogeneous import _LR_EXPONENT, HomogeneousFn, evaluate_many
-from .moments import QuadratureFailure
+from .moments import _quad
 
 __all__ = [
     "ActionResult",
@@ -174,6 +175,31 @@ def _jacobi(m: int, beta: float):
     return x, w
 
 
+def _interpolant(axis: np.ndarray, values: np.ndarray):
+    """Cubic B-spline interpolant ``rho(x1, ..., xd)`` of a d-dimensional
+    field on the uniform grid ``axis`` in every dimension.
+
+    The coefficients are filtered once with mirror boundaries.  Points
+    beyond the grid are clamped onto its edge, as FITPACK's ``bispev``
+    clamps them.
+    """
+    from scipy import ndimage  # about 60 ms to import; only bumps and the oracle need it
+
+    coeffs = ndimage.spline_filter(values, order=3, mode="mirror")
+    x0, dx, top = float(axis[0]), float(axis[1] - axis[0]), axis.size - 1.0
+
+    def rho(*xs: np.ndarray) -> np.ndarray:
+        coords = np.stack([np.ravel(x) for x in xs])
+        coords -= x0
+        coords /= dx
+        np.clip(coords, 0.0, top, out=coords)
+        out = ndimage.map_coordinates(coeffs, coords, order=3, mode="mirror",
+                                      prefilter=False)
+        return out.reshape(np.shape(xs[0]))
+
+    return rho
+
+
 @lru_cache(maxsize=64)
 def _sphere_grid(n: int, spec: tuple):
     """Direction matrix and quadrature weights; weights sum to |S^(n-1)|."""
@@ -280,22 +306,33 @@ _BUMP_BLOCK = 500  # grid rows per block; bounds the (rows x 1600) temporaries
 
 
 @lru_cache(maxsize=4)
-def _bump_profile(n: int):
-    """Radial profile of the Fourier transform of the unit bump in R^n.
+def _bump_table(n: int):
+    """Radial profile of the Fourier transform of the unit bump in R^n, on a
+    uniform grid of radii.
 
-    Returns (spline on [0, s_cut], s_cut, tail magnitude estimate).
+    Returns (radii on [0, s_cut], profile values there, tail magnitude
+    estimate past s_cut).
     """
-    from scipy.interpolate import CubicSpline  # about 0.35 s to import; only bumps need it
     s = np.linspace(0.0, 400.0, 8001)
     vals = np.concatenate([_bump_transform(n, s[i:i + _BUMP_BLOCK])
                            for i in range(0, s.size, _BUMP_BLOCK)])
     peak = abs(vals[0])
     big = np.nonzero(np.abs(vals) > 1e-12 * peak)[0]
     cut_idx = min(len(s) - 1, int(big[-1]) + 50)
-    s_cut = float(s[cut_idx])
     tail = float(np.abs(vals[max(cut_idx - 100, 0):]).max())
-    spline = CubicSpline(s[:cut_idx + 1], vals[:cut_idx + 1], extrapolate=False)
-    return spline, s_cut, tail
+    return s[:cut_idx + 1], vals[:cut_idx + 1], tail
+
+
+@lru_cache(maxsize=4)
+def _bump_profile(n: int):
+    """(interpolant of ``_bump_table(n)``, s_cut, tail magnitude estimate).
+
+    The profile is even in s, so the mirror boundary at s = 0 is exact.
+    Past s_cut, which the radial rule reaches only by roundoff, the
+    interpolant holds the edge value, no larger than the tail estimate.
+    """
+    s, vals, tail = _bump_table(n)
+    return _interpolant(s, vals), float(s[-1]), tail
 
 
 def _radial_profile(f_p: float, n: int, phi: TestFunction, cabs: np.ndarray,
@@ -333,8 +370,7 @@ def _radial_profile(f_p: float, n: int, phi: TestFunction, cabs: np.ndarray,
     h = min(c_h, 1.5 / rho)
 
     def kernel(r):
-        out = spline(rho * r)
-        return K * np.nan_to_num(out, nan=0.0)
+        return K * spline(rho * r)
 
     vals = _radial_modulated(a, kernel, r0, rmax, h, cabs, nj, gl)
     trunc = 2.0 * K * tail * rmax ** max(a - 1.0, 0.0) * 10.0
@@ -554,8 +590,6 @@ def euclidean_reference_action(n: int, p: float, phi: TestFunction) -> float:
         raise ValueError("reference action is implemented for gaussian tests")
     if not (-n < p < 0.0):
         raise ValueError(f"requires p in (-n, 0); got {p}")
-    from scipy import integrate  # about 0.35 s to import; only reference routes need it
-
     sigma = phi.width
     b = float(np.linalg.norm(phi.center))
     cnp = 2.0 ** (n + p) * np.pi ** (n / 2.0) * _gamma((n + p) / 2.0) / _gamma(-p / 2.0)
@@ -585,11 +619,7 @@ def euclidean_reference_action(n: int, p: float, phi: TestFunction) -> float:
     def integrand(v):
         return float(sphere_avg(float(v) ** (-1.0 / p))[0])
 
-    out = integrate.quad(integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-11,
-                         limit=400, full_output=1)
-    if len(out) > 3:
-        raise QuadratureFailure(f"reference quadrature failed: {out[3]}")
-    radial = out[0] / (-p)
+    radial = _quad(integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-11) / (-p)
     return float(phi.normalization * cnp * area * radial)
 
 
@@ -605,8 +635,6 @@ def subordination_norm_power(f: HomogeneousFn, x, r=None) -> float:
     p = f.p
     if p >= 0:
         raise ValueError("subordination reconstruction applies to negative exponents")
-    from scipy import integrate  # about 0.35 s to import; only reference routes need it
-
     if r is None:
         getter = _LR_EXPONENT.get(type(f.base))
         if getter is None:
@@ -628,8 +656,5 @@ def subordination_norm_power(f: HomogeneousFn, x, r=None) -> float:
     def integrand(u):
         return np.exp(-p * u - c * np.exp(r * u))
 
-    out = integrate.quad(integrand, u_lo, u_hi, epsabs=1e-300, epsrel=1e-12,
-                         limit=400, full_output=1)
-    if len(out) > 3:
-        raise QuadratureFailure(f"subordination quadrature failed: {out[3]}")
-    return float(r / _gamma(-p / r) * out[0])
+    return float(r / _gamma(-p / r) * _quad(integrand, u_lo, u_hi,
+                                            epsabs=1e-300, epsrel=1e-12))

@@ -37,7 +37,6 @@ __all__ = [
     "evaluate_many",
     "fn_from_json",
     "fn_to_json",
-    "levy_norm_power",
     "lp_norm_power",
     "max_abs_power",
 ]
@@ -221,10 +220,6 @@ def euclidean_power(n: int, p: float, weights=None, block_split=None) -> Homogen
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     return HomogeneousFn(base=DiagEuclideanBase(weights=w), p=p,
                          block_split=block_split)
-
-
-def levy_norm_power(measure: LevyMeasure, p: float, block_split=None) -> HomogeneousFn:
-    return HomogeneousFn(base=LevyBase(measure=measure), p=p, block_split=block_split)
 
 
 def fn_to_json(f: HomogeneousFn) -> str:

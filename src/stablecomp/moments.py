@@ -42,7 +42,6 @@ __all__ = [
     "c_pq_oracle",
     "levy_expectation",
     "mc_expectation",
-    "norm_from_levy",
 ]
 
 
@@ -60,7 +59,7 @@ class LevyMeasure:
 
     N(x) = (sum_m c_m |<x, xi_m>|^p)^(1/p) with homogeneity exponent p > 0.
     Entries need not span R^n; spanning is required only where the
-    represented norm must be positive definite (see norm_from_levy).
+    represented norm must be positive definite (see homogeneous.LevyBase).
     """
 
     p: float
@@ -197,10 +196,12 @@ def c_pq(p, q) -> float:
     return float(_gamma(s / q) / (q * _gamma(s) * np.cos(np.pi * s / 2.0)))
 
 
-def _quad(fn, a, b, rel=1e-11):
-    from scipy import integrate  # about 0.35 s to import; only c_pq_oracle needs it
+def _quad(fn, a, b, epsabs=1e-14, epsrel=1e-11):
+    """Adaptive quadrature of fn over [a, b]; QuadratureFailure on any
+    convergence warning or on an error estimate above 1e-7 max(1, |value|)."""
+    from scipy import integrate  # about 0.35 s to import; only reference routes need it
 
-    out = integrate.quad(fn, a, b, epsabs=1e-14, epsrel=rel,
+    out = integrate.quad(fn, a, b, epsabs=epsabs, epsrel=epsrel,
                          limit=400, full_output=1)
     if len(out) > 3:
         raise QuadratureFailure(f"quadrature did not converge: {out[3]}")
@@ -340,16 +341,3 @@ def mc_expectation(f, rep: SpectralRep, N: int, seed,
     return MCEstimate(value=value, n_samples=N, estimator="median-of-means",
                       dev_bound=dev, blocks=blocks,
                       rep_hash=rep_hash(rep), seed=seed)
-
-
-def norm_from_levy(gamma: LevyMeasure):
-    """The 1-homogeneous norm represented by gamma, as an evaluable descriptor.
-
-    Rejects measures whose entries fail to span R^n (the represented
-    functional would vanish on a nontrivial subspace).
-    """
-    from .homogeneous import HomogeneousFn, LevyBase  # deferred import
-
-    if not gamma.spans():
-        raise ValueError("entries do not span R^n; the represented norm is degenerate")
-    return HomogeneousFn(base=LevyBase(measure=gamma), p=1.0)

@@ -1,11 +1,12 @@
 """Deterministic two-dimensional oracle: density recovery and expectations.
 
 The density of a nondegenerate 2-D law is recovered from its
-characteristic function by an FFT on a centered frequency grid whose
-extent is chosen so the characteristic function is below 1e-12 outside.
-The characteristic function is real, so a real FFT computes half of the
-spectrum and the other half follows from Hermitian symmetry,
-X[k1, k2] = conj X[-k1 mod M, -k2 mod M].
+characteristic function by an inverse FFT on a frequency grid whose extent
+is chosen so the characteristic function is below 1e-12 outside.  The
+characteristic function is real and even, so it is evaluated on half of
+the grid only (columns 0..M/2 in FFT order), and one complex inverse FFT
+along the first axis and one real inverse FFT along the second give the
+real, centred density.
 
 Expectations of homogeneous functionals are then computed in polar
 coordinates with the radial weight r^(1+p) handled by Gauss-Jacobi rules
@@ -22,16 +23,15 @@ estimates against which the Monte Carlo machinery is validated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .fourier_pd import ActionResult, _jacobi, _leggauss
+from .fourier_pd import ActionResult, _interpolant, _jacobi, _leggauss
 from .homogeneous import HomogeneousFn, evaluate_many
 from .moments import MomentExistenceError, QuadratureFailure
+from .sampling import _write_binary
 from .spectral import SpectralRep, _qsum, rep_hash
 
 __all__ = ["DensityField", "density_2d", "oracle_expectation"]
@@ -48,8 +48,8 @@ class DensityField:
     (the construction-time validity gate), and ``tail_mass`` records the
     single-excursion estimate of how much of it is folded-in tail.
 
-    ``values`` come from a real FFT of the characteristic function, with
-    the missing half of the spectrum filled in by Hermitian symmetry.
+    ``values`` come from a real inverse FFT of the characteristic function
+    on the half frequency grid; no Hermitian fill is needed.
     ``oracle_expectation`` reads them through the interpolating cubic
     B-spline of the grid, clamping points beyond ``axis[0]`` and
     ``axis[-1]`` onto the edge.
@@ -102,10 +102,7 @@ class DensityField:
         }
 
     def export_binary(self, path) -> None:
-        path = Path(path)
-        self.values.astype("<f8").tofile(path)
-        with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-            json.dump(self.header_dict(), fh, sort_keys=True)
+        _write_binary(path, self.values, self.header_dict())
 
 
 def _tail_coefficient(q: float) -> float:
@@ -120,16 +117,6 @@ def _scale_profile(rep: SpectralRep, n_angles: int = 720):
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
     s = _qsum(rep, dirs) ** (1.0 / rep.q)
     return float(s.min()), float(s.max())
-
-
-def _box_exit_tail_mass(rep: SpectralRep, half_width: float) -> float:
-    """Single-excursion estimate of the mass outside the centered box."""
-    kq = _tail_coefficient(rep.q)
-    if kq == 0.0:
-        return 0.0
-    amax = np.abs(rep.atoms).max(axis=1)
-    keep = amax > 0
-    return float(kq * (rep.weights[keep] * (amax[keep] / half_width) ** rep.q).sum())
 
 
 def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
@@ -161,12 +148,15 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
 
     T = np.log(1e12) ** (1.0 / rep.q) / smin
     dxi = 2.0 * T / M
-    freq = (np.arange(M) - M / 2) * dxi
+    # phi is real and even, so the half grid of columns 0..M/2 fixes the
+    # spectrum; both axes are in FFT order
+    freq0 = np.fft.fftfreq(M, 1.0 / M) * dxi
+    freq1 = np.arange(M // 2 + 1) * dxi
 
-    qsum = np.zeros((M, M))
-    proj = np.empty((M, M))
+    qsum = np.zeros((M, M // 2 + 1))
+    proj = np.empty_like(qsum)
     for w, a in zip(rep.weights, rep.atoms):
-        np.add(a[0] * freq[:, None], a[1] * freq[None, :], out=proj)
+        np.add(a[0] * freq0[:, None], a[1] * freq1[None, :], out=proj)
         np.abs(proj, out=proj)
         if rep.q == 2.0:
             np.square(proj, out=proj)
@@ -179,30 +169,22 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
         qsum += proj
     del proj
     phi = np.exp(np.negative(qsum, out=qsum), out=qsum)
-    # the checkerboard sign (-1)^(j1+j2) centres the grid on both sides
+    # the checkerboard sign (-1)^(j1+j2) centres the density on the grid
     phi[1::2] *= -1.0
     phi[:, 1::2] *= -1.0
 
-    # rfft2 runs its second pass in place in ``out``
-    half = np.fft.rfft2(phi, out=np.empty((M, M // 2 + 1), dtype=complex))
+    # axis 0 in place, then axis 1 into the output: no second complex grid
+    spectrum = phi.astype(complex)
     del phi, qsum
-    scale = (dxi / (2.0 * np.pi)) ** 2
-    imag_max = float(np.abs(half.imag).max()) * scale
-    # the missing columns follow from X[k1, k2] = conj X[-k1 mod M, -k2 mod M]
-    vals = np.empty((M, M))
-    vals[:, :M // 2 + 1] = half.real
-    vals[0, M // 2 + 1:] = half.real[0, M // 2 - 1:0:-1]
-    vals[1:, M // 2 + 1:] = half.real[:0:-1, M // 2 - 1:0:-1]
-    del half
-    vals *= scale
-    vals[1::2] *= -1.0
-    vals[:, 1::2] *= -1.0
+    np.fft.ifft(spectrum, axis=0, norm="forward", out=spectrum)
+    vals = np.fft.irfft(spectrum, n=M, axis=1, norm="forward", out=np.empty((M, M)))
+    del spectrum
+    vals *= (dxi / (2.0 * np.pi)) ** 2
     diff = np.subtract(vals[1:, 1:], vals[1:, 1:][::-1, ::-1])
     asym = float(np.abs(diff, out=diff).max())
     del diff
-    if max(imag_max, asym) > 1e-10:
-        raise QuadratureFailure(
-            f"inversion lost the even symmetry (imag {imag_max:.2e}, asym {asym:.2e})")
+    if asym > 1e-10:
+        raise QuadratureFailure(f"inversion lost the even symmetry (asym {asym:.2e})")
 
     clipped = float(-vals[vals < 0].sum() * (np.pi / T) ** 2)
     if clipped > 1e-4:
@@ -216,7 +198,7 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
     for lo in range(0, M, 256):
         rows[lo:lo + 256] = np.trapezoid(vals[lo:lo + 256], dx=dx)
     grid_mass = float(np.trapezoid(rows, dx=dx))
-    tail_mass = _box_exit_tail_mass(rep, M / 2 * dx)
+    tail_mass = _tail_term(rep, M / 2 * dx)
     if abs(grid_mass - 1.0) > 1e-3:
         raise QuadratureFailure(
             f"mass check failed: trapezoidal grid mass {grid_mass:.6f} != 1 "
@@ -224,31 +206,6 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
     return DensityField(axis=axis, values=vals, rep=rep, rep_hash=rep_hash(rep),
                         clipped_mass=clipped, grid_mass=grid_mass,
                         tail_mass=tail_mass, condition=condition)
-
-
-def _interpolant(axis: np.ndarray, values: np.ndarray):
-    """Cubic B-spline interpolant ``rho(x, y)`` of a field on the uniform grid
-    ``axis`` x ``axis``.
-
-    The coefficients are filtered once with mirror boundaries.  Points
-    beyond the grid are clamped onto its edge, as FITPACK's ``bispev``
-    clamps them; the centered box reaches one cell past ``axis[-1]``.
-    """
-    from scipy import ndimage  # about 70 ms to import; only the oracle needs it
-
-    coeffs = ndimage.spline_filter(values, order=3, mode="mirror")
-    x0, dx, top = float(axis[0]), float(axis[1] - axis[0]), axis.size - 1.0
-
-    def rho(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        coords = np.stack([np.ravel(x), np.ravel(y)])
-        coords -= x0
-        coords /= dx
-        np.clip(coords, 0.0, top, out=coords)
-        out = ndimage.map_coordinates(coeffs, coords, order=3, mode="mirror",
-                                      prefilter=False)
-        return out.reshape(np.shape(x))
-
-    return rho
 
 
 def _polar_box_integral(f: HomogeneousFn, rho_at, half_width: float,
@@ -298,12 +255,14 @@ def _polar_box_integral(f: HomogeneousFn, rho_at, half_width: float,
     return float(w_theta * fbar @ (near + far))
 
 
-def _tail_term(f: HomogeneousFn, rep: SpectralRep, half_width: float) -> float:
+def _tail_term(rep: SpectralRep, half_width: float, f: HomogeneousFn | None = None) -> float:
     """Single-excursion estimate of the tail contribution to E f(X) beyond
-    the box.  Frequency sampling folds that mass just inside the opposite
-    edge, where the homogeneous f takes nearly the same value, so the grid
-    integral already carries it; this estimate bounds the residual."""
-    p, q = f.p, rep.q
+    the box; with f None (f = 1, p = 0) it is the mass beyond the box.
+    Frequency sampling folds that mass just inside the opposite edge, where
+    the homogeneous f takes nearly the same value, so the grid integral
+    already carries it; this estimate bounds the residual."""
+    p = 0.0 if f is None else f.p
+    q = rep.q
     kq = _tail_coefficient(q)
     if kq == 0.0:
         return 0.0
@@ -313,9 +272,9 @@ def _tail_term(f: HomogeneousFn, rep: SpectralRep, half_width: float) -> float:
         if amax == 0.0:
             continue
         z_exit = half_width / (w ** (1.0 / q) * amax)
-        fa = float(evaluate_many(f, a.reshape(1, -1))[0])
+        fa = 1.0 if f is None else float(evaluate_many(f, a.reshape(1, -1))[0])
         total += fa * w ** (p / q) * q * kq * z_exit ** (p - q) / (q - p)
-    return total
+    return float(total)
 
 
 def oracle_expectation(f: HomogeneousFn, field: DensityField) -> ActionResult:
@@ -337,7 +296,7 @@ def oracle_expectation(f: HomogeneousFn, field: DensityField) -> ActionResult:
     main_coarse = _polar_box_integral(f, _interpolant(ax[::2], vals[::2, ::2]),
                                       field.half_width, 2.0 * r_inner, n_theta=256)
 
-    tail = _tail_term(f, field.rep, field.half_width)
+    tail = _tail_term(field.rep, field.half_width, f)
     theta = (np.arange(64) + 0.5) * (np.pi / 32.0)
     fbar_mean = float(np.mean(evaluate_many(
         f, np.column_stack([np.cos(theta), np.sin(theta)]))))

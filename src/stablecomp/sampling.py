@@ -165,6 +165,15 @@ def sample_standard(q, seed, size=None):
     return _draw_standard(rng, q, size)
 
 
+def _write_binary(path, values: np.ndarray, header: dict) -> None:
+    """``values`` as row-major little-endian float64 at ``path``, and
+    ``header`` as JSON with sorted keys at ``path`` + ".json"."""
+    path = Path(path)
+    values.astype("<f8").tofile(path)
+    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
+        json.dump(header, fh, sort_keys=True)
+
+
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """I.i.d. draws from a SpectralRep law, with provenance."""
@@ -207,10 +216,7 @@ class SampleBatch:
 
     def to_binary(self, path) -> None:
         """Row-major little-endian float64 dump plus a JSON sidecar header."""
-        path = Path(path)
-        self.points.astype("<f8").tofile(path)
-        with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-            json.dump(self.header_dict(), fh, sort_keys=True)
+        _write_binary(path, self.points, self.header_dict())
 
     @classmethod
     def from_binary(cls, path) -> "SampleBatch":

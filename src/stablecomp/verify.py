@@ -474,6 +474,21 @@ def verify_cor3(rep: SpectralRep, split: BlockSplit, p: float, N: int, seed,
 # experiment configuration and execution
 
 
+def _config_type_ok(key: str, val) -> bool:
+    """Whether ``val`` has a JSON type the configuration key ``key`` takes."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if val is None:
+        return key in ("p_value", "out_jsonl", "out_csv", "workers")
+    if key in ("n_values", "q_values"):
+        return isinstance(val, (list, tuple)) and all(map(number, val))
+    if key in ("mode", "out_jsonl", "out_csv"):
+        return isinstance(val, str)
+    # N, seed and workers take integral floats such as 1e5; trials counts a range
+    return number(val) and (key != "trials" or isinstance(val, int))
+
+
 @dataclass
 class ExperimentConfig:
     mode: str
@@ -532,6 +547,10 @@ class ExperimentConfig:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown experiment configuration keys {unknown}")
+        for key, val in d.items():
+            if not _config_type_ok(key, val):
+                raise ValueError(f"experiment configuration key {key!r} has the wrong "
+                                 f"type: {val!r}")
         if "n_values" in d:
             d["n_values"] = tuple(d["n_values"])
         if "q_values" in d:

@@ -101,7 +101,10 @@ def test_verify_invalid_config():
 
 @pytest.mark.parametrize("content, message", [('{"trails": 3}', "['trails']"),
                                               ('[1, 2]', "JSON object"),
-                                              ('"prop1"', "JSON object")])
+                                              ('"prop1"', "JSON object"),
+                                              ('{"trials": "3"}', "'trials'"),
+                                              ('{"q_values": 1.5}', "'q_values'"),
+                                              ('{"q_values": ["a"]}', "'q_values'")])
 def test_verify_bad_config_file(tmp_path, capsys, content, message):
     cfg = tmp_path / "config.json"
     cfg.write_text(content)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from stablecomp import fourier_pd
 from stablecomp import (HomogeneousFn, LrMatrixBase, TestFunction,
@@ -205,13 +211,45 @@ class TestRadialKernel:
 class TestBumpProfile:
     @pytest.mark.parametrize("n", [2, 3])
     def test_blocked_rows_equal_single_rows(self, n):
-        spline, s_cut, _ = fourier_pd._bump_profile(n)
-        knots = spline.x
+        knots, vals, _ = fourier_pd._bump_table(n)
+        _, s_cut, _ = fourier_pd._bump_profile(n)
         assert knots[-1] == s_cut
         block = fourier_pd._BUMP_BLOCK
         for i in (0, 1, block - 1, block, block + 1, knots.size // 2, knots.size - 2):
             row = fourier_pd._bump_transform(n, knots[i:i + 1])
-            assert spline(knots[i]) == row[0]
+            assert vals[i] == row[0]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_interpolant_matches_cubic_spline(self, n):
+        # CubicSpline (not-a-knot ends) is the reference only; the two
+        # interpolating cubic splines differ by their end conditions, whose
+        # effect decays within a few knots of either end
+        knots, vals, _ = fourier_pd._bump_table(n)
+        spline, _, _ = fourier_pd._bump_profile(n)
+        peak = abs(vals[0])
+        assert np.abs(spline(knots) - vals).max() <= 1e-13 * peak
+        h = knots[1] - knots[0]
+        s = np.random.default_rng(11).uniform(knots[0] + 16 * h, knots[-1] - 16 * h, 5000)
+        assert np.abs(spline(s) - CubicSpline(knots, vals)(s)).max() <= 1e-13 * peak
+
+
+def test_bumps_and_oracle_leave_scipy_interpolate_unimported():
+    code = """if True:
+        import sys
+        import numpy as np
+        from stablecomp import (SpectralRep, TestFunction, density_2d,
+                                euclidean_power, oracle_expectation, pd_action)
+        pd_action(euclidean_power(2, -1.5), TestFunction("bump", np.array([1.5, 0.0]), 1.0))
+        rep = SpectralRep.from_atoms(2.0, [(1.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])
+        oracle_expectation(euclidean_power(2, -1.0), density_2d(rep, M=256))
+        print("scipy.interpolate" in sys.modules)
+    """
+    src = str(Path(fourier_pd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestPdCheck:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from stablecomp import (HomogeneousFn, LevyMeasure, LrMatrixBase, Seed,
-                        check_block_symmetry, check_homogeneity,
+from stablecomp import (HomogeneousFn, LevyBase, LevyMeasure, LrMatrixBase,
+                        Seed, check_block_symmetry, check_homogeneity,
                         euclidean_power, evaluate, evaluate_many, fn_from_json,
-                        fn_to_json, levy_norm_power, lp_norm_power,
-                        max_abs_power, norm_from_levy)
+                        fn_to_json, lp_norm_power, max_abs_power)
 
 
 class TestEvaluate:
@@ -53,7 +52,7 @@ class TestBlockSymmetry:
         g = LevyMeasure(p=1.0, weights=[1.0, 0.2, 0.2],
                         xis=np.array([[1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)],
                                       [1.0, 0.0], [0.0, 1.0]]))
-        f = levy_norm_power(g, -1.0)
+        f = HomogeneousFn(base=LevyBase(measure=g), p=-1.0)
         res = check_block_symmetry(f, 1, trials=256, seed=Seed(4))
         assert not res.passed
         u, v = res.witness
@@ -98,9 +97,9 @@ class TestConstructionAndJson:
         lambda: max_abs_power(3, -2.1, block_split=1),
         lambda: lp_norm_power(2, 0.7, 1.1),
         lambda: euclidean_power(2, -0.3, weights=(0.5, 3.0)),
-        lambda: levy_norm_power(LevyMeasure(
+        lambda: HomogeneousFn(base=LevyBase(measure=LevyMeasure(
             p=1.5, weights=[1.0, 0.7],
-            xis=np.array([[0.6, 0.8], [1.0, 0.0]])), -0.9),
+            xis=np.array([[0.6, 0.8], [1.0, 0.0]]))), p=-0.9),
         lambda: HomogeneousFn(
             base=LrMatrixBase(matrix=np.array([[1.0, 0.25], [-0.5, 2.0]]), r=1.3),
             p=-1.1),
@@ -121,7 +120,7 @@ class TestConstructionAndJson:
         g = LevyMeasure(p=1.2, weights=[1.0, 1.0, 0.5],
                         xis=np.array([[1.0, 0.0], [0.0, 1.0],
                                       [0.6, 0.8]]))
-        f = norm_from_levy(g)
+        f = HomogeneousFn(base=LevyBase(measure=g), p=1.0)
         assert f.p == 1.0
         res = check_homogeneity(f, trials=128, seed=Seed(8))
         assert res.passed

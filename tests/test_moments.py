@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from stablecomp import (BlockSplit, LevyMeasure, MomentExistenceError, Seed,
-                        SpectralRep, c_pq, c_pq_oracle, decouple,
-                        euclidean_power, evaluate, levy_expectation,
-                        lp_norm_power, max_abs_power, mc_expectation,
-                        norm_from_levy, reflect)
+from stablecomp import (BlockSplit, HomogeneousFn, LevyBase, LevyMeasure,
+                        MomentExistenceError, Seed, SpectralRep, c_pq,
+                        c_pq_oracle, decouple, euclidean_power, evaluate,
+                        levy_expectation, lp_norm_power, max_abs_power,
+                        mc_expectation, reflect)
+
+
+def norm_of(g):
+    """The 1-homogeneous norm a spanning measure represents."""
+    return HomogeneousFn(base=LevyBase(measure=g), p=1.0)
 
 
 class TestClosedForms:
@@ -99,7 +104,7 @@ class TestLevyExpectation:
         xis /= np.linalg.norm(xis, axis=1, keepdims=True)
         g = LevyMeasure(p=1.0, weights=rng.exponential(1.0, 4) + 0.2, xis=xis)
         exact = levy_expectation(rep, g, 1.0)
-        est = mc_expectation(norm_from_levy(g), rep, 100_000, Seed(30))
+        est = mc_expectation(norm_of(g), rep, 100_000, Seed(30))
         assert abs(est.value - exact) < 3.0 * est.stderr
 
     def test_regime_validation(self):
@@ -165,14 +170,14 @@ class TestMCExpectation:
 class TestNormFromLevy:
     def test_l1(self):
         g = LevyMeasure(p=1.0, weights=[1.0, 1.0], xis=np.eye(2))
-        f = norm_from_levy(g)
+        f = norm_of(g)
         assert evaluate(f, np.array([3.0, -4.0])) == pytest.approx(7.0, rel=1e-14)
 
     def test_circle_discretization_is_euclidean(self):
         ang = np.arange(64) * (np.pi / 32.0)
         g = LevyMeasure(p=2.0, weights=np.full(64, 1.0 / 64.0),
                         xis=np.column_stack([np.cos(ang), np.sin(ang)]))
-        f = norm_from_levy(g)
+        f = norm_of(g)
         rng = np.random.default_rng(28)
         x = rng.standard_normal((50, 2))
         vals = f.base.values(x)
@@ -181,8 +186,8 @@ class TestNormFromLevy:
 
     def test_non_spanning_rejected(self):
         g = LevyMeasure(p=1.0, weights=[1.0], xis=[[1.0, 0.0]])
-        with pytest.raises(ValueError):
-            norm_from_levy(g)
+        with pytest.raises(ValueError, match="do not span"):
+            norm_of(g)
 
     def test_measure_json_round_trip(self):
         g = LevyMeasure(p=1.3, weights=[0.5, 2.0],

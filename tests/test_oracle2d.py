@@ -42,6 +42,12 @@ class TestDensity:
         assert cauchy_field.values.min() >= 0.0
         assert cauchy_field.clipped_mass <= 1e-4
 
+    def test_tail_mass_is_the_box_exit_estimate(self, gaussian_field, cauchy_field):
+        # Cauchy marginals: P(|Z| > z) ~ (2/pi) / z per atom, two unit atoms
+        assert cauchy_field.tail_mass == pytest.approx(
+            2.0 * (2.0 / np.pi) / cauchy_field.half_width, rel=1e-14)
+        assert gaussian_field.tail_mass == 0.0
+
     def test_rank_one_rejected(self):
         with pytest.raises(ValueError, match="rank-one"):
             density_2d(SpectralRep.from_atoms(2.0, [(1.0, (1.0, 1.0))]))

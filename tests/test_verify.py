@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from stablecomp import (BlockSplit, ExperimentConfig, LevyMeasure, Seed,
-                        SpectralRep, lp_norm_power, max_abs_power,
+from stablecomp import (BlockSplit, ExperimentConfig, HomogeneousFn, LevyBase,
+                        LevyMeasure, Seed, SpectralRep, lp_norm_power, max_abs_power,
                         pd_certificate, random_block_symmetric_measure,
                         random_rep, run_experiment, verify_cor3, verify_prop1,
                         verify_thm1)
@@ -153,12 +153,11 @@ class TestThm1Cor3:
                 verify_cor3(rep, BlockSplit(1), p, 1000, Seed(0))
 
     def test_asymmetric_descriptor_rejected(self):
-        from stablecomp import levy_norm_power
         rep = SpectralRep.from_atoms(2.0, [(1.0, (1.0, 0.2)), (1.0, (0.0, 1.0))])
         g = LevyMeasure(p=1.0, weights=[1.0, 0.3, 0.3],
                         xis=np.array([[1.0 / np.sqrt(2), 1.0 / np.sqrt(2)],
                                       [1.0, 0.0], [0.0, 1.0]]))
-        f = levy_norm_power(g, -1.0)
+        f = HomogeneousFn(base=LevyBase(measure=g), p=-1.0)
         with pytest.raises(ValueError, match="witness"):
             verify_thm1(rep, BlockSplit(1), f, 10_000, Seed(5))
 
