@@ -11,6 +11,7 @@ from scipy.interpolate import CubicSpline
 from stablecomp import fourier_pd
 from stablecomp import (HomogeneousFn, LrMatrixBase, TestFunction,
                         euclidean_power, euclidean_reference_action, evaluate,
+                        evaluate_many,
                         gaussian_family, bump_family, lp_norm_power,
                         max_abs_power, pd_action, pd_check,
                         radial_fourier_weight, radon_action,
@@ -184,7 +185,7 @@ class TestRadialKernel:
                 ref, weight_sum = _direct_radial(*calls[-1])
                 allowance = 1e-13 * weight_sum
             else:
-                assert not calls and trunc == 0.0
+                assert not calls and trunc == fourier_pd._KUMMER_ERR * vals[0]
                 ref, weight_sum, old_trunc = _gaussian_quadrature(p, n, phi, cabs, nj, gl)
                 allowance = old_trunc + 1e-13 * weight_sum
             assert np.all(np.abs(vals - ref) <= allowance)
@@ -207,8 +208,70 @@ class TestRadialKernel:
                                 for c in map(mpmath.mpf, cabs)])
                 assert np.all(np.abs(vals - ref) <= 1e-14 * abs(ref[0]))
 
+    def test_kummer_m_matches_mpmath(self):
+        """_kummer_m stays within _KUMMER_ERR of mpmath over a/2 in (0, 1.5]
+        and x in [0, 5000], x dense over [2.2, 2.5], where scipy's hyp1f1
+        alone errs up to 3e-8 relative for a/2 <= 0.05."""
+        mpmath = pytest.importorskip("mpmath")
+        alphas = np.concatenate([np.geomspace(1e-12, 0.09, 10), np.linspace(0.1, 1.49, 15)])
+        x = np.unique(np.concatenate([np.linspace(0.0, 10.0, 41), np.linspace(2.2, 2.5, 61),
+                                      np.geomspace(10.0, 5000.0, 30)]))
+        with mpmath.workdps(25):
+            for alpha in alphas:
+                ref = np.array([float(mpmath.hyp1f1(alpha, 0.5, -v)) for v in x])
+                err = np.abs(fourier_pd._kummer_m(alpha, x) - ref)
+                assert err.max() <= fourier_pd._KUMMER_ERR, (alpha, x[err.argmax()])
+
+    def test_gaussian_actions_near_minus_n_within_bound(self):
+        """Euclidean actions at p = -1.95 (a/2 = 0.025) over the default
+        family: the fine angular grid re-summed with mpmath radial values
+        stays within each action's bound."""
+        mpmath = pytest.importorskip("mpmath")
+        n, p = 2, -1.95
+        f = euclidean_power(n, p)
+        with mpmath.workdps(25):
+            alpha = mpmath.mpf((n + p) / 2.0)
+            for phi in gaussian_family(n):
+                act = pd_action(f, phi)
+                spec = fourier_pd._angular_spec(n, phi, fine=True)
+                dirs, w = fourier_pd._sphere_grid(n, spec)
+                s2 = mpmath.mpf(phi.width) ** 2
+                K = 2 * mpmath.pi * s2  # normalization (2 pi sigma^2)^(n/2) at n = 2
+                pref = K * mpmath.gamma(alpha) * (2 / s2) ** alpha
+                radial = np.array([
+                    float(pref * mpmath.hyp1f1(alpha, 0.5, -mpmath.mpf(c) ** 2 / (2 * s2)))
+                    for c in np.abs(dirs @ phi.center)])
+                ref = 0.5 * float((evaluate_many(f, dirs) * w) @ radial)
+                assert abs(act.value - ref) <= act.error_bound
+
+
+def _mp_bump_transform(mp, n, s):
+    """The unit bump's Fourier transform at radius s in mpmath: Gauss-Legendre
+    on pieces of about one oscillation period each."""
+    s = mp.mpf(s)
+
+    def integrand(r):
+        if r >= 1:
+            return mp.zero
+        kern = r * mp.besselj(0, r * s) if n == 2 else r * r * mp.sinc(r * s)
+        return mp.exp(1 - 1 / (1 - r * r)) * kern
+
+    pieces = mp.linspace(0, 1, 2 + int(s / 8))
+    return (2 if n == 2 else 4) * mp.pi * mp.quad(integrand, pieces, method="gauss-legendre")
+
 
 class TestBumpProfile:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_table_matches_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        knots, vals, _ = fourier_pd._bump_table(n)
+        peak = abs(vals[0])
+        with mpmath.workdps(20):
+            for s in (0.0, 0.15, 10.0, 100.0, 200.0, 312.35, 399.5, 400.0):
+                i = int(round(s / (knots[1] - knots[0])))
+                ref = _mp_bump_transform(mpmath.mp, n, knots[i])
+                assert abs(vals[i] - float(ref)) <= 1e-15 * peak, s
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_blocked_rows_equal_single_rows(self, n):
         knots, vals, _ = fourier_pd._bump_table(n)
