@@ -15,7 +15,7 @@ field = density_2d(gauss)
 i0 = field.M // 2
 print(f"Gaussian product density at 0: {field.values[i0, i0]:.6f} "
       f"(analytic {1 / (4 * np.pi):.6f})")
-print(f"grid {field.M}x{field.M}, mass {field.mass:.6f}, "
+print(f"grid {field.M}x{field.M}, mass {field.grid_mass:.6f}, "
       f"clipped ringing {field.clipped_mass:.1e}")
 
 cauchy = SpectralRep.from_atoms(1.0, [(1.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])

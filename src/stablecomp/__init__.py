@@ -12,10 +12,9 @@ from .spectral import (BlockSplit, SpectralRep, char_fn, decouple,
                        marginal_block, reflect, rep_hash, scale_q)
 from .sampling import (SampleBatch, Seed, default_workers, empirical_char_fn,
                        sample_batch, sample_standard, sample_vector)
-from .moments import (LevyMeasure, MCEstimate, MomentExistenceError,
-                      QuadratureFailure, c_pq, c_pq_oracle, levy_expectation,
-                      mc_expectation)
-from .homogeneous import (DiagEuclideanBase, HomogeneousFn, LevyBase,
+from .moments import (MCEstimate, MomentExistenceError, QuadratureFailure,
+                      c_pq, c_pq_oracle, levy_expectation, mc_expectation)
+from .homogeneous import (DiagEuclideanBase, HomogeneousFn, LevyBase, LevyMeasure,
                           LrMatrixBase, MaxAbsBase, check_block_symmetry,
                           check_homogeneity, euclidean_power, evaluate,
                           evaluate_many, fn_from_json, fn_to_json,

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import hyp1f1, i0e, j0, roots_jacobi
 
-from .homogeneous import _LR_EXPONENT, HomogeneousFn, evaluate_many
+from .homogeneous import HomogeneousFn, _lr_exponent, evaluate_many
 from .moments import _quad
 
 __all__ = [
@@ -505,6 +505,13 @@ def _refine_neighbors(phi: TestFunction) -> list:
     return out
 
 
+def _clearly_lower(res: ActionResult, best: ActionResult) -> bool:
+    """Whether res beats the running minimum by more than roundoff; a tie
+    keeps the earlier test function, so the witness does not hang on the
+    last bits of the arithmetic."""
+    return res.value < best.value - 1e-12 * abs(best.value)
+
+
 def pd_check(f: HomogeneousFn, family=None, mode: str = "full-space",
              refine_rounds: int = 2) -> PDReport:
     """Scan a test family for a negative action; grid search plus local
@@ -525,14 +532,14 @@ def pd_check(f: HomogeneousFn, family=None, mode: str = "full-space",
     for phi in family:
         res = pd_action(f, phi)
         evaluations += 1
-        if best is None or res.value < best[0].value:
+        if best is None or _clearly_lower(res, best[0]):
             best = (res, phi)
     for _ in range(refine_rounds):
         improved = False
         for cand in _refine_neighbors(best[1]):
             res = pd_action(f, cand)
             evaluations += 1
-            if res.value < best[0].value:
+            if _clearly_lower(res, best[0]):
                 best = (res, cand)
                 improved = True
         if not improved:
@@ -652,10 +659,9 @@ def subordination_norm_power(f: HomogeneousFn, x, r=None) -> float:
     if p >= 0:
         raise ValueError("subordination reconstruction applies to negative exponents")
     if r is None:
-        getter = _LR_EXPONENT.get(type(f.base))
-        if getter is None:
+        r = _lr_exponent(f.base)
+        if r is None:
             raise ValueError("no natural subordination exponent for this base; pass r")
-        r = getter(f.base)
     r = float(r)
     if r <= 0:
         raise ValueError(f"subordination exponent must be positive, got {r}")

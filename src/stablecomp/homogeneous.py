@@ -11,7 +11,11 @@ Available bases:
 * ``MaxAbsBase``          max_i |x_i|
 * ``LrMatrixBase``        (sum_i |(Bx)_i|^r)^(1/r) for an injective B, r > 0
 * ``DiagEuclideanBase``   sqrt(sum_i d_i x_i^2), d_i > 0
-* ``LevyBase``            norm represented by a spanning spherical measure
+
+A norm given by a finite spherical measure (``LevyMeasure``, Levy's
+representation ||x||^p = sum_m c_m |<x, xi_m>|^p) is the discrete L_p norm
+of the rows c_m^(1/p) xi_m: ``LevyBase(measure)`` returns that
+``LrMatrixBase``, and the JSON kind "levy" loads through it.
 """
 
 from __future__ import annotations
@@ -21,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import LevyMeasure
 from .sampling import Seed, as_seed, _chunk_rng
 
 __all__ = [
     "DiagEuclideanBase",
     "HomogeneousFn",
     "LevyBase",
+    "LevyMeasure",
     "LrMatrixBase",
     "MaxAbsBase",
     "check_block_symmetry",
@@ -73,7 +77,8 @@ class LrMatrixBase:
         if not np.all(np.isfinite(mat)) or mat.size == 0:
             raise ValueError("matrix must be a finite nonempty 2-D array")
         if np.linalg.matrix_rank(mat) < mat.shape[1]:
-            raise ValueError("matrix is not injective; the norm would vanish off the origin")
+            raise ValueError("matrix rows do not span R^n (B is not injective); "
+                             "the norm would vanish off the origin")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "r", r)
@@ -113,31 +118,82 @@ class DiagEuclideanBase:
         return {"kind": "diag_euclidean", "weights": [float(v) for v in self.weights]}
 
 
-@dataclass(frozen=True)
-class LevyBase:
-    measure: LevyMeasure
+@dataclass(frozen=True, eq=False)
+class LevyMeasure:
+    """Finite nonnegative measure on the unit sphere representing a norm.
+
+    N(x) = (sum_m c_m |<x, xi_m>|^p)^(1/p) with homogeneity exponent p > 0.
+    Entries need not span R^n; spanning is required only where the
+    represented norm must be positive definite (see ``LevyBase``).
+    """
+
+    p: float
+    weights: np.ndarray
+    xis: np.ndarray
 
     def __post_init__(self):
-        if not self.measure.spans():
-            raise ValueError("measure entries do not span R^n; norm is degenerate")
+        p = float(self.p)
+        if not (p > 0) or not np.isfinite(p):
+            raise ValueError(f"homogeneity exponent must be positive, got {p}")
+        w = np.atleast_1d(np.asarray(self.weights, dtype=float)).copy()
+        x = np.atleast_2d(np.asarray(self.xis, dtype=float)).copy()
+        if w.size == 0:
+            raise ValueError("at least one entry is required")
+        if np.any(w <= 0) or not np.all(np.isfinite(w)):
+            raise ValueError("entry weights must be finite and positive")
+        if x.shape[0] != w.size or not np.all(np.isfinite(x)):
+            raise ValueError("xis must be a finite (m, n) array matching the weights")
+        norms = np.linalg.norm(x, axis=1)
+        if np.any(np.abs(norms - 1.0) > 1e-12):
+            raise ValueError("entries must be unit vectors (|xi| = 1 within 1e-12)")
+        w.setflags(write=False)
+        x.setflags(write=False)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "xis", x)
 
     @property
     def n(self) -> int:
-        return self.measure.n
+        return self.xis.shape[1]
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return self.measure.norm_values(x)
+    @property
+    def m(self) -> int:
+        return self.weights.size
 
     def to_json_dict(self) -> dict:
-        return {"kind": "levy", "measure": self.measure.to_json_dict()}
+        return {"p": self.p,
+                "entries": [{"c": float(c), "xi": [float(v) for v in xi]}
+                            for c, xi in zip(self.weights, self.xis)]}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "LevyMeasure":
+        entries = d["entries"]
+        return cls(p=float(d["p"]),
+                   weights=np.array([e["c"] for e in entries], dtype=float),
+                   xis=np.array([e["xi"] for e in entries], dtype=float).reshape(len(entries), -1))
+
+    @classmethod
+    def from_json(cls, s: str) -> "LevyMeasure":
+        return cls.from_json_dict(json.loads(s))
 
 
-# r for which each base is the norm of a subspace of L_r
-_LR_EXPONENT = {
-    LrMatrixBase: lambda b: b.r,
-    DiagEuclideanBase: lambda b: 2.0,
-    LevyBase: lambda b: b.measure.p,
-}
+def LevyBase(measure: LevyMeasure) -> LrMatrixBase:
+    """The norm a spanning measure represents, as the discrete L_p norm of
+    the rows c_m^(1/p) xi_m; raises ValueError when the entries do not span."""
+    rows = measure.weights[:, None] ** (1.0 / measure.p) * measure.xis
+    return LrMatrixBase(matrix=rows, r=measure.p)
+
+
+def _lr_exponent(base) -> float | None:
+    """r for which base is the norm of a subspace of L_r, if one is known."""
+    if isinstance(base, LrMatrixBase):
+        return base.r
+    if isinstance(base, DiagEuclideanBase):
+        return 2.0
+    return None
 
 
 _BASE_KINDS = {
@@ -188,11 +244,7 @@ def evaluate(f: HomogeneousFn, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (f.n,):
         raise ValueError(f"point has shape {x.shape}, expected ({f.n},)")
-    if not np.any(x):
-        if f.p < 0:
-            raise ValueError("f is singular at the origin for negative exponents")
-        return 0.0
-    return float(f.base.values(x) ** f.p)
+    return float(evaluate_many(f, x)[0])
 
 
 def evaluate_many(f: HomogeneousFn, x: np.ndarray) -> np.ndarray:

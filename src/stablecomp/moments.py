@@ -17,19 +17,20 @@ variable is evaluated two independent ways:
   this oracle.
 
 ``levy_expectation`` turns a finite spherical measure representing a norm
-into the exact finite-sum value of E||X||^p, and ``mc_expectation``
-estimates E f(X) for arbitrary homogeneous descriptors, switching to a
-median-of-means estimator in the infinite-variance regime.
+(``LevyMeasure``, kept in ``homogeneous`` with the other norm
+representations) into the exact finite-sum value of E||X||^p, and
+``mc_expectation`` estimates E f(X) for arbitrary homogeneous descriptors,
+switching to a median-of-means estimator in the infinite-variance regime.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
+from .homogeneous import LevyMeasure, evaluate_many
 from .sampling import Seed, _chunk_points, _map_chunks, as_seed, default_workers
 from .spectral import SpectralRep, _qsum, check_stable_index, rep_hash
 
@@ -51,77 +52,6 @@ class MomentExistenceError(ValueError):
 
 class QuadratureFailure(RuntimeError):
     """A numerical quadrature did not converge to the requested tolerance."""
-
-
-@dataclass(frozen=True, eq=False)
-class LevyMeasure:
-    """Finite nonnegative measure on the unit sphere representing a norm.
-
-    N(x) = (sum_m c_m |<x, xi_m>|^p)^(1/p) with homogeneity exponent p > 0.
-    Entries need not span R^n; spanning is required only where the
-    represented norm must be positive definite (see homogeneous.LevyBase).
-    """
-
-    p: float
-    weights: np.ndarray
-    xis: np.ndarray
-
-    def __post_init__(self):
-        p = float(self.p)
-        if not (p > 0) or not np.isfinite(p):
-            raise ValueError(f"homogeneity exponent must be positive, got {p}")
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float)).copy()
-        x = np.atleast_2d(np.asarray(self.xis, dtype=float)).copy()
-        if w.size == 0:
-            raise ValueError("at least one entry is required")
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise ValueError("entry weights must be finite and positive")
-        if x.shape[0] != w.size or not np.all(np.isfinite(x)):
-            raise ValueError("xis must be a finite (m, n) array matching the weights")
-        norms = np.linalg.norm(x, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("entries must be unit vectors (|xi| = 1 within 1e-12)")
-        w.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "xis", x)
-
-    @property
-    def n(self) -> int:
-        return self.xis.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.weights.size
-
-    def spans(self) -> bool:
-        return np.linalg.matrix_rank(self.xis) == self.n
-
-    def norm_values(self, x) -> np.ndarray:
-        """Evaluate the represented (semi)norm at x of shape (n,) or (K, n)."""
-        x = np.asarray(x, dtype=float)
-        proj = np.abs(x @ self.xis.T)
-        return (proj**self.p @ self.weights) ** (1.0 / self.p)
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p,
-                "entries": [{"c": float(c), "xi": [float(v) for v in xi]}
-                            for c, xi in zip(self.weights, self.xis)]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LevyMeasure":
-        entries = d["entries"]
-        return cls(p=float(d["p"]),
-                   weights=np.array([e["c"] for e in entries], dtype=float),
-                   xis=np.array([e["xi"] for e in entries], dtype=float).reshape(len(entries), -1))
-
-    @classmethod
-    def from_json(cls, s: str) -> "LevyMeasure":
-        return cls.from_json_dict(json.loads(s))
 
 
 @dataclass(frozen=True)
@@ -278,8 +208,6 @@ def levy_expectation(rep: SpectralRep, gamma: LevyMeasure, p) -> float:
 
 def _mc_values(f, rep: SpectralRep, N: int, seed: Seed, workers: int) -> np.ndarray:
     """f evaluated on the same deterministic chunk stream as sample_batch."""
-    from .homogeneous import evaluate_many  # deferred: moments <-> homogeneous
-
     mix = (rep.weights ** (1.0 / rep.q))[:, None] * rep.atoms
     values = np.empty(N, dtype=float)
 

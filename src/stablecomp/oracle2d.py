@@ -84,10 +84,6 @@ class DensityField:
     def half_width(self) -> float:
         return float(self.M / 2 * self.dx)
 
-    @property
-    def mass(self) -> float:
-        return self.grid_mass
-
     def header_dict(self) -> dict:
         return {
             "dtype": "<f8",
@@ -112,8 +108,8 @@ def _tail_coefficient(q: float) -> float:
     return (2.0 / np.pi) * _gamma(q) * np.sin(np.pi * q / 2.0)
 
 
-def _scale_profile(rep: SpectralRep, n_angles: int = 720):
-    ang = np.arange(n_angles) * (np.pi / n_angles)  # half circle suffices (even)
+def _scale_profile(rep: SpectralRep):
+    ang = np.arange(720) * (np.pi / 720)  # half circle suffices (even)
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
     s = _qsum(rep, dirs) ** (1.0 / rep.q)
     return float(s.min()), float(s.max())

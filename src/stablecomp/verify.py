@@ -43,10 +43,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .homogeneous import (_LR_EXPONENT, HomogeneousFn, LrMatrixBase,
+from .homogeneous import (HomogeneousFn, LevyMeasure, LrMatrixBase, _lr_exponent,
                           check_block_symmetry, check_homogeneity,
                           euclidean_power, lp_norm_power, max_abs_power)
-from .moments import LevyMeasure, levy_expectation, mc_expectation
+from .moments import levy_expectation, mc_expectation
 from .sampling import Seed, as_seed, _chunk_rng
 from .spectral import BlockSplit, SpectralRep, decouple, reflect, rep_hash
 
@@ -154,15 +154,15 @@ def random_rep(rng: np.random.Generator, n: int, q: float, max_atoms: int = 8,
 
 
 def random_block_symmetric_measure(rng: np.random.Generator, n: int, k: int,
-                                   p: float, base_entries: int = 3) -> LevyMeasure:
+                                   p: float) -> LevyMeasure:
     """Spherical measure closed under negation of the trailing block.
 
-    Mirrored pairs guarantee the represented norm satisfies
-    N(u, v) = N(u, -v); axis entries are added to keep the span full.
+    Three random entries with their mirrored pairs guarantee the represented
+    norm satisfies N(u, v) = N(u, -v); axis entries keep the span full.
     """
     xis = [np.eye(n)[i] for i in range(n)]
     weights = list(rng.exponential(1.0, n) + 0.1)
-    for _ in range(base_entries):
+    for _ in range(3):
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
         w = float(rng.exponential(1.0) + 0.1)
@@ -206,10 +206,8 @@ def pd_certificate(f: HomogeneousFn) -> str | None:
         return "prop3-window"
     if not (-n < p < 0):
         return None
-    getter = _LR_EXPONENT.get(type(f.base))
-    if getter is not None and getter(f.base) <= 2.0:
-        return "subspace-Lr"
-    return None
+    r = _lr_exponent(f.base)
+    return "subspace-Lr" if r is not None and r <= 2.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +456,15 @@ def verify_thm1(rep: SpectralRep, split: BlockSplit, f: HomogeneousFn,
 
 
 def verify_cor3(rep: SpectralRep, split: BlockSplit, p: float, N: int, seed,
-                index: int = 0, oracle: bool = False, workers=None) -> TrialRecord:
+                index: int = 0, workers=None) -> TrialRecord:
     """Max-coordinate special case; p must lie in the open window (-n, -n+1),
     where no positive definiteness certificate is required."""
     n = rep.n
     if not (-n < p < -n + 1):
         raise ValueError(f"exponent must lie in the open interval (-{n}, -{n - 1}), got {p}")
     f = max_abs_power(n, p, block_split=split.k)
-    rec = verify_thm1(rep, split, f, N, seed, index=index, mode="cor3",
-                      oracle=oracle, workers=workers)
-    return rec
+    return verify_thm1(rep, split, f, N, seed, index=index, mode="cor3",
+                       workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,19 @@ class TestPdCheck:
         assert d["verdict"] == "consistent-with-pd"
         assert d["witness"]["kind"] in ("gaussian", "bump")
 
+    def test_tied_witness_is_the_first_member(self):
+        # a Euclidean power is rotation invariant, so one width and radius in
+        # every center direction tie up to roundoff; evaluated in reverse
+        # order the rule must keep the first of them
+        f = euclidean_power(2, -1.95)
+        fam = [phi for phi in gaussian_family(2)
+               if phi.width == 0.25 and np.linalg.norm(phi.center) == 4.0][::-1]
+        values = [pd_action(f, phi).value for phi in fam]
+        assert max(values) - min(values) <= 1e-12 * abs(min(values))
+        report = pd_check(f, family=fam, refine_rounds=0)
+        assert report.witness is fam[0]
+        assert report.min_action == values[0]
+
     def test_bump_support_invariant(self):
         with pytest.raises(ValueError):
             TestFunction("bump", np.array([0.5, 0.0]), 1.0)

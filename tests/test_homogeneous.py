@@ -4,7 +4,8 @@ import pytest
 from stablecomp import (HomogeneousFn, LevyBase, LevyMeasure, LrMatrixBase,
                         Seed, check_block_symmetry, check_homogeneity,
                         euclidean_power, evaluate, evaluate_many, fn_from_json,
-                        fn_to_json, lp_norm_power, max_abs_power)
+                        fn_to_json, lp_norm_power, max_abs_power, pd_certificate,
+                        subordination_norm_power)
 
 
 class TestEvaluate:
@@ -124,3 +125,40 @@ class TestConstructionAndJson:
         assert f.p == 1.0
         res = check_homogeneity(f, trials=128, seed=Seed(8))
         assert res.passed
+
+
+class TestLevyFold:
+    """A measure-built norm is the discrete L_p norm of the rows c_m^(1/p) xi_m."""
+
+    # the "levy" kind as descriptor files hold it
+    LEVY_JSON = ('{"block_split": 1, "kind": "levy", "measure": {"entries": '
+                 '[{"c": 1.0, "xi": [0.6, 0.8]}, {"c": 1.0, "xi": [0.6, -0.8]}, '
+                 '{"c": 0.7, "xi": [1.0, 0.0]}, {"c": 0.3, "xi": [0.0, 1.0]}], '
+                 '"p": 1.5}, "p": -0.9}')
+
+    def test_levy_descriptor_loads_and_evaluates(self):
+        f = fn_from_json(self.LEVY_JSON)
+        assert isinstance(f.base, LrMatrixBase) and f.base.r == 1.5
+        assert (f.p, f.block_split) == (-0.9, 1)
+        c = np.array([1.0, 1.0, 0.7, 0.3])
+        xis = np.array([[0.6, 0.8], [0.6, -0.8], [1.0, 0.0], [0.0, 1.0]])
+        x = np.random.default_rng(31).standard_normal((500, 2))
+        direct = ((np.abs(x @ xis.T) ** 1.5) @ c) ** (1.0 / 1.5)
+        assert np.max(np.abs(f.base.values(x) / direct - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("p, cert", [(0.8, "subspace-Lr"), (2.0, "subspace-Lr"),
+                                         (3.0, None)])
+    def test_certificate_and_subordination_exponent(self, p, cert):
+        g = LevyMeasure(p=p, weights=[1.0, 0.5, 0.5],
+                        xis=np.array([[1.0, 0.0], [0.6, 0.8], [0.6, -0.8]]))
+        f = HomogeneousFn(base=LevyBase(measure=g), p=-0.5)
+        assert pd_certificate(f) == cert
+        x = np.array([0.3, -1.2])
+        assert subordination_norm_power(f, x) == subordination_norm_power(f, x, r=p)
+        assert subordination_norm_power(f, x) == pytest.approx(evaluate(f, x), rel=1e-8)
+
+    def test_non_spanning_measure_rejected(self):
+        g = LevyMeasure(p=1.0, weights=[1.0, 2.0, 0.5],
+                        xis=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0]]))
+        with pytest.raises(ValueError, match="do not span"):
+            LevyBase(measure=g)

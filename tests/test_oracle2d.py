@@ -36,7 +36,7 @@ class TestDensity:
         assert abs(cauchy_field.values[i0, i0] - 1.0 / np.pi**2) < 1e-4
 
     def test_mass_and_symmetry(self, cauchy_field):
-        assert abs(cauchy_field.mass - 1.0) < 1e-3
+        assert abs(cauchy_field.grid_mass - 1.0) < 1e-3
         v = cauchy_field.values[1:, 1:]
         assert np.abs(v - v[::-1, ::-1]).max() < 1e-10
         assert cauchy_field.values.min() >= 0.0
@@ -118,7 +118,7 @@ class TestOracleExpectation:
     def test_heavy_tail_q07(self):
         rep = SpectralRep.from_atoms(0.7, [(1.0, (1.0, 0.3)), (0.6, (-0.4, 1.0))])
         field = density_2d(rep)
-        assert abs(field.mass - 1.0) < 1e-3
+        assert abs(field.grid_mass - 1.0) < 1e-3
         f = max_abs_power(2, -1.3)
         val = oracle_expectation(f, field)
         est = mc_expectation(f, rep, 300_000, Seed(32))
