@@ -22,7 +22,7 @@ from .homogeneous import (DiagEuclideanBase, HomogeneousFn, LevyBase, LevyMeasur
 from .fourier_pd import (ActionResult, PDReport, TestFunction, bump_family,
                          euclidean_reference_action, gaussian_family,
                          pd_action, pd_check, radial_fourier_weight,
-                         radon_action, subordination_norm_power)
+                         subordination_norm_power)
 from .oracle2d import DensityField, density_2d, oracle_expectation
 from .verify import (ExperimentConfig, TrialRecord, VerificationReport,
                      pd_certificate, random_block_symmetric_measure,
@@ -44,7 +44,6 @@ __all__ = [
     "fn_to_json", "gaussian_family", "levy_expectation", "lp_norm_power",
     "marginal_block", "max_abs_power", "mc_expectation", "oracle_expectation",
     "pd_action", "pd_certificate", "pd_check", "radial_fourier_weight",
-    "radon_action",
     "random_block_symmetric_measure", "random_rep", "reflect", "rep_hash",
     "run_experiment", "sample_batch", "sample_standard", "sample_vector",
     "scale_q", "subordination_norm_power", "verify_cor3", "verify_prop1",

@@ -7,20 +7,39 @@ decreasing test function phi factorizes in spherical coordinates:
     (f^, phi) = integral f(x) phi^(x) dx
              = (1/2) * int_S f(theta) [ int_R |r|^(n+p-1) phi^(r theta) dr ] dtheta.
 
-``pd_action`` evaluates that factorization on tensor Gauss-Legendre angular
-grids for n in {2, 3}; ``pd_check`` scans a family of test functions for a
-sign violation.  For a Gaussian test function the inner radial integral has
-a closed form in Kummer's M (see ``_radial_profile``), so its error bound is
-the gap between a coarse and a fine angular grid plus the error of M and a
-roundoff term.  For a bump the radial integral is a singularity-aware rule
+``pd_action`` evaluates that factorization for n in {2, 3}; ``pd_check``
+scans a family of test functions for a sign violation.  The inner radial
+integral G depends on theta only through c = <theta, center>
+(``_radial_profile``).  For a Gaussian it has a closed form in Kummer's M,
+whose error enters the bound.  For a bump it is a singularity-aware rule
 (Gauss-Jacobi near the origin, oscillation-limited Gauss-Legendre panels
 outside) over a tabulated profile, read through the cubic B-spline of its
-uniform grid (``_interpolant``, which the 2-D oracle shares), and the bound
-adds the gap between a coarse and a fine radial rule and a truncation
-term.  The panels have equal widths, so the oscillatory factor cos(r c) at
-a panel node m + h x splits by angle addition into cos(c m), sin(c m) per
-panel and cos(c h x), sin(c h x) per node: every direction costs about one
-cosine and one sine per panel rather than per node.
+uniform grid (``_interpolant``, which the 2-D oracle shares); the bound adds
+the gap between a coarse and a fine radial rule and a truncation term.  The
+panels have equal widths, so the oscillatory factor cos(r c) at a panel node
+m + h x splits by angle addition into cos(c m), sin(c m) per panel and
+cos(c h x), sin(c h x) per node: every value of c costs about one cosine and
+one sine per panel rather than per node.
+
+The angular rules:
+
+* n = 2 sums equal theta panels of Gauss-Legendre nodes.  Their edges at
+  multiples of pi/16 sit on the kinks of l1 and max-abs, so those converge
+  spectrally, and the bound is the gap between a coarse and a fine grid.
+* n = 3 uses the centre-aligned rule.  With c^ = center/|center| (e3 for a
+  centred test) the action is int_0^1 F(t) G(|center| t) dt, where
+  F(t) = int_{S^1} f(t c^ + sqrt(1 - t^2) omega) d omega is a ring integral
+  (t >= 0 suffices for an even f).  t = cos(psi) on Gauss-Legendre psi panels
+  graded toward t = 0, where G peaks on the scale width/|center|; omega on
+  15-degree panels of a frame whose edges meet the l1 and max-abs kink
+  planes through an axis or diagonal c^.  So each action needs G at ~150
+  values of c, and F depends only on (f, c^, rule): ``pd_check`` keeps the
+  ring integrals of its scan in one dict, and every test function about the
+  same axis (the family members on a ray, every width and radius
+  refinement) reuses them.  The bound sums local gaps, the fine value
+  against the coarse t and radial rules per coarse psi panel and F against
+  the coarse omega rule per t node, so that errors of opposite sign at
+  kinks that cross the rings cannot cancel in it.
 
 Test functions are Gaussians modulated to a center xi0 (their Fourier
 transforms are analytic, which removes one quadrature layer) or, for the
@@ -41,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as _gamma
-from scipy.special import hyp1f1, i0e, j0, roots_jacobi
+from scipy.special import hyp1f1, j0, roots_jacobi
 
 from .homogeneous import HomogeneousFn, _lr_exponent, evaluate_many
 from .moments import _quad
@@ -56,7 +75,6 @@ __all__ = [
     "pd_action",
     "pd_check",
     "radial_fourier_weight",
-    "radon_action",
     "subordination_norm_power",
 ]
 
@@ -200,43 +218,22 @@ def _interpolant(axis: np.ndarray, values: np.ndarray):
     return rho
 
 
-@lru_cache(maxsize=64)
-def _sphere_grid(n: int, spec: tuple):
-    """Direction matrix and quadrature weights; weights sum to |S^(n-1)|."""
-    if n == 2:
-        panels, nodes = spec
-        x, w = _leggauss(nodes)
-        edges = np.linspace(0.0, 2.0 * np.pi, panels + 1)
-        theta = np.concatenate([(e0 + e1) / 2 + (e1 - e0) / 2 * x
-                                for e0, e1 in zip(edges[:-1], edges[1:])])
-        wq = np.concatenate([(e1 - e0) / 2 * w
-                             for e0, e1 in zip(edges[:-1], edges[1:])])
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        return dirs, wq
-    if n == 3:
-        nmu, nphi = spec
-        mu, wmu = _leggauss(nmu)
-        phi_x, wphi = _leggauss(nphi)
-        phi = np.pi * (phi_x + 1.0)
-        wphi = np.pi * wphi
-        smu = np.sqrt(1.0 - mu**2)
-        dirs = np.empty((nmu * nphi, 3))
-        dirs[:, 0] = np.outer(smu, np.cos(phi)).ravel()
-        dirs[:, 1] = np.outer(smu, np.sin(phi)).ravel()
-        dirs[:, 2] = np.repeat(mu, nphi)
-        return dirs, np.outer(wmu, wphi).ravel()
-    raise ValueError(f"spherical grids are provided for n in {{2, 3}}, got n={n}")
-
-
-def _panel_nodes(r_lo: float, r_hi: float, h: float, gl: int):
-    npan = max(1, int(np.ceil((r_hi - r_lo) / h)))
-    edges = np.linspace(r_lo, r_hi, npan + 1)
-    x, w = _leggauss(gl)
+def _gl_panels(edges: np.ndarray, m: int):
+    """Nodes and weights of m-point Gauss-Legendre on each panel between
+    consecutive ``edges``."""
+    x, w = _leggauss(m)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return nodes, (half[:, None] * w[None, :]).ravel()
+
+
+@lru_cache(maxsize=64)
+def _circle_grid(spec: tuple):
+    """n = 2: directions on equal theta panels and weights summing to 2 pi."""
+    panels, nodes = spec
+    theta, wq = _gl_panels(np.linspace(0.0, 2.0 * np.pi, panels + 1), nodes)
+    return np.column_stack([np.cos(theta), np.sin(theta)]), wq
 
 
 _DIR_BLOCK = 256  # directions per block; bounds the (directions x panels) arrays
@@ -337,18 +334,19 @@ def _bump_profile(n: int):
 _KUMMER_ERR = 1e-14
 
 
-def _kummer_m(alpha: float, x: np.ndarray) -> np.ndarray:
-    """Kummer's M(alpha, 1/2, -x), which lies in [-1, 1] for x >= 0.
+def _kummer_m(alpha: float, x: np.ndarray, b: float = 0.5) -> np.ndarray:
+    """Kummer's M(alpha, b, -x) for x >= 0; it lies in [-1, 1] for b = 1/2.
 
-    scipy's hyp1f1 errs up to 3e-8 relative for alpha <= 0.05 and x near
-    2.4, so for alpha < 0.1 and x <= 8 this sums the 60 positive terms of
-    Kummer's transformation exp(-x) M(1/2 - alpha, 1/2, x) instead.
+    scipy's hyp1f1 errs for alpha <= b/10 and x near 2.4, up to 3e-8
+    relative at b = 1/2 and 4e-11 at b = 1 and 3/2.  So for alpha < b/5 and
+    x <= 8 this sums the 60 positive terms of Kummer's transformation
+    exp(-x) M(b - alpha, b, x) instead.
     """
-    out = hyp1f1(alpha, 0.5, -x)
-    if alpha < 0.1:
+    out = hyp1f1(alpha, b, -x)
+    if alpha < 0.2 * b:
         near = x <= 8.0
         k = np.arange(60.0)[:, None]
-        terms = np.cumprod((0.5 - alpha + k) / (0.5 + k) * x[near] / (k + 1.0), axis=0)
+        terms = np.cumprod((b - alpha + k) / (b + k) * x[near] / (k + 1.0), axis=0)
         out[near] = np.exp(-x[near]) * (1.0 + terms.sum(axis=0))
     return out
 
@@ -393,27 +391,132 @@ def _radial_profile(f_p: float, n: int, phi: TestFunction, cabs: np.ndarray,
     return vals, float(trunc)
 
 
-def _angular_spec(n: int, phi: TestFunction, fine: bool):
+def _circle_spec(phi: TestFunction, fine: bool):
     hard = phi.width < 0.5 or np.linalg.norm(phi.center) > 2.5
-    if n == 2:
-        if hard:
-            return (32, 12) if fine else (32, 8)
-        return (16, 10) if fine else (16, 6)
     if hard:
-        return (44, 88) if fine else (32, 64)
-    return (26, 52) if fine else (18, 36)
+        return (32, 12) if fine else (32, 8)
+    return (16, 10) if fine else (16, 6)
 
 
-def _single_action(f: HomogeneousFn, phi: TestFunction, fine: bool):
-    n = f.n
-    dirs, w = _sphere_grid(n, _angular_spec(n, phi, fine))
+def _circle_action(f: HomogeneousFn, phi: TestFunction, fine: bool):
+    dirs, w = _circle_grid(_circle_spec(phi, fine))
     fv = evaluate_many(f, dirs) * w
     cabs = np.abs(dirs @ phi.center)
     nj, gl = (28, 14) if fine else (16, 10)
-    radial, trunc = _radial_profile(f.p, n, phi, cabs, nj, gl)
+    radial, trunc = _radial_profile(f.p, 2, phi, cabs, nj, gl)
     value = 0.5 * float(fv @ radial)
     scale = 0.5 * float(fv @ np.abs(radial))
     return value, 0.5 * float(fv.sum()) * trunc, scale
+
+
+# n = 3, the centre-aligned rule.  t = cos(psi) with psi in [0, pi/2]: equal
+# psi panels, the last one halved _PSI_GRADING times toward the equator t = 0,
+# where the radial profile of a narrow or far test function peaks on the
+# scale width/|center|.  Each level bisects every psi and every omega panel.
+_PSI_PANELS = 4
+_PSI_GRADING = 5
+_PSI_NODES = 8
+_RING_PANELS = 24  # 15 degrees: kinks at multiples of 45 and 60 degrees sit on edges
+_RING_NODES = 8
+
+
+@lru_cache(maxsize=8)
+def _psi_rule(level: int):
+    """(t, sqrt(1 - t^2), weights) of the t rule on [0, 1] at ``level``."""
+    h = 0.5 * np.pi / _PSI_PANELS
+    top = 0.5 * np.pi - h
+    edges = np.concatenate([np.linspace(0.0, top, _PSI_PANELS),
+                            0.5 * np.pi - h / 2.0 ** np.arange(1, _PSI_GRADING + 1),
+                            [0.5 * np.pi]])
+    for _ in range(level):
+        edges = np.insert(edges, np.arange(1, edges.size), (edges[:-1] + edges[1:]) / 2.0)
+    psi, w = _gl_panels(edges, _PSI_NODES)
+    s = np.sin(psi)
+    return np.cos(psi), s, w * s
+
+
+@lru_cache(maxsize=8)
+def _ring_rule(level: int):
+    """(cos omega, sin omega, weights) of the omega rule on [0, 2 pi] at ``level``."""
+    omega, w = _gl_panels(np.linspace(0.0, 2.0 * np.pi, _RING_PANELS * 2**level + 1),
+                          _RING_NODES)
+    return np.cos(omega), np.sin(omega), w
+
+
+def _axis_frame(center: np.ndarray) -> np.ndarray:
+    """Rows (c, u, v) of a right-handed frame with c = +-center/|center|.
+
+    c is e3 for the zero centre and is signed so that its largest entry is
+    positive: an even f has the same ring integrals about c and -c.  u is the
+    unit projection of the coordinate axis least aligned with c, so for axis
+    and diagonal centres the coordinate kink planes through c (those of l1
+    and max-abs) cut every ring on an omega panel edge.
+    """
+    r = np.linalg.norm(center)
+    c = center / r if r > 0 else np.array([0.0, 0.0, 1.0])
+    k = int(np.argmax(np.abs(c)))
+    c = (-c if c[k] < 0 else c) + 0.0  # + 0.0 turns -0.0 into 0.0
+    j = int(np.argmin(np.abs(c)))
+    u = -c[j] * c
+    u[j] += 1.0
+    u /= np.linalg.norm(u)
+    return np.stack([c, u, np.cross(c, u)])
+
+
+def _ring_points(frame: np.ndarray, t_level: int, ring_level: int) -> np.ndarray:
+    """Points t c + sqrt(1 - t^2) (cos omega u + sin omega v), t-major rows.
+
+    The (points, 3) result is a view of component-major storage, along whose
+    short axis numpy reduces up to eight times faster (max-abs norms).
+    """
+    t, s, _ = _psi_rule(t_level)
+    cw, sw, _ = _ring_rule(ring_level)
+    ring = frame[1][:, None] * cw + frame[2][:, None] * sw
+    pts = s[:, None] * ring[:, None, :]
+    pts += (frame[0][:, None] * t)[:, :, None]
+    return pts.reshape(3, -1).T
+
+
+def _ring_integrals(f: HomogeneousFn, frame: np.ndarray, t_level: int,
+                    ring_level: int, tables: dict) -> np.ndarray:
+    """F(t) = int f(t c + sqrt(1 - t^2) omega) d omega at the t nodes.
+
+    F depends only on f, the axis c and the two rules, so ``tables`` (which
+    holds one f) keeps it for every later test function about the same axis.
+    """
+    key = (frame[0].tobytes(), t_level, ring_level)
+    if key not in tables:
+        w = _ring_rule(ring_level)[2]
+        vals = evaluate_many(f, _ring_points(frame, t_level, ring_level))
+        tables[key] = vals.reshape(-1, w.size) @ w
+    return tables[key]
+
+
+def _centre_action(f: HomogeneousFn, phi: TestFunction, tables: dict):
+    """n = 3: the action as int_0^1 F(t) G(|center| t) dt, G the radial profile.
+
+    Returns (value, delta, truncation term, scale).  The value takes the fine
+    t, omega and radial rules.  delta sums two local gaps, so that errors of
+    opposite sign in different places cannot cancel in it: per coarse psi
+    panel, the fine value against the coarse t and radial rules; per t node,
+    the ring integral F against the coarse omega rule.
+    """
+    frame = _axis_frame(phi.center)
+    c = float(np.linalg.norm(phi.center))
+    t2, _, w2 = _psi_rule(1)
+    t1, _, w1 = _psi_rule(0)
+    fine = _ring_integrals(f, frame, 1, 1, tables)
+    ring_coarse = _ring_integrals(f, frame, 1, 0, tables)
+    t_coarse = _ring_integrals(f, frame, 0, 1, tables)
+    g2, trunc = _radial_profile(f.p, 3, phi, c * t2, 28, 14)
+    g1, _ = _radial_profile(f.p, 3, phi, c * t1, 16, 10)
+    wf = w2 * fine
+    parts = wf * g2
+    panel_gaps = (parts.reshape(-1, 2 * _PSI_NODES).sum(axis=1)
+                  - (w1 * t_coarse * g1).reshape(-1, _PSI_NODES).sum(axis=1))
+    ring_gaps = (w2 * np.abs(g2)) @ np.abs(fine - ring_coarse)
+    return (float(parts.sum()), float(np.abs(panel_gaps).sum() + ring_gaps),
+            float(wf.sum()) * trunc, float(wf @ np.abs(g2)))
 
 
 def _validate_action_args(f: HomogeneousFn, phis):
@@ -437,10 +540,23 @@ def pd_action(f: HomogeneousFn, phi) -> ActionResult:
     if not phis:
         return ActionResult(0.0, 0.0)
     _validate_action_args(f, phis)
+    return _action(f, phis, {})
+
+
+def _action(f: HomogeneousFn, phis: list, tables: dict) -> ActionResult:
+    if f.n == 3:
+        value = delta = trunc = scale = 0.0
+        for one in phis:
+            v, d, tb, sc = _centre_action(f, one, tables)
+            value += v
+            delta += d
+            trunc += tb
+            scale += sc
+        return ActionResult(float(value), float(delta + trunc + 1e-14 * scale))
     base = fine = trunc = scale = 0.0
     for one in phis:
-        vb, _, _ = _single_action(f, one, fine=False)
-        vf, tb, sc = _single_action(f, one, fine=True)
+        vb, _, _ = _circle_action(f, one, fine=False)
+        vf, tb, sc = _circle_action(f, one, fine=True)
         base += vb
         fine += vf
         trunc += tb
@@ -527,17 +643,18 @@ def pd_check(f: HomogeneousFn, family=None, mode: str = "full-space",
         raise ValueError("away-from-origin mode admits only compact bumps")
     _validate_action_args(f, family)
 
+    tables = {}  # ring integrals of f, shared by every action of this scan
     evaluations = 0
     best = None
     for phi in family:
-        res = pd_action(f, phi)
+        res = _action(f, [phi], tables)
         evaluations += 1
         if best is None or _clearly_lower(res, best[0]):
             best = (res, phi)
     for _ in range(refine_rounds):
         improved = False
         for cand in _refine_neighbors(best[1]):
-            res = pd_action(f, cand)
+            res = _action(f, [cand], tables)
             evaluations += 1
             if _clearly_lower(res, best[0]):
                 best = (res, cand)
@@ -558,92 +675,33 @@ def pd_check(f: HomogeneousFn, family=None, mode: str = "full-space",
 
 
 # ---------------------------------------------------------------------------
-# independent reference routes
-
-
-def radon_action(f: HomogeneousFn, phi: TestFunction) -> float:
-    """Independent evaluation of the action through slice integrals.
-
-    Valid only for p in (-n, -n+1), where the radial factor pairs with
-    |t|^(-n-p) against the (nonnegative) slice integrals of phi:
-
-        inner(theta) = c_{n+p-1} * int |t|^(-n-p) R_phi(theta, t) dt.
-
-    Gaussian test functions only; used as a cross-check oracle for
-    pd_action inside that window.
-    """
-    if phi.kind != "gaussian":
-        raise ValueError("slice-integral route is implemented for gaussian tests")
-    n, p = f.n, f.p
-    cnp = radial_fourier_weight(n, p)  # validates the window
-    b = n + p  # weight |t|^(-b), b in (0, 1)
-    sigma = phi.width
-    amp = phi.normalization * (2.0 * np.pi * sigma**2) ** ((n - 1) / 2.0)
-    dirs, w = _sphere_grid(n, _angular_spec(n, phi, fine=True))
-    fv = evaluate_many(f, dirs) * w
-    c = dirs @ phi.center
-
-    t0 = min(0.3 * sigma, 0.5)
-    xj, wj = _jacobi(24, -b)
-    tj = t0 * (xj + 1.0) / 2.0
-    tmax = np.abs(c).max() + 9.0 * sigma
-    tf, wf = _panel_nodes(t0, tmax, 0.5 * sigma, 12)
-
-    def halfline(tnodes, tweights, sign):
-        # sum over directions of the integral over t > 0 of t^(-b) g(sign t)
-        z = (tnodes[None, :] - sign * c[:, None]) / sigma
-        g = amp * np.exp(-0.5 * z**2)
-        return g @ tweights
-
-    near = (t0 / 2.0) ** (1.0 - b) * (halfline(tj, wj, +1) + halfline(tj, wj, -1))
-    far = halfline(tf, wf * tf ** (-b), +1) + halfline(tf, wf * tf ** (-b), -1)
-    inner = cnp * (near + far)
-    return 0.5 * float(fv @ inner)
+# reference routes
 
 
 def euclidean_reference_action(n: int, p: float, phi: TestFunction) -> float:
-    """Closed-form radial route for f = Euclidean^p against a Gaussian test:
+    """Closed form of the action of f = Euclidean^p against a Gaussian test:
 
-        (f^, phi) = c(n, p) * int |xi|^(-n-p) phi(xi) dxi,
-        c(n, p) = 2^(n+p) pi^(n/2) Gamma((n+p)/2) / Gamma(-p/2),
+        (f^, phi) = c(n, p) * int |xi|^s phi(xi) dxi,   s = -n - p,
+        c(n, p) = 2^(n+p) pi^(n/2) Gamma((n+p)/2) / Gamma(-p/2).
 
-    reduced to one radial quadrature via the spherical average of phi.
+    With G ~ N(center, sigma^2 I) the integral is normalization
+    (2 pi sigma^2)^(n/2) E|G|^s, and the noncentral moment is
+
+        E|G|^s = (2 sigma^2)^(s/2) Gamma((n+s)/2) / Gamma(n/2)
+                 * M(-s/2, n/2, -|center|^2 / (2 sigma^2)).
+
+    Gamma((n+s)/2) = Gamma(-p/2) cancels against c(n, p).
     """
     if phi.kind != "gaussian":
         raise ValueError("reference action is implemented for gaussian tests")
     if not (-n < p < 0.0):
         raise ValueError(f"requires p in (-n, 0); got {p}")
-    sigma = phi.width
-    b = float(np.linalg.norm(phi.center))
-    cnp = 2.0 ** (n + p) * np.pi ** (n / 2.0) * _gamma((n + p) / 2.0) / _gamma(-p / 2.0)
-    area = 2.0 * np.pi if n == 2 else 4.0 * np.pi
-
-    def sphere_avg(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if b == 0.0:
-            return np.exp(-0.5 * (s / sigma) ** 2)
-        x = s * b / sigma**2
-        if n == 2:
-            return i0e(x) * np.exp(-0.5 * ((s - b) / sigma) ** 2)
-        small = x < 30.0
-        out = np.empty_like(s)
-        out[small] = (np.sinh(x[small]) / np.maximum(x[small], 1e-300)
-                      * np.exp(-(s[small]**2 + b**2) / (2.0 * sigma**2)))
-        zs = s[~small]
-        out[~small] = (sigma**2 / (2.0 * zs * b)
-                       * (np.exp(-0.5 * ((zs - b) / sigma) ** 2)
-                          - np.exp(-0.5 * ((zs + b) / sigma) ** 2)))
-        # sinh(x)/x -> 1 as s -> 0
-        out[s == 0.0] = np.exp(-b**2 / (2.0 * sigma**2))
-        return out
-
-    upper = (b + 9.0 * sigma) ** (-p)
-
-    def integrand(v):
-        return float(sphere_avg(float(v) ** (-1.0 / p))[0])
-
-    radial = _quad(integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-11) / (-p)
-    return float(phi.normalization * cnp * area * radial)
+    s2 = phi.width**2
+    x = float(phi.center @ phi.center) / (2.0 * s2)
+    a = (n + p) / 2.0
+    pref = (2.0 ** (n + p) * np.pi ** (n / 2.0) * _gamma(a) / _gamma(n / 2.0)
+            * (2.0 * np.pi * s2) ** (n / 2.0) * (2.0 * s2) ** (-a))
+    return float(phi.normalization * pref * _kummer_m(a, np.array([x]), n / 2.0)[0])
 
 
 def subordination_norm_power(f: HomogeneousFn, x, r=None) -> float:

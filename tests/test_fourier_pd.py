@@ -8,14 +8,77 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from stablecomp import fourier_pd
+from stablecomp import cli, fourier_pd
 from stablecomp import (HomogeneousFn, LrMatrixBase, TestFunction,
                         euclidean_power, euclidean_reference_action, evaluate,
                         evaluate_many,
                         gaussian_family, bump_family, lp_norm_power,
                         max_abs_power, pd_action, pd_check,
-                        radial_fourier_weight, radon_action,
-                        subordination_norm_power)
+                        radial_fourier_weight, subordination_norm_power)
+
+
+def _panel_nodes(r_lo, r_hi, h, gl):
+    npan = max(1, int(np.ceil((r_hi - r_lo) / h)))
+    return fourier_pd._gl_panels(np.linspace(r_lo, r_hi, npan + 1), gl)
+
+
+def _finer_ring(f, phi, tables=None):
+    """The values c = |center| t at the t nodes and the weights w F(t) of the
+    centre-aligned rule four times finer than pd_action's fine one (each t and
+    omega panel bisected twice more); an n = 3 action is their radial sum."""
+    t, _, w = fourier_pd._psi_rule(3)
+    frame = fourier_pd._axis_frame(phi.center)
+    ring = fourier_pd._ring_integrals(f, frame, 3, 3, {} if tables is None else tables)
+    return np.linalg.norm(phi.center) * t, w * ring
+
+
+def _finer_action(f, phi, tables=None):
+    """An n = 3 action on ``_finer_ring`` with pd_action's fine radial rule."""
+    c, weights = _finer_ring(f, phi, tables)
+    g, _ = fourier_pd._radial_profile(f.p, 3, phi, c, 28, 14)
+    return float(weights @ g)
+
+
+def radon_action(f: HomogeneousFn, phi: TestFunction) -> float:
+    """The action through slice integrals, for p in (-n, -n+1) and Gaussian
+    tests: the radial factor pairs |t|^(-n-p) with the (nonnegative) slice
+    integrals of phi,
+
+        inner(theta) = c_{n+p-1} * int |t|^(-n-p) R_phi(theta, t) dt.
+
+    The slice-integral radial factor is the part independent of pd_action.
+    The angular sum takes rules four times finer than pd_action's fine ones:
+    n = 2, four times its theta panels; n = 3, ``_finer_ring``, since inner
+    depends on theta only through <theta, center> = |center| t.
+    """
+    n, p = f.n, f.p
+    cnp = radial_fourier_weight(n, p)  # validates the window
+    b = n + p  # weight |t|^(-b), b in (0, 1)
+    sigma = phi.width
+    amp = phi.normalization * (2.0 * np.pi * sigma**2) ** ((n - 1) / 2.0)
+    if n == 2:
+        panels, nodes = fourier_pd._circle_spec(phi, fine=True)
+        dirs, w = fourier_pd._circle_grid((4 * panels, nodes))
+        weights = 0.5 * evaluate_many(f, dirs) * w
+        c = dirs @ phi.center
+    else:
+        # half the sphere, t >= 0: a factor 2 against the 1/2
+        c, weights = _finer_ring(f, phi)
+
+    t0 = min(0.3 * sigma, 0.5)
+    xj, wj = fourier_pd._jacobi(24, -b)
+    tj = t0 * (xj + 1.0) / 2.0
+    tmax = np.abs(c).max() + 9.0 * sigma
+    tf, wf = _panel_nodes(t0, tmax, 0.5 * sigma, 12)
+
+    def halfline(tnodes, tweights, sign):
+        # per direction, the integral over t > 0 of t^(-b) g(sign t)
+        z = (tnodes[None, :] - sign * c[:, None]) / sigma
+        return (amp * np.exp(-0.5 * z**2)) @ tweights
+
+    near = (t0 / 2.0) ** (1.0 - b) * (halfline(tj, wj, +1) + halfline(tj, wj, -1))
+    far = halfline(tf, wf * tf ** (-b), +1) + halfline(tf, wf * tf ** (-b), -1)
+    return float(weights @ (cnp * (near + far)))
 
 
 class TestRadialFourierWeight:
@@ -118,7 +181,7 @@ def _direct_radial(a, kernel, r0, rmax, h, cabs, nj, gl):
     xj, wj = fourier_pd._jacobi(nj, a - 1.0)
     rj = r0 * (xj + 1.0) / 2.0
     near_w = (r0 / 2.0) ** a * wj * kernel(rj)
-    rf, wf = fourier_pd._panel_nodes(r0, rmax, h, gl)
+    rf, wf = _panel_nodes(r0, rmax, h, gl)
     far_w = wf * kernel(rf) * rf ** (a - 1.0)
     nodes = np.concatenate([rj, rf])
     node_w = np.concatenate([near_w, far_w])
@@ -233,8 +296,7 @@ class TestRadialKernel:
             alpha = mpmath.mpf((n + p) / 2.0)
             for phi in gaussian_family(n):
                 act = pd_action(f, phi)
-                spec = fourier_pd._angular_spec(n, phi, fine=True)
-                dirs, w = fourier_pd._sphere_grid(n, spec)
+                dirs, w = fourier_pd._circle_grid(fourier_pd._circle_spec(phi, fine=True))
                 s2 = mpmath.mpf(phi.width) ** 2
                 K = 2 * mpmath.pi * s2  # normalization (2 pi sigma^2)^(n/2) at n = 2
                 pref = K * mpmath.gamma(alpha) * (2 / s2) ** alpha
@@ -243,6 +305,49 @@ class TestRadialKernel:
                     for c in np.abs(dirs @ phi.center)])
                 ref = 0.5 * float((evaluate_many(f, dirs) * w) @ radial)
                 assert abs(act.value - ref) <= act.error_bound
+
+
+def test_euclidean_reference_matches_mpmath():
+    """The closed form against mpmath over sigma in [0.126, 4] and |center|
+    <= 7.3, the reach of refinement on the default family, with p near both
+    ends of (-n, 0), where scipy's hyp1f1 alone errs up to 4e-11; and the
+    closed form itself against an mpmath radial quadrature of
+    c(n, p) int |xi|^(-n-p) phi(xi) dxi."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+
+    def cnp(n, P):
+        return 2 ** (n + P) * mp.pi ** (mp.mpf(n) / 2) * mp.gamma((n + P) / 2) / mp.gamma(-P / 2)
+
+    with mpmath.workdps(30):
+        for n in (2, 3):
+            for p in (-n + 0.02, -n + 0.15, -n + 0.9, -1.0, -0.5, -0.05):
+                for sigma in (0.126, 0.25, 1.0, 4.0):
+                    for b in np.linspace(0.0, 7.3, 13):
+                        phi = TestFunction("gaussian", np.r_[b, np.zeros(n - 1)], sigma)
+                        P, S, B = mp.mpf(p), mp.mpf(sigma), mp.mpf(b)
+                        s = -n - P
+                        moment = ((2 * S**2) ** (s / 2) * mp.gamma((n + s) / 2)
+                                  / mp.gamma(mp.mpf(n) / 2)
+                                  * mp.hyp1f1(-s / 2, mp.mpf(n) / 2, -B**2 / (2 * S**2)))
+                        ref = float(cnp(n, P) * (2 * mp.pi * S**2) ** (mp.mpf(n) / 2) * moment)
+                        got = euclidean_reference_action(n, p, phi)
+                        assert abs(got - ref) <= 1e-13 * abs(ref), (n, p, sigma, b)
+        for n, p, sigma, b in ((2, -1.5, 0.5, 2.0), (3, -2.9, 1.0, 1.5), (3, -0.7, 0.25, 4.0)):
+            P, S, B = mp.mpf(p), mp.mpf(sigma), mp.mpf(b)
+
+            def sphere_avg(r):
+                # the mean of exp(-|xi - center|^2 / (2 sigma^2)) over |xi| = r
+                x = r * B / S**2
+                g = mp.exp(-(r**2 + B**2) / (2 * S**2))
+                return g * (mp.besseli(0, x) if n == 2 else (mp.sinh(x) / x if x else 1))
+
+            area = 2 * mp.pi if n == 2 else 4 * mp.pi
+            radial = mp.quad(lambda r: r ** (-P - 1) * sphere_avg(r),
+                             [0, B, B + 10 * S, mp.inf])
+            phi = TestFunction("gaussian", np.r_[b, np.zeros(n - 1)], sigma)
+            ref = float(cnp(n, P) * area * radial)
+            assert abs(euclidean_reference_action(n, p, phi) - ref) <= 1e-13 * abs(ref)
 
 
 def _mp_bump_transform(mp, n, s):
@@ -313,6 +418,115 @@ def test_bumps_and_oracle_leave_scipy_interpolate_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+_GATE_RNG = np.random.default_rng(31)
+_GATE_FNS = {
+    "max_abs": max_abs_power(3, -2.5),
+    "l1": lp_norm_power(3, 1.0, -1.2),
+    "lr_matrix": HomogeneousFn(base=LrMatrixBase(
+        matrix=np.vstack([np.eye(3), _GATE_RNG.standard_normal((2, 3))]), r=1.3), p=-1.7),
+    "weighted_euclidean": euclidean_power(3, -2.2, weights=[1.0, 2.0, 0.5]),
+}
+
+
+class TestCentreAlignedRule:
+    @pytest.mark.parametrize("f,phi", [
+        # a gaussian_family(3) member; the (mu, phi) tensor grids gave
+        # 49.52228 +- 8.92e-3 against 49.5775
+        (max_abs_power(3, -2.5), TestFunction("gaussian", [0.0, 4.0, 0.0], 0.5)),
+        # the witness of pd-check --builtin l1 3 -1.2; the grids gave
+        # 1.95337e-2 +- 3.22e-4 against 1.70632e-2
+        (lp_norm_power(3, 1.0, -1.2),
+         TestFunction("gaussian", 2.3094010767585 * np.array([-1.0, -1.0, 1.0]), 0.126025)),
+        # a bump; the grids gave 0.373630 +- 3.4e-3 against 0.38345
+        (max_abs_power(3, -2.5), TestFunction("bump", [0.0, 6.0, 0.0], 0.25)),
+    ], ids=["max_abs-gaussian", "l1-witness", "max_abs-bump"])
+    def test_former_bound_misses(self, f, phi):
+        act = pd_action(f, phi)
+        assert abs(act.value - _finer_action(f, phi)) <= act.error_bound
+
+    @pytest.mark.parametrize("name", sorted(_GATE_FNS))
+    def test_gaussian_family_within_bound(self, name):
+        """The width 0.25 and 0.5, radius 4 members of gaussian_family(3),
+        whose radial profiles peak most narrowly in t."""
+        f = _GATE_FNS[name]
+        tables = {}
+        for phi in gaussian_family(3):
+            if phi.width > 0.5 or np.linalg.norm(phi.center) != 4.0:
+                continue
+            act = pd_action(f, phi)
+            ref = _finer_action(f, phi, tables)
+            assert abs(act.value - ref) <= act.error_bound, (phi.center, phi.width)
+
+    def test_axis_frame(self):
+        rng = np.random.default_rng(5)
+        for center in [np.zeros(3), np.array([0.0, -4.0, 0.0]), 1.5 * np.ones(3),
+                       *rng.standard_normal((5, 3))]:
+            frame = fourier_pd._axis_frame(center)
+            assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-15
+            assert np.linalg.det(frame) > 0
+            assert np.array_equal(fourier_pd._axis_frame(-center), frame)
+        # the kink planes of l1 and max-abs through an axis or a diagonal
+        # centre cut every ring on omega panel edges
+        for center, planes in (([0.0, 4.0, 0.0], np.vstack([np.eye(3)[[0, 2]],
+                                                            [[1, 0, 1], [1, 0, -1]]])),
+                               ([1.0, -1.0, 1.0], [[1, 1, 0], [0, 1, 1], [1, 0, -1]])):
+            frame = fourier_pd._axis_frame(np.array(center))
+            normals = np.asarray(planes, dtype=float) @ frame[1:].T
+            # a plane through c meets the ring where <normal, (cos w, sin w)> = 0
+            omega = np.mod(np.arctan2(normals[:, 0], -normals[:, 1]), np.pi)
+            steps = omega / (2.0 * np.pi / fourier_pd._RING_PANELS)
+            assert np.abs(steps - np.round(steps)).max() <= 1e-12
+
+    def test_scan_tables_are_pure(self):
+        """The ring integrals a scan shares between its actions leave every
+        action as pd_action computes it alone."""
+        f = lp_norm_power(3, 1.0, -1.2)
+        report = pd_check(f)
+        assert report.evaluations > report.family_size  # refinement ran
+        alone = pd_action(f, report.witness)
+        assert alone.value == report.min_action
+        assert alone.error_bound == report.quadrature_error_bound
+
+    def test_pd_check_json_repeats(self, capsys):
+        argv = ["pd-check", "--builtin", "max-abs", "3", "-2.5", "--json"]
+        outs = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("builtin,mode,expected", [
+        ("max-abs 2 -1.5", "full-space",
+         '{"evaluations": 93, "family_size": 85, "min_action": 0.7506688754388926, '
+         '"mode": "full-space", "quadrature_error_bound": 1.194227615672675e-07, '
+         '"verdict": "consistent-with-pd", "witness": {"center": [4.0, 0.0], '
+         '"kind": "gaussian", "normalization": 1.0, "width": 0.126025}}'),
+        ("max-abs 2 -1.5", "away-from-origin",
+         '{"evaluations": 56, "family_size": 48, "min_action": 0.4947338846609646, '
+         '"mode": "away-from-origin", "quadrature_error_bound": 0.000600130746777736, '
+         '"verdict": "consistent-with-pd", "witness": {"center": [6.0, 0.0], '
+         '"kind": "bump", "normalization": 1.0, "width": 0.25205}}'),
+        ("l1 2 -1.2", "full-space",
+         '{"evaluations": 93, "family_size": 85, "min_action": 0.18765455948954216, '
+         '"mode": "full-space", "quadrature_error_bound": 1.2025591219264633e-07, '
+         '"verdict": "consistent-with-pd", "witness": {"center": '
+         '[2.8284271247461903, 2.82842712474619], "kind": "gaussian", '
+         '"normalization": 1.0, "width": 0.126025}}'),
+        ("l1 2 -1.2", "away-from-origin",
+         '{"evaluations": 56, "family_size": 48, "min_action": 0.10960530055289472, '
+         '"mode": "away-from-origin", "quadrature_error_bound": 0.001175224424583511, '
+         '"verdict": "consistent-with-pd", "witness": {"center": '
+         '[4.242640687119286, 4.242640687119285], "kind": "bump", '
+         '"normalization": 1.0, "width": 0.25205}}'),
+    ], ids=["max-abs-full", "max-abs-away", "l1-full", "l1-away"])
+    def test_n2_reports_unchanged(self, capsys, builtin, mode, expected):
+        """n = 2 keeps its theta panels, whose edges at multiples of pi/16 sit
+        on the l1 and max-abs kinks; these reports are pinned to the bit."""
+        assert cli.main(["pd-check", "--builtin", *builtin.split(), "--mode", mode,
+                         "--json"]) == 0
+        assert capsys.readouterr().out.strip() == expected
 
 
 class TestPdCheck:
