@@ -56,7 +56,13 @@ class MaxAbsBase:
         object.__setattr__(self, "n", int(self.n))
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(x), axis=-1)
+        # a column at a time: np.max over the short last axis of row-major
+        # points costs ~10x more; the same values, bit for bit
+        x = np.asarray(x)
+        out = np.abs(x[..., :1])[..., 0]  # an array, so out= works for one point too
+        for j in range(1, x.shape[-1]):
+            np.maximum(out, np.abs(x[..., j]), out=out)
+        return out[()]
 
     def to_json_dict(self) -> dict:
         return {"kind": "max_abs", "n": self.n}

@@ -15,7 +15,10 @@ p > -2), plus a heavy-tail correction beyond the grid that uses the known
 power tail order of the law.  Between grid points the density is the
 interpolating cubic B-spline of the uniform grid (mirror boundaries);
 points past the last grid line, which the centered box reaches by one
-cell, take the value on that line.
+cell, take the value on that line.  Its coefficients come from the
+recursive B-spline filter (``fourier_pd._spline_coefficients``): along the
+first axis the causal and anticausal recursions run over whole rows of the
+grid at once, along the second, contiguous axis a line at a time.
 
 This path never samples, so it provides margins with deterministic error
 estimates against which the Monte Carlo machinery is validated.
@@ -115,6 +118,26 @@ def _scale_profile(rep: SpectralRep):
     return float(s.min()), float(s.max())
 
 
+def _asymmetry(vals: np.ndarray) -> float:
+    """max |v - v[::-1, ::-1]| over v = vals[1:, 1:], the grid points whose
+    mirror image through the centre is on the grid.
+
+    Row i of v and its partner M-2-i give exact negatives of each other's
+    differences, so only the rows up to the centre row are compared, a block
+    of rows at a time: no (M-1) x (M-1) temporary.
+    """
+    M = vals.shape[0]
+    half = M // 2
+    grid, flip = vals[1:half + 1, 1:], vals[1:, 1:][::-1, ::-1][:half]
+    diff = np.empty((min(256, half), M - 1))
+    block_max = []
+    for lo in range(0, half, 256):
+        d = diff[:min(256, half - lo)]
+        np.subtract(grid[lo:lo + 256], flip[lo:lo + 256], out=d)
+        block_max.append(np.abs(d, out=d).max())
+    return float(np.max(block_max))
+
+
 def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
     """Recover the density of a nondegenerate 2-D law on a centered grid.
 
@@ -176,9 +199,7 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
     vals = np.fft.irfft(spectrum, n=M, axis=1, norm="forward", out=np.empty((M, M)))
     del spectrum
     vals *= (dxi / (2.0 * np.pi)) ** 2
-    diff = np.subtract(vals[1:, 1:], vals[1:, 1:][::-1, ::-1])
-    asym = float(np.abs(diff, out=diff).max())
-    del diff
+    asym = _asymmetry(vals)
     if asym > 1e-10:
         raise QuadratureFailure(f"inversion lost the even symmetry (asym {asym:.2e})")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stablecomp import (HomogeneousFn, LevyBase, LevyMeasure, LrMatrixBase,
-                        Seed, check_block_symmetry, check_homogeneity,
+                        MaxAbsBase, Seed, check_block_symmetry, check_homogeneity,
                         euclidean_power, evaluate, evaluate_many, fn_from_json,
                         fn_to_json, lp_norm_power, max_abs_power, pd_certificate,
                         subordination_norm_power)
@@ -38,6 +38,19 @@ class TestEvaluate:
         many = evaluate_many(f, pts)
         for i in range(10):
             assert many[i] == pytest.approx(evaluate(f, pts[i]), rel=1e-14)
+
+    def test_max_abs_values_equal_numpy_max_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((600, 3))
+        x[::7, 1] = np.nan
+        x[5] = (-0.0, 0.0, -0.0)
+        x[6] = (np.inf, -np.inf, 1.0)
+        for pts in (x, np.asfortranarray(x), x[0], x[7], x.reshape(20, 30, 3),
+                    x[:, :2], x[:, :1], x[:0]):
+            got = MaxAbsBase(pts.shape[-1]).values(pts)
+            ref = np.max(np.abs(pts), axis=-1)
+            assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 class TestBlockSymmetry:

@@ -5,7 +5,9 @@ from scipy.interpolate import RectBivariateSpline
 from stablecomp import (BlockSplit, Seed, SpectralRep,
                         decouple, density_2d, euclidean_power, lp_norm_power,
                         max_abs_power, mc_expectation, oracle_expectation)
-from stablecomp.oracle2d import _interpolant, _polar_box_integral, _scale_profile
+from stablecomp.fourier_pd import _bump_table, _spline_coefficients
+from stablecomp.oracle2d import (_asymmetry, _interpolant, _polar_box_integral,
+                                 _scale_profile)
 
 
 def gaussian_rep():
@@ -193,3 +195,63 @@ class TestKernels:
         ref = _polar_box_integral(f, fitpack_interpolant(field.axis, field.values),
                                   field.half_width, 12.0 * field.dx, n_theta=512)
         assert abs(got.value - ref) <= 1e-3 * got.error_bound
+
+
+def ndimage_coefficients(values):
+    from scipy import ndimage
+    return ndimage.spline_filter(values, order=3, mode="mirror")
+
+
+class TestSplineCoefficients:
+    """The row recursion against ndimage's line-at-a-time filter."""
+
+    @staticmethod
+    def assert_close(values):
+        got, ref = _spline_coefficients(values), ndimage_coefficients(values)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(values).max()
+
+    @pytest.mark.parametrize("q,M", [(0.7, 1024), (1.0, 512), (1.5, 512), (2.0, 512)])
+    def test_density_fields(self, q, M):
+        vals = density_2d(tilted_rep(q), M=M).values
+        self.assert_close(vals)
+        self.assert_close(vals[::2, ::2])  # the oracle's coarse grid, a strided view
+
+    def test_rough_fields(self):
+        rng = np.random.default_rng(3)
+        self.assert_close(rng.standard_normal((300, 257)))
+        self.assert_close(rng.standard_normal((6, 7, 9)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 31, 32, 33])
+    def test_short_axes(self, n):
+        # the causal start sums 32 mirrored terms: on short axes they wrap
+        rng = np.random.default_rng(n)
+        self.assert_close(rng.standard_normal((n, 9)))
+        self.assert_close(rng.standard_normal((9, n)))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_dimensional_is_ndimage_bit_for_bit(self, n):
+        _, vals, _ = _bump_table(n)
+        assert np.array_equal(_spline_coefficients(vals), ndimage_coefficients(vals))
+        rough = np.random.default_rng(n).standard_normal(33)
+        assert np.array_equal(_spline_coefficients(rough), ndimage_coefficients(rough))
+
+
+class TestAsymmetry:
+    @pytest.mark.parametrize("M", [64, 514, 1024])
+    def test_matches_the_full_difference(self, M):
+        rng = np.random.default_rng(M)
+        vals = rng.standard_normal((M, M))
+        w = rng.standard_normal((M - 1, M - 1))
+        vals[1:, 1:] = w + w[::-1, ::-1]
+        v = vals[1:, 1:]
+        assert np.abs(v - v[::-1, ::-1]).max() == 0.0 == _asymmetry(vals)
+        # one defect at a time, in the first, the centre and the last row
+        for i in (1, M // 2, M - 1):
+            bad = vals.copy()
+            bad[i, 2 + i % 5] += 1e-3 * (i + 1)
+            v = bad[1:, 1:]
+            assert _asymmetry(bad) == np.abs(v - v[::-1, ::-1]).max()
+        rough = rng.standard_normal((M, M))
+        v = rough[1:, 1:]
+        assert _asymmetry(rough) == np.abs(v - v[::-1, ::-1]).max()
