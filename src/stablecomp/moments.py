@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .homogeneous import LevyMeasure, evaluate_many
-from .sampling import Seed, _chunk_points, _map_chunks, as_seed, default_workers
+from .sampling import Seed, _chunk_points, _map_chunks, _mix, as_seed, default_workers
 from .spectral import SpectralRep, _qsum, check_stable_index, rep_hash
 
 __all__ = [
@@ -208,11 +208,11 @@ def levy_expectation(rep: SpectralRep, gamma: LevyMeasure, p) -> float:
 
 def _mc_values(f, rep: SpectralRep, N: int, seed: Seed, workers: int) -> np.ndarray:
     """f evaluated on the same deterministic chunk stream as sample_batch."""
-    mix = (rep.weights ** (1.0 / rep.q))[:, None] * rep.atoms
+    mix = _mix(rep)
     values = np.empty(N, dtype=float)
 
     def fill(ci, lo, hi):
-        values[lo:hi] = evaluate_many(f, _chunk_points(rep, mix, seed, ci, hi - lo))
+        values[lo:hi] = evaluate_many(f, _chunk_points(rep.q, mix, seed, ci, hi - lo))
 
     _map_chunks(N, workers, fill)
     return values

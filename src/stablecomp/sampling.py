@@ -6,11 +6,14 @@ normalized so that E exp(itZ) = exp(-|t|^q).  The Gaussian (q = 2) and
 Cauchy (q = 1) endpoints take dedicated closed-form paths.
 
 Multivariate draws combine independent one-dimensional draws along the
-atoms of a SpectralRep,
+merged directions of a SpectralRep,
 
-    X = sum_j w_j^(1/q) Z_j a_j,
+    X = sum_i s_i Z_i u_i,    s_i^q = sum_{j in group i} w_j |a_j|^q,
 
-which reproduces the target characteristic function exactly.
+where the atoms a_j of group i are parallel to the unit vector u_i.  Only the
+spectral measure fixes the law, so this reproduces the target
+characteristic function exactly; with no parallel atoms it is
+X = sum_j w_j^(1/q) Z_j a_j, one draw per atom.
 
 Reproducibility contract: draws are produced in fixed-size chunks whose RNG
 streams depend only on (seed, stream_id, chunk index).  Batches are
@@ -83,7 +86,11 @@ def default_workers() -> int:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"{_WORKER_ENV} must be an integer, got {env!r}") from None
-    return min(4, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return min(4, usable)
 
 
 def _chunk_rng(seed: Seed, chunk_index: int) -> np.random.Generator:
@@ -228,10 +235,43 @@ class SampleBatch:
                    seed=Seed(**header["seed"]))
 
 
-def _chunk_points(rep: SpectralRep, mix: np.ndarray, seed: Seed,
+# Unit directions whose components agree to this many ulps of 1 are merged.
+_MERGE_ULPS = 8
+
+
+def _mix(rep: SpectralRep) -> np.ndarray:
+    """Mixing rows: X = Z @ _mix(rep) for i.i.d. standard q-stable Z.
+
+    Atoms parallel up to sign (max-abs-normalised directions within
+    _MERGE_ULPS ulps) are one atom in law,
+    w_1 |<a, xi>|^q + w_2 |<c a, xi>|^q = (w_1 + w_2 |c|^q) |<a, xi>|^q,
+    so each group becomes one row: its first atom times
+    (sum_j w_j (|a_j| / |a_first|)^q)^(1/q), in order of first appearance.
+    Zero atoms are dropped.  With no parallel atoms the rows are exactly
+    w_j^(1/q) a_j.
+    """
+    norms = np.abs(rep.atoms).max(axis=1)
+    keep = norms > 0
+    atoms, weights, norms = rep.atoms[keep], rep.weights[keep], norms[keep]
+    unit = atoms / norms[:, None]
+    gap = np.minimum(np.abs(unit[:, None] - unit[None]).max(axis=2),
+                     np.abs(unit[:, None] + unit[None]).max(axis=2))
+    parallel = gap <= _MERGE_ULPS * np.finfo(float).eps
+    free = np.ones(len(atoms), dtype=bool)
+    first, scales = [], []
+    for i in range(len(atoms)):
+        if free[i]:
+            group = free & parallel[i]
+            free &= ~group
+            first.append(i)
+            scales.append(weights[group] @ (norms[group] / norms[i]) ** rep.q)
+    return (np.array(scales) ** (1.0 / rep.q))[:, None] * atoms[first]
+
+
+def _chunk_points(q: float, mix: np.ndarray, seed: Seed,
                   chunk_index: int, count: int) -> np.ndarray:
     rng = _chunk_rng(seed, chunk_index)
-    z = _draw_standard(rng, rep.q, (count, rep.m))
+    z = _draw_standard(rng, q, (count, mix.shape[0]))
     return z @ mix
 
 
@@ -269,7 +309,7 @@ def sample_batch(rep: SpectralRep, N: int, seed, workers=None) -> SampleBatch:
     if nbytes > 8 << 30:
         raise ValueError(f"requested batch needs {nbytes / 2**30:.1f} GiB; "
                          "split into streams instead")
-    mix = (rep.weights ** (1.0 / rep.q))[:, None] * rep.atoms  # (m, n)
+    mix = _mix(rep)
     try:
         out = np.empty((N, rep.n), dtype=float)
     except MemoryError as exc:
@@ -277,7 +317,7 @@ def sample_batch(rep: SpectralRep, N: int, seed, workers=None) -> SampleBatch:
     workers = workers if workers is not None else default_workers()
 
     def fill(ci, lo, hi):
-        out[lo:hi] = _chunk_points(rep, mix, seed, ci, hi - lo)
+        out[lo:hi] = _chunk_points(rep.q, mix, seed, ci, hi - lo)
 
     _map_chunks(N, workers, fill)
     return SampleBatch(points=out, rep_hash=rep_hash(rep), seed=seed)

@@ -107,6 +107,26 @@ class TestLevyExpectation:
         est = mc_expectation(norm_of(g), rep, 100_000, Seed(30))
         assert abs(est.value - exact) < 3.0 * est.stderr
 
+    @pytest.mark.parametrize("q", [0.7, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_decoupled_sampler_agrees_with_finite_sum(self, n, q):
+        # Y's parallel head halves are drawn as one merged direction; the
+        # exact sum reads decouple's atoms one by one
+        rng = np.random.default_rng(40 + 10 * n + int(10 * q))
+        p = 0.4 * q  # 2p < q: the plain estimator applies
+        rep = SpectralRep(n=n, q=q, weights=rng.exponential(1.0, 5) + 0.2,
+                          atoms=rng.standard_normal((5, n)))
+        xis = rng.standard_normal((n + 2, n))
+        xis /= np.linalg.norm(xis, axis=1, keepdims=True)
+        g = LevyMeasure(p=p, weights=rng.exponential(1.0, n + 2) + 0.2, xis=xis)
+        f = HomogeneousFn(base=LevyBase(measure=g), p=p)
+        for k in range(1, n):
+            rep_y = decouple(rep, BlockSplit(k))
+            exact = levy_expectation(rep_y, g, p)
+            est = mc_expectation(f, rep_y, 200_000, Seed(41, k))
+            assert est.estimator == "plain"
+            assert abs(est.value - exact) < 3.0 * est.stderr
+
     def test_regime_validation(self):
         rep = SpectralRep.from_atoms(1.5, [(1.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])
         g = LevyMeasure(p=1.8, weights=[1.0, 1.0], xis=np.eye(2))

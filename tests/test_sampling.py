@@ -1,10 +1,14 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
-from stablecomp import (SampleBatch, Seed, SpectralRep, char_fn,
-                        empirical_char_fn, sample_batch, sample_standard,
-                        sample_vector)
-from stablecomp.sampling import _CSV_ROWS, CHUNK, _chunk_rng, _cos, _draw_standard
+from stablecomp import (BlockSplit, SampleBatch, Seed, SpectralRep, char_fn,
+                        decouple, default_workers, empirical_char_fn,
+                        random_rep, sample_batch, sample_standard, sample_vector)
+from stablecomp.sampling import (_CSV_ROWS, CHUNK, _chunk_rng, _cos, _draw_standard,
+                                 _mix)
 
 
 class TestSeed:
@@ -107,6 +111,115 @@ class TestVectorSampling:
         rep = SpectralRep.from_atoms(1.5, [(1.0, (0.3, -1.0))])
         v = sample_vector(rep, Seed(10))
         assert np.array_equal(v, sample_batch(rep, 1, Seed(10)).points[0])
+
+
+def _scaled_xis(rng, rep, k=20):
+    """k frequencies at which rep's scale lies in [0.2, 1.5]."""
+    g = rng.standard_normal((k, rep.n))
+    return g * (rng.uniform(0.2, 1.5, k) / rep.scale_q(g))[:, None]
+
+
+class TestMix:
+    @pytest.mark.parametrize("q", [0.7, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_char_fn_preserved(self, n, q):
+        rng = np.random.default_rng(100 * n + int(10 * q))
+        rep = random_rep(rng, n, q, full_rank=True)
+        reps = [rep] + [decouple(rep, BlockSplit(k)) for k in range(1, n)]
+        for r in reps:
+            mix = _mix(r)
+            merged = SpectralRep(n=n, q=q, weights=np.ones(len(mix)), atoms=mix)
+            xi = _scaled_xis(rng, r)
+            assert np.allclose(char_fn(merged, xi), char_fn(r, xi), rtol=1e-13, atol=0.0)
+
+    def test_rows_unchanged_without_parallel_atoms(self):
+        rng = np.random.default_rng(31)
+        rep = SpectralRep(n=3, q=1.3, weights=rng.exponential(1.0, 6) + 0.1,
+                          atoms=rng.standard_normal((6, 3)))
+        expected = (rep.weights ** (1.0 / rep.q))[:, None] * rep.atoms
+        assert np.array_equal(_mix(rep), expected)
+
+    def test_merged_row_counts(self):
+        # a one-coordinate block merges into one row; a wider block keeps
+        # one row per atom
+        rng = np.random.default_rng(32)
+        rep = SpectralRep(n=3, q=1.5, weights=rng.exponential(1.0, 5) + 0.1,
+                          atoms=rng.standard_normal((5, 3)))
+        assert len(_mix(decouple(rep, BlockSplit(1)))) == 5 + 1
+        assert len(_mix(decouple(rep, BlockSplit(2)))) == 5 + 1
+        rep2 = SpectralRep(n=2, q=1.5, weights=rep.weights, atoms=rep.atoms[:, :2])
+        assert len(_mix(decouple(rep2, BlockSplit(1)))) == 2
+
+    def test_antiparallel_zero_and_near_parallel_atoms(self):
+        q = 1.4
+        a = np.array([0.6, -1.2, 0.3])
+        b = np.array([1.0, 0.5, -0.25])
+        b_near = b + np.array([1e-8, 0.0, 0.0])
+        rep = SpectralRep.from_atoms(q, [(0.7, a), (1.0, np.zeros(3)), (0.5, b),
+                                         (1.3, -2.0 * a), (0.9, b_near)])
+        mix = _mix(rep)
+        assert mix.shape == (3, 3)
+        scale = (0.7 + 1.3 * 2.0**q) ** (1.0 / q)
+        assert np.allclose(mix[0], scale * a, rtol=1e-15, atol=0.0)
+        assert np.array_equal(mix[1], 0.5 ** (1.0 / q) * b)
+        assert np.array_equal(mix[2], 0.9 ** (1.0 / q) * b_near)
+
+    def test_merged_pair_draws_one_variate(self):
+        # a and -2a draw like the single atom they merge into
+        q, a = 0.9, np.array([0.4, -1.0])
+        pair = SpectralRep.from_atoms(q, [(0.6, a), (0.2, -2.0 * a)])
+        single = SpectralRep.from_atoms(q, [(0.6 + 0.2 * 2.0**q, a)])
+        got = sample_batch(pair, 1000, Seed(33)).points
+        ref = sample_batch(single, 1000, Seed(33)).points
+        assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    def test_unmerged_batch_bytes_pinned(self):
+        # the n = 3, m = 7, q = 1.5 export representation of the benchmark;
+        # no atoms are parallel, so the draws keep their recorded bytes
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([11, 4])))
+        rep = SpectralRep(n=3, q=1.5, weights=rng.exponential(1.0, 7) + 0.1,
+                          atoms=rng.standard_normal((7, 3)))
+        pts = sample_batch(rep, 200_003, Seed(2024, 1)).points
+        digest = hashlib.sha256(np.ascontiguousarray(pts, dtype="<f8").tobytes()).hexdigest()
+        assert digest == "4c36b34bd9c3c98a480e71823c4e2281dca3c4eecfe6d3186c80ed795592fe91"
+
+    def test_merged_worker_independence(self):
+        rng = np.random.default_rng(34)
+        rep = decouple(random_rep(rng, 3, 1.2, full_rank=True), BlockSplit(1))
+        assert len(_mix(rep)) < rep.m
+        batches = [sample_batch(rep, 200_000, Seed(35), workers=w).points for w in (1, 2, 8)]
+        assert np.array_equal(batches[0], batches[1])
+        assert np.array_equal(batches[0], batches[2])
+
+    @pytest.mark.parametrize("q", [0.7, 1.0, 1.5, 2.0])
+    def test_decoupled_char_fn_agreement(self, q):
+        rng = np.random.default_rng(36 + int(10 * q))
+        rep = decouple(random_rep(rng, 3, q, full_rank=True, max_condition=1e4),
+                       BlockSplit(1))
+        N = 100_000
+        pts = sample_batch(rep, N, Seed(37)).points
+        xi = _scaled_xis(rng, rep)
+        diff = np.abs(empirical_char_fn(pts, xi) - char_fn(rep, xi))
+        assert diff.max() < 4.0 / np.sqrt(N)
+
+
+class TestDefaultWorkers:
+    @pytest.mark.parametrize("affinity, cpus, expected",
+                             [(1, 64, 1), (2, 64, 2), (8, 8, 4), (None, 3, 3),
+                              (None, None, 1), (None, 16, 4)])
+    def test_counts_usable_cpus(self, monkeypatch, affinity, cpus, expected):
+        monkeypatch.delenv("STABLECOMP_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                raising=False)
+        assert default_workers() == expected
+
+    def test_environment_override(self, monkeypatch):
+        monkeypatch.setenv("STABLECOMP_WORKERS", "7")
+        assert default_workers() == 7
 
 
 class TestDeterminism:
