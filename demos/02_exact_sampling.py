@@ -10,7 +10,7 @@ exactly (no approximation beyond Monte Carlo noise appears anywhere).
 import numpy as np
 
 from stablecomp import (Seed, SpectralRep, char_fn, empirical_char_fn,
-                        sample_batch, sample_standard)
+                        sample_batch, sample_standard, scale_q)
 
 N = 200_000
 
@@ -29,7 +29,7 @@ print(f"\nsampled {len(batch)} draws of dimension {batch.n} "
       f"(rep hash {batch.rep_hash})")
 
 g = rng.standard_normal((5, 3))
-xi = g * (0.8 / rep.scale_q(g))[:, None]
+xi = g * (0.8 / scale_q(rep, g))[:, None]
 emp = empirical_char_fn(batch.points, xi)
 for row, e, a in zip(xi, emp, char_fn(rep, xi)):
     print(f"  cf at {np.round(row, 2)}: empirical {e:+.4f}  analytic {a:+.4f}")

@@ -11,7 +11,7 @@ import numpy as np
 
 from stablecomp import (HomogeneousFn, LrMatrixBase, TestFunction,
                         euclidean_power, euclidean_reference_action,
-                        evaluate, lp_norm_power, max_abs_power, pd_action,
+                        lp_norm_power, max_abs_power, pd_action,
                         pd_check, radial_fourier_weight,
                         subordination_norm_power)
 
@@ -52,4 +52,4 @@ print(f"\naway-from-origin scan: {report.verdict} "
 f = lp_norm_power(2, 1.5, -0.8)
 x = np.array([0.7, -1.3])
 print(f"\nsubordination reconstruction: {subordination_norm_power(f, x):.12f} "
-      f"vs direct {evaluate(f, x):.12f}")
+      f"vs direct {f(x):.12f}")

@@ -11,14 +11,13 @@ everything against a deterministic two-dimensional density oracle.
 from .spectral import (BlockSplit, SpectralRep, char_fn, decouple,
                        marginal_block, reflect, rep_hash, scale_q)
 from .sampling import (SampleBatch, Seed, default_workers, empirical_char_fn,
-                       sample_batch, sample_standard, sample_vector)
+                       sample_batch, sample_standard)
 from .moments import (MCEstimate, MomentExistenceError, QuadratureFailure,
                       c_pq, c_pq_oracle, levy_expectation, mc_expectation)
 from .homogeneous import (DiagEuclideanBase, HomogeneousFn, LevyBase, LevyMeasure,
                           LrMatrixBase, MaxAbsBase, check_block_symmetry,
-                          check_homogeneity, euclidean_power, evaluate,
-                          evaluate_many, fn_from_json, fn_to_json,
-                          lp_norm_power, max_abs_power)
+                          check_homogeneity, euclidean_power, evaluate_many,
+                          fn_from_json, fn_to_json, lp_norm_power, max_abs_power)
 from .fourier_pd import (ActionResult, PDReport, TestFunction, bump_family,
                          euclidean_reference_action, gaussian_family,
                          pd_action, pd_check, radial_fourier_weight,
@@ -40,12 +39,12 @@ __all__ = [
     "VerificationReport", "bump_family", "c_pq", "c_pq_oracle", "char_fn",
     "check_block_symmetry", "check_homogeneity", "decouple",
     "default_workers", "density_2d", "empirical_char_fn", "euclidean_power",
-    "euclidean_reference_action", "evaluate", "evaluate_many", "fn_from_json",
+    "euclidean_reference_action", "evaluate_many", "fn_from_json",
     "fn_to_json", "gaussian_family", "levy_expectation", "lp_norm_power",
     "marginal_block", "max_abs_power", "mc_expectation", "oracle_expectation",
     "pd_action", "pd_certificate", "pd_check", "radial_fourier_weight",
     "random_block_symmetric_measure", "random_rep", "reflect", "rep_hash",
-    "run_experiment", "sample_batch", "sample_standard", "sample_vector",
+    "run_experiment", "sample_batch", "sample_standard",
     "scale_q", "subordination_norm_power", "verify_cor3", "verify_prop1",
     "verify_thm1",
 ]

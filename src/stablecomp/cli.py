@@ -19,8 +19,17 @@ from .fourier_pd import pd_check
 from .homogeneous import euclidean_power, fn_from_json, lp_norm_power, max_abs_power
 from .moments import MomentExistenceError, QuadratureFailure, c_pq, c_pq_oracle
 from .sampling import Seed, sample_batch
-from .spectral import BlockSplit, SpectralRep, char_fn, decouple, marginal_block
+from .spectral import BlockSplit, SpectralRep, char_fn, decouple, marginal_block, scale_q
 from .verify import ExperimentConfig, random_rep, run_experiment
+
+
+def _dimension(value) -> int:
+    """The dimension N given on the command line; ValueError unless it is a
+    positive integer."""
+    n = float(value)
+    if not n.is_integer() or n < 1:
+        raise ValueError(f"dimension N must be a positive integer, got {value}")
+    return int(n)
 
 
 def _load_rep(args) -> SpectralRep:
@@ -29,7 +38,7 @@ def _load_rep(args) -> SpectralRep:
             return SpectralRep.from_json_dict(json.load(fh))
     n, q = args.random_rep
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    return random_rep(rng, int(n), float(q))
+    return random_rep(rng, _dimension(n), float(q))
 
 
 def _add_rep_args(sp):
@@ -71,7 +80,7 @@ def _cmd_cf_check(args) -> int:
         k = int(rng.integers(1, rep.n))
         dec = decouple(rep, BlockSplit(k))
         g = rng.standard_normal((args.grid, rep.n))
-        s = rep.scale_q(g)
+        s = scale_q(rep, g)
         xi = g * (rng.uniform(0.2, 2.0, args.grid) / np.maximum(s, 1e-300))[:, None]
         head = xi.copy()
         head[:, k:] = 0.0
@@ -137,7 +146,7 @@ def _cmd_pd_check(args) -> int:
             f = fn_from_json(fh.read())
     else:
         kind, n, p = args.builtin
-        n, p = int(float(n)), float(p)
+        n, p = _dimension(n), float(p)
         makers = {"max-abs": max_abs_power, "euclidean": euclidean_power,
                   "l1": lambda n, p: lp_norm_power(n, 1.0, p)}
         if kind not in makers:

@@ -445,15 +445,21 @@ def _circle_spec(phi: TestFunction, fine: bool):
     return (16, 10) if fine else (16, 6)
 
 
-def _circle_action(f: HomogeneousFn, phi: TestFunction, fine: bool):
-    dirs, w = _circle_grid(_circle_spec(phi, fine))
-    fv = evaluate_many(f, dirs) * w
-    cabs = np.abs(dirs @ phi.center)
-    nj, gl = (28, 14) if fine else (16, 10)
-    radial, trunc = _radial_profile(f.p, 2, phi, cabs, nj, gl)
-    value = 0.5 * float(fv @ radial)
-    scale = 0.5 * float(fv @ np.abs(radial))
-    return value, 0.5 * float(fv.sum()) * trunc, scale
+def _circle_action(f: HomogeneousFn, phi: TestFunction):
+    """n = 2: returns (value, delta, truncation term, scale) as _centre_action
+    does.  The value takes the fine theta and radial rules, and delta is its
+    gap to the coarse ones."""
+    values = []
+    for fine in (False, True):
+        dirs, w = _circle_grid(_circle_spec(phi, fine))
+        fv = evaluate_many(f, dirs) * w
+        nj, gl = (28, 14) if fine else (16, 10)
+        radial, trunc = _radial_profile(f.p, 2, phi, np.abs(dirs @ phi.center), nj, gl)
+        values.append(0.5 * float(fv @ radial))
+    coarse, value = values
+    # fv, radial and trunc are the fine pass's
+    return (value, abs(value - coarse), 0.5 * float(fv.sum()) * trunc,
+            0.5 * float(fv @ np.abs(radial)))
 
 
 # n = 3, the centre-aligned rule.  t = cos(psi) with psi in [0, pi/2]: equal
@@ -591,25 +597,14 @@ def pd_action(f: HomogeneousFn, phi) -> ActionResult:
 
 
 def _action(f: HomogeneousFn, phis: list, tables: dict) -> ActionResult:
-    if f.n == 3:
-        value = delta = trunc = scale = 0.0
-        for one in phis:
-            v, d, tb, sc = _centre_action(f, one, tables)
-            value += v
-            delta += d
-            trunc += tb
-            scale += sc
-        return ActionResult(float(value), float(delta + trunc + 1e-14 * scale))
-    base = fine = trunc = scale = 0.0
+    value = delta = trunc = scale = 0.0
     for one in phis:
-        vb, _, _ = _circle_action(f, one, fine=False)
-        vf, tb, sc = _circle_action(f, one, fine=True)
-        base += vb
-        fine += vf
+        v, d, tb, sc = _centre_action(f, one, tables) if f.n == 3 else _circle_action(f, one)
+        value += v
+        delta += d
         trunc += tb
         scale += sc
-    bound = abs(fine - base) + trunc + 1e-14 * scale
-    return ActionResult(float(fine), float(bound))
+    return ActionResult(float(value), float(delta + trunc + 1e-14 * scale))
 
 
 def _center_directions(n: int) -> np.ndarray:
@@ -622,27 +617,26 @@ def _center_directions(n: int) -> np.ndarray:
     return np.vstack([axes, diag])
 
 
-def gaussian_family(n: int, widths=(0.25, 0.5, 1.0, 2.0, 4.0),
-                    radii=(1.5, 4.0)) -> list:
-    """Default full-space family: centered Gaussians on a log width grid plus
-    modulated ones with centers on a sphere-radius grid."""
+def gaussian_family(n: int) -> list:
+    """Default full-space family: centered Gaussians of widths 0.25 to 4 on a
+    log grid plus modulated ones with centers at radii 1.5 and 4."""
+    widths = (0.25, 0.5, 1.0, 2.0, 4.0)
     fam = [TestFunction("gaussian", np.zeros(n), w) for w in widths]
     dirs = _center_directions(n)
     for w in widths:
-        for rad in radii:
+        for rad in (1.5, 4.0):
             for d in dirs:
                 fam.append(TestFunction("gaussian", rad * d, w))
     return fam
 
 
-def bump_family(n: int, widths=(0.5, 1.0), radii=(1.5, 3.0, 6.0)) -> list:
-    """Default away-from-origin family: bumps whose support avoids 0."""
+def bump_family(n: int) -> list:
+    """Default away-from-origin family: bumps of widths 0.5 and 1 centred at
+    radii 1.5, 3 and 6, so that no support reaches 0."""
     fam = []
     dirs = _center_directions(n)
-    for w in widths:
-        for rad in radii:
-            if rad <= w:
-                continue
+    for w in (0.5, 1.0):
+        for rad in (1.5, 3.0, 6.0):
             for d in dirs:
                 fam.append(TestFunction("bump", rad * d, w))
     return fam

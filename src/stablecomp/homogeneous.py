@@ -37,7 +37,6 @@ __all__ = [
     "check_block_symmetry",
     "check_homogeneity",
     "euclidean_power",
-    "evaluate",
     "evaluate_many",
     "fn_from_json",
     "fn_to_json",
@@ -235,22 +234,18 @@ class HomogeneousFn:
     def n(self) -> int:
         return self.base.n
 
-    def __call__(self, x):
-        return evaluate(self, x)
+    def __call__(self, x) -> float:
+        """f(x) at a single point; the origin is singular when p < 0."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"point has shape {x.shape}, expected ({self.n},)")
+        return float(evaluate_many(self, x)[0])
 
     def to_json_dict(self) -> dict:
         d = self.base.to_json_dict()
         d["p"] = self.p
         d["block_split"] = self.block_split
         return d
-
-
-def evaluate(f: HomogeneousFn, x) -> float:
-    """f(x) at a single point; the origin is singular when p < 0."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({f.n},)")
-    return float(evaluate_many(f, x)[0])
 
 
 def evaluate_many(f: HomogeneousFn, x: np.ndarray) -> np.ndarray:
@@ -319,10 +314,11 @@ class HomogeneityResult:
 
 
 def check_block_symmetry(f: HomogeneousFn, k: int, trials: int = 256,
-                         seed=Seed(0), tol: float = 1e-10) -> BlockSymmetryResult:
+                         seed=Seed(0)) -> BlockSymmetryResult:
     """Sampled check of f(u, v) = f(u, -v) on the unit sphere.
 
-    Fails with the witness point on the first relative deviation above tol.
+    Fails with the witness point of the largest relative deviation when that
+    exceeds 1e-10.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -336,27 +332,22 @@ def check_block_symmetry(f: HomogeneousFn, k: int, trials: int = 256,
     vb = evaluate_many(f, flipped)
     rel = np.abs(va - vb) / np.maximum(np.abs(va), np.abs(vb))
     worst = int(np.argmax(rel))
-    if rel[worst] > tol:
+    if rel[worst] > 1e-10:
         return BlockSymmetryResult(passed=False, max_rel_dev=float(rel[worst]),
                                    witness=pts[worst])
     return BlockSymmetryResult(passed=True, max_rel_dev=float(rel[worst]))
 
 
-def check_homogeneity(f: HomogeneousFn, trials: int = 256, seed=Seed(0),
-                      tol: float = 1e-9, declared_p=None) -> HomogeneityResult:
-    """Regress log f(tx) - log f(x) on log|t| and compare the slope with p.
-
-    ``declared_p`` overrides the descriptor exponent; useful as a negative
-    control for corrupted descriptors.
-    """
+def check_homogeneity(f: HomogeneousFn, trials: int = 256, seed=Seed(0)) -> HomogeneityResult:
+    """Regress log f(tx) - log f(x) on log|t|; passes when the slope is
+    within 1e-9 of the descriptor exponent p."""
     if trials < 1:
         raise ValueError("at least one trial is required")
-    target = f.p if declared_p is None else float(declared_p)
     rng = _chunk_rng(as_seed(seed), 1)
     pts = _sphere_points(rng, trials, f.n)
     t = np.exp(rng.uniform(-np.log(10.0), np.log(10.0), trials))
     dlog = np.log(evaluate_many(f, pts * t[:, None])) - np.log(evaluate_many(f, pts))
     logt = np.log(t)
     slope = float(dlog @ logt / (logt @ logt))
-    return HomogeneityResult(passed=abs(slope - target) <= tol,
+    return HomogeneityResult(passed=abs(slope - f.p) <= 1e-9,
                              measured_exponent=slope)

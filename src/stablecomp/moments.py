@@ -206,6 +206,10 @@ def levy_expectation(rep: SpectralRep, gamma: LevyMeasure, p) -> float:
     return float(c_pq(p, rep.q) * (gamma.weights @ qsums ** (p / rep.q)))
 
 
+# Blocks of the median-of-means estimator.
+_MOM_BLOCKS = 32
+
+
 def _mc_values(f, rep: SpectralRep, N: int, seed: Seed, workers: int) -> np.ndarray:
     """f evaluated on the same deterministic chunk stream as sample_batch."""
     mix = _mix(rep)
@@ -218,14 +222,12 @@ def _mc_values(f, rep: SpectralRep, N: int, seed: Seed, workers: int) -> np.ndar
     return values
 
 
-def mc_expectation(f, rep: SpectralRep, N: int, seed,
-                   estimator: str = "auto", blocks: int = 32,
-                   workers=None) -> MCEstimate:
+def mc_expectation(f, rep: SpectralRep, N: int, seed, workers=None) -> MCEstimate:
     """Monte Carlo estimate of E f(X) for a homogeneous descriptor f.
 
     The plain mean (with standard error) is used when the second moment of
     f(X) exists, i.e. when 2p lies inside the existence range; otherwise a
-    median-of-means estimate over ``blocks`` contiguous blocks is returned,
+    median-of-means estimate over _MOM_BLOCKS contiguous blocks is returned,
     flagged through ``estimator`` so callers can widen tolerances.
     """
     if f.n != rep.n:
@@ -234,38 +236,28 @@ def mc_expectation(f, rep: SpectralRep, N: int, seed,
     if not (p > -n and (q == 2.0 or p < q)):
         raise MomentExistenceError(
             f"E f(X) does not exist for exponent p={p} with n={n}, q={q}")
-    variance_ok = (2.0 * p > -n) and (q == 2.0 or 2.0 * p < q)
-    if estimator == "auto":
-        estimator = "plain" if variance_ok else "median-of-means"
-    if estimator == "plain" and not variance_ok:
-        raise ValueError(
-            "plain mean has infinite variance here (2p outside the existence "
-            "range); use the median-of-means estimator")
-    if estimator not in ("plain", "median-of-means"):
-        raise ValueError(f"unknown estimator kind {estimator!r}")
+    plain = (2.0 * p > -n) and (q == 2.0 or 2.0 * p < q)
+    estimator = "plain" if plain else "median-of-means"
     N = int(N)
-    min_n = 2 if estimator == "plain" else 2 * blocks
+    min_n = 2 if plain else 2 * _MOM_BLOCKS
     if N < min_n:
         raise ValueError(f"N={N} too small for the {estimator} estimator (need >= {min_n})")
     seed = as_seed(seed)
     workers = workers if workers is not None else default_workers()
     values = _mc_values(f, rep, N, seed, workers)
 
-    if estimator == "plain":
+    if plain:
         value = float(values.mean())
         stderr = float(values.std(ddof=1) / np.sqrt(N))
         return MCEstimate(value=value, n_samples=N, estimator="plain",
                           stderr=stderr, rep_hash=rep_hash(rep), seed=seed)
 
-    block_means = np.array([b.mean() for b in np.array_split(values, blocks)])
+    block_means = np.array([b.mean() for b in np.array_split(values, _MOM_BLOCKS)])
     value = float(np.median(block_means))
     mad = float(np.median(np.abs(block_means - value)))
-    if mad == 0.0:
-        scale = float(block_means.std(ddof=1)) if blocks > 1 else 0.0
-    else:
-        scale = 1.4826 * mad
+    scale = float(block_means.std(ddof=1)) if mad == 0.0 else 1.4826 * mad
     # normal-theory standard error of a median with a robust scale estimate
-    dev = float(1.2533 * scale / np.sqrt(blocks))
+    dev = float(1.2533 * scale / np.sqrt(_MOM_BLOCKS))
     return MCEstimate(value=value, n_samples=N, estimator="median-of-means",
-                      dev_bound=dev, blocks=blocks,
+                      dev_bound=dev, blocks=_MOM_BLOCKS,
                       rep_hash=rep_hash(rep), seed=seed)

@@ -40,7 +40,6 @@ __all__ = [
     "empirical_char_fn",
     "sample_batch",
     "sample_standard",
-    "sample_vector",
 ]
 
 # Fixed chunk size of the deterministic stream partition.
@@ -321,11 +320,6 @@ def sample_batch(rep: SpectralRep, N: int, seed, workers=None) -> SampleBatch:
 
     _map_chunks(N, workers, fill)
     return SampleBatch(points=out, rep_hash=rep_hash(rep), seed=seed)
-
-
-def sample_vector(rep: SpectralRep, seed) -> np.ndarray:
-    """A single draw; equals the first row of sample_batch(rep, 1, seed)."""
-    return sample_batch(rep, 1, seed).points[0]
 
 
 def empirical_char_fn(points: np.ndarray, xis: np.ndarray) -> np.ndarray:

@@ -104,27 +104,20 @@ class SpectralRep:
         object.__setattr__(self, "atoms", a)
 
     @classmethod
-    def from_atoms(cls, q, atom_pairs, n=None) -> "SpectralRep":
-        """Build from an iterable of (weight, vector) pairs."""
+    def from_atoms(cls, q, atom_pairs) -> "SpectralRep":
+        """Build from an iterable of (weight, vector) pairs; n is the length
+        of the first vector."""
         pairs = list(atom_pairs)
         if not pairs:
             raise ValueError("at least one atom is required")
         weights = [w for w, _ in pairs]
         atoms = [np.atleast_1d(np.asarray(a, dtype=float)) for _, a in pairs]
-        if n is None:
-            n = atoms[0].size
-        return cls(n=n, q=q, weights=np.asarray(weights, dtype=float),
+        return cls(n=atoms[0].size, q=q, weights=np.asarray(weights, dtype=float),
                    atoms=np.vstack([a.reshape(1, -1) for a in atoms]))
 
     @property
     def m(self) -> int:
         return self.weights.size
-
-    def scale_q(self, xi):
-        return scale_q(self, xi)
-
-    def char_fn(self, xi):
-        return char_fn(self, xi)
 
     def to_json_dict(self) -> dict:
         return {

@@ -151,3 +151,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense-mode"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["pd-check", "--builtin", "max-abs", "2.5", "-1.5", "--json"], "2.5"),
+    (["sample", "--random-rep", "2.7", "1.5", "--out", "x.csv"], "2.7"),
+    (["sample", "--random-rep", "0", "1.5", "--out", "x.csv"], "0.0")])
+def test_bad_dimension_rejected(tmp_path, monkeypatch, capsys, argv, value):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"must be a positive integer, got {value}" in captured.err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_integral_float_fields(tmp_path, capsys):
+    outs = []
+    for spelling, flags in (({"N": 1e4, "seed": 2.0}, []), ({}, ["-N", "10000", "--seed", "2"])):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"trials": 2, "n_values": [2], **spelling}))
+        out = tmp_path / f"t{len(outs)}.jsonl"
+        assert main(["verify", "cor3", "--config", str(cfg), *flags,
+                     "--out-jsonl", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0].splitlines()[0])["config"]["N"] == 10000
+    cfg.write_text(json.dumps({"trials": 2, "N": 100.5}))
+    capsys.readouterr()
+    assert main(["verify", "cor3", "--config", str(cfg)]) == 2
+    assert "'N'" in capsys.readouterr().err

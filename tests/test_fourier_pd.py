@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline
 
 from stablecomp import cli, fourier_pd
 from stablecomp import (HomogeneousFn, LrMatrixBase, TestFunction,
-                        euclidean_power, euclidean_reference_action, evaluate,
+                        euclidean_power, euclidean_reference_action,
                         evaluate_many,
                         gaussian_family, bump_family, lp_norm_power,
                         max_abs_power, pd_action, pd_check,
@@ -602,7 +602,7 @@ class TestSubordination:
         f = HomogeneousFn(base=LrMatrixBase(matrix=mat, r=r), p=-1.4)
         for _ in range(10):
             x = rng.standard_normal(3) * rng.uniform(0.2, 5.0)
-            direct = evaluate(f, x)
+            direct = f(x)
             recon = subordination_norm_power(f, x)
             assert abs(recon - direct) <= 1e-8 * abs(direct)
 
@@ -616,4 +616,4 @@ class TestSubordination:
         with pytest.raises(ValueError):
             subordination_norm_power(f, np.array([1.0, 0.5]))
         val = subordination_norm_power(f, np.array([1.0, 0.5]), r=1.0)
-        assert val == pytest.approx(evaluate(f, np.array([1.0, 0.5])), rel=1e-8)
+        assert val == pytest.approx(f(np.array([1.0, 0.5])), rel=1e-8)

@@ -3,7 +3,7 @@ import pytest
 
 from stablecomp import (HomogeneousFn, LevyBase, LevyMeasure, LrMatrixBase,
                         MaxAbsBase, Seed, check_block_symmetry, check_homogeneity,
-                        euclidean_power, evaluate, evaluate_many, fn_from_json,
+                        euclidean_power, evaluate_many, fn_from_json,
                         fn_to_json, lp_norm_power, max_abs_power, pd_certificate,
                         subordination_norm_power)
 
@@ -11,25 +11,31 @@ from stablecomp import (HomogeneousFn, LevyBase, LevyMeasure, LrMatrixBase,
 class TestEvaluate:
     def test_max_abs_negative_power(self):
         f = max_abs_power(2, -1.5)
-        assert evaluate(f, np.array([2.0, -1.0])) == pytest.approx(
+        assert f(np.array([2.0, -1.0])) == pytest.approx(
             2.0 ** -1.5, rel=1e-14)
 
     def test_l1_squared(self):
         f = lp_norm_power(2, 1.0, 2.0)
-        assert evaluate(f, np.array([3.0, 4.0])) == pytest.approx(49.0, rel=1e-14)
+        assert f(np.array([3.0, 4.0])) == pytest.approx(49.0, rel=1e-14)
 
     def test_homogeneity_ratio(self):
         rng = np.random.default_rng(0)
         for f in (max_abs_power(3, -1.7), lp_norm_power(3, 0.7, 1.3),
                   euclidean_power(3, -0.4, weights=(1.0, 2.0, 0.5))):
             x = rng.standard_normal(3)
-            ratio = evaluate(f, 3.0 * x) / evaluate(f, x)
+            ratio = f(3.0 * x) / f(x)
             assert ratio == pytest.approx(3.0 ** f.p, rel=1e-12)
+
+    def test_single_point_shape(self):
+        f = max_abs_power(2, -1.0)
+        for x in (np.ones(3), np.ones((1, 2)), 1.0):
+            with pytest.raises(ValueError, match="expected \\(2,\\)"):
+                f(x)
 
     def test_origin_singularity(self):
         with pytest.raises(ValueError):
-            evaluate(max_abs_power(2, -1.0), np.zeros(2))
-        assert evaluate(max_abs_power(2, 0.5), np.zeros(2)) == 0.0
+            max_abs_power(2, -1.0)(np.zeros(2))
+        assert max_abs_power(2, 0.5)(np.zeros(2)) == 0.0
 
     def test_evaluate_many_matches_scalar(self):
         rng = np.random.default_rng(1)
@@ -37,7 +43,7 @@ class TestEvaluate:
         pts = rng.standard_normal((10, 2))
         many = evaluate_many(f, pts)
         for i in range(10):
-            assert many[i] == pytest.approx(evaluate(f, pts[i]), rel=1e-14)
+            assert many[i] == pytest.approx(f(pts[i]), rel=1e-14)
 
     def test_max_abs_values_equal_numpy_max_bit_for_bit(self):
         rng = np.random.default_rng(2)
@@ -70,9 +76,18 @@ class TestBlockSymmetry:
         res = check_block_symmetry(f, 1, trials=256, seed=Seed(4))
         assert not res.passed
         u, v = res.witness
-        a = evaluate(f, np.array([u, v]))
-        b = evaluate(f, np.array([u, -v]))
+        a = f(np.array([u, v]))
+        b = f(np.array([u, -v]))
         assert abs(a - b) > 1e-10 * max(abs(a), abs(b))
+
+
+class _SquaredL1Base:
+    """A corrupted base: the squared l1 norm in R^2, homogeneous of order 2."""
+
+    n = 2
+
+    def values(self, x):
+        return np.abs(x).sum(axis=-1) ** 2
 
 
 class TestHomogeneityCheck:
@@ -83,10 +98,10 @@ class TestHomogeneityCheck:
             assert abs(res.measured_exponent - f.p) < 1e-9
 
     def test_corrupted_descriptor_detected(self):
-        # descriptor evaluates a squared base but is declared order 1
-        f = lp_norm_power(2, 1.0, 2.0)
-        res = check_homogeneity(f, trials=256, seed=Seed(6), declared_p=1.0)
-        assert not res.passed
+        # the base is 2-homogeneous, so f = base^1 has order 2, not the declared 1
+        f = HomogeneousFn(base=_SquaredL1Base(), p=1.0)
+        res = check_homogeneity(f, trials=256, seed=Seed(6))
+        assert res.passed is False
         assert res.measured_exponent == pytest.approx(2.0, abs=1e-9)
 
 
@@ -168,7 +183,7 @@ class TestLevyFold:
         assert pd_certificate(f) == cert
         x = np.array([0.3, -1.2])
         assert subordination_norm_power(f, x) == subordination_norm_power(f, x, r=p)
-        assert subordination_norm_power(f, x) == pytest.approx(evaluate(f, x), rel=1e-8)
+        assert subordination_norm_power(f, x) == pytest.approx(f(x), rel=1e-8)
 
     def test_non_spanning_measure_rejected(self):
         g = LevyMeasure(p=1.0, weights=[1.0, 2.0, 0.5],

@@ -6,7 +6,7 @@ import pytest
 
 from stablecomp import (BlockSplit, SampleBatch, Seed, SpectralRep, char_fn,
                         decouple, default_workers, empirical_char_fn,
-                        random_rep, sample_batch, sample_standard, sample_vector)
+                        random_rep, sample_batch, sample_standard, scale_q)
 from stablecomp.sampling import (_CSV_ROWS, CHUNK, _chunk_rng, _cos, _draw_standard,
                                  _mix)
 
@@ -103,20 +103,15 @@ class TestVectorSampling:
         N = 100_000
         pts = sample_batch(rep, N, Seed(9)).points
         g = rng.standard_normal((20, 3))
-        xi = g * (rng.uniform(0.2, 1.5, 20) / rep.scale_q(g))[:, None]
+        xi = g * (rng.uniform(0.2, 1.5, 20) / scale_q(rep, g))[:, None]
         diff = np.abs(empirical_char_fn(pts, xi) - char_fn(rep, xi))
         assert diff.max() < 4.0 / np.sqrt(N)
-
-    def test_single_vector_matches_batch(self):
-        rep = SpectralRep.from_atoms(1.5, [(1.0, (0.3, -1.0))])
-        v = sample_vector(rep, Seed(10))
-        assert np.array_equal(v, sample_batch(rep, 1, Seed(10)).points[0])
 
 
 def _scaled_xis(rng, rep, k=20):
     """k frequencies at which rep's scale lies in [0.2, 1.5]."""
     g = rng.standard_normal((k, rep.n))
-    return g * (rng.uniform(0.2, 1.5, k) / rep.scale_q(g))[:, None]
+    return g * (rng.uniform(0.2, 1.5, k) / scale_q(rep, g))[:, None]
 
 
 class TestMix:

@@ -17,7 +17,7 @@ def random_rep(rng, n, q, m=4):
 def random_xi_grid(rng, rep, count=40):
     """xi points scaled so the characteristic exponent stays O(1)."""
     g = rng.standard_normal((count, rep.n))
-    s = rep.scale_q(g)
+    s = scale_q(rep, g)
     return g * (rng.uniform(0.1, 2.0, count) / np.maximum(s, 1e-12))[:, None]
 
 

@@ -175,15 +175,12 @@ class TestThm1Cor3:
         assert pd_certificate(max_abs_power(3, -1.5)) is None
 
     def test_oracle_attachment(self):
-        rep = SpectralRep.from_atoms(2.0, [(1.0, (1.0, 0.6)), (0.7, (0.3, 1.0))])
-        rec = verify_thm1(rep, BlockSplit(1), lp_norm_power(2, 1.0, -0.5),
-                          100_000, Seed(7), oracle=True)
-        x = rec.extra
-        assert x["oracle_margin"] >= -x["oracle_bound"]
-        assert abs(x["oracle_margin"] - rec.margin) < 0.05
-        assert x["oracle_margin"] == x["oracle_x"] - x["oracle_y"]
-        assert x["oracle_bound"] == x["oracle_x_bound"] + x["oracle_y_bound"]
-        assert x["oracle_x_bound"] > 0 and x["oracle_y_bound"] > 0
+        config = ExperimentConfig(mode="oracle-crosscheck", trials=1, N=100_000,
+                                  seed=8, n_values=(2,), q_values=(1.5,))
+        rec = run_experiment(config).records[0]
+        assert rec.margin == rec.lhs - rec.rhs
+        assert rec.margin >= -rec.tolerance
+        assert abs(rec.margin - rec.extra["mc_margin"]) < 0.05
 
 
 class TestRunExperiment:
