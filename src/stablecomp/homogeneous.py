@@ -93,8 +93,23 @@ class LrMatrixBase:
         return self.matrix.shape[1]
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        proj = np.abs(x @ self.matrix.T)
-        return (proj**self.r).sum(axis=-1) ** (1.0 / self.r)
+        # one row of B at a time from the point columns, as in MaxAbsBase:
+        # no BLAS call (see sampling._map_chunks) and no (K, rows) temporary
+        x = np.asarray(x)
+        acc = np.zeros(x.shape[:-1])
+        row, tmp = np.empty_like(acc), np.empty_like(acc)
+        for b in self.matrix:
+            cols = np.flatnonzero(b)
+            if cols.size == 0:
+                continue
+            np.multiply(x[..., cols[0]], b[cols[0]], out=row)
+            for j in cols[1:]:
+                row += np.multiply(x[..., j], b[j], out=tmp)
+            np.abs(row, out=row)
+            row **= self.r
+            acc += row
+        acc **= 1.0 / self.r
+        return acc[()]
 
     def to_json_dict(self) -> dict:
         return {"kind": "lr_matrix", "r": self.r,
@@ -117,7 +132,16 @@ class DiagEuclideanBase:
         return self.weights.size
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return np.sqrt((x * x) @ self.weights)
+        # a column at a time, with no BLAS call (see LrMatrixBase.values)
+        x = np.asarray(x)
+        acc = np.multiply(x[..., 0], x[..., 0], out=np.empty(x.shape[:-1]))
+        acc *= self.weights[0]
+        tmp = np.empty_like(acc)
+        for j in range(1, self.n):
+            np.multiply(x[..., j], x[..., j], out=tmp)
+            tmp *= self.weights[j]
+            acc += tmp
+        return np.sqrt(acc, out=acc)[()]
 
     def to_json_dict(self) -> dict:
         return {"kind": "diag_euclidean", "weights": [float(v) for v in self.weights]}

@@ -34,7 +34,7 @@ from scipy.special import gamma as _gamma
 from .fourier_pd import ActionResult, _interpolant, _jacobi, _leggauss
 from .homogeneous import HomogeneousFn, evaluate_many
 from .moments import MomentExistenceError, QuadratureFailure
-from .sampling import _write_binary
+from .sampling import _mix, _write_binary
 from .spectral import SpectralRep, _qsum, rep_hash
 
 __all__ = ["DensityField", "density_2d", "oracle_expectation"]
@@ -172,9 +172,11 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
     freq0 = np.fft.fftfreq(M, 1.0 / M) * dxi
     freq1 = np.arange(M // 2 + 1) * dxi
 
+    # one grid pass per merged direction: row s u of _mix gives
+    # |<s u, xi>|^q = sum of w |<a, xi>|^q over the atoms parallel to u
     qsum = np.zeros((M, M // 2 + 1))
     proj = np.empty_like(qsum)
-    for w, a in zip(rep.weights, rep.atoms):
+    for a in _mix(rep):
         np.add(a[0] * freq0[:, None], a[1] * freq1[None, :], out=proj)
         np.abs(proj, out=proj)
         if rep.q == 2.0:
@@ -184,7 +186,6 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
                 np.log(proj, out=proj)
             proj *= rep.q
             np.exp(proj, out=proj)
-        proj *= w
         qsum += proj
     del proj
     phi = np.exp(np.negative(qsum, out=qsum), out=qsum)

@@ -267,11 +267,33 @@ def _mix(rep: SpectralRep) -> np.ndarray:
     return (np.array(scales) ** (1.0 / rep.q))[:, None] * atoms[first]
 
 
+# Most multiply-adds in one BLAS call of the mixing product.  OpenBLAS runs a
+# dgemm of at most 4 * 65536 of them on the calling thread (the single-thread
+# cut in its interface/gemm.c); a larger one starts its own threads, which
+# oversubscribe the cores that the chunk workers already use.
+_MIX_BLOCK = 4 * 65536
+
+
 def _chunk_points(q: float, mix: np.ndarray, seed: Seed,
                   chunk_index: int, count: int) -> np.ndarray:
+    """The chunk's draws times ``mix``, one BLAS call per block of rows.
+
+    The blocks are near-equal, of at most _MIX_BLOCK // mix.size rows, so
+    no block is a single row (a gemv, rounded differently) unless the chunk
+    is.  With numpy's bundled OpenBLAS (0.3.31, x86-64) and a mix of at most
+    15 rows, the result has the bytes of one ``z @ mix`` call; from 16 rows
+    that call takes another kernel, which can round the last bit otherwise.
+    The blocks depend only on (count, mix), so either way the draws are the
+    same for any worker count.
+    """
     rng = _chunk_rng(seed, chunk_index)
     z = _draw_standard(rng, q, (count, mix.shape[0]))
-    return z @ mix
+    out = np.empty((count, mix.shape[1]))
+    blocks = -(-count // max(1, _MIX_BLOCK // mix.size))
+    for b in range(blocks):
+        lo, hi = b * count // blocks, (b + 1) * count // blocks
+        np.matmul(z[lo:hi], mix, out=out[lo:hi])
+    return out
 
 
 def _map_chunks(N: int, workers: int, fill) -> None:
@@ -279,7 +301,11 @@ def _map_chunks(N: int, workers: int, fill) -> None:
     on a thread pool when workers > 1.
 
     ``fill`` must draw only from chunk ci's stream and write only rows
-    [lo, hi); the result is then the same for any worker count.
+    [lo, hi); the result is then the same for any worker count.  It must
+    also keep to its calling thread: no BLAS call large enough for OpenBLAS
+    to spread it over threads of its own (see _MIX_BLOCK).  Every worker
+    would start those threads on every call, so the workers would
+    oversubscribe the cores and run no faster than one.
     """
     def run(ci):
         lo = ci * CHUNK

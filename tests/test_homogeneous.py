@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from stablecomp import (HomogeneousFn, LevyBase, LevyMeasure, LrMatrixBase,
-                        MaxAbsBase, Seed, check_block_symmetry, check_homogeneity,
-                        euclidean_power, evaluate_many, fn_from_json,
-                        fn_to_json, lp_norm_power, max_abs_power, pd_certificate,
-                        subordination_norm_power)
+from stablecomp import (DiagEuclideanBase, HomogeneousFn, LevyBase, LevyMeasure,
+                        LrMatrixBase, MaxAbsBase, Seed, check_block_symmetry,
+                        check_homogeneity, euclidean_power, evaluate_many,
+                        fn_from_json, fn_to_json, lp_norm_power, max_abs_power,
+                        pd_certificate, subordination_norm_power)
 
 
 class TestEvaluate:
@@ -57,6 +57,28 @@ class TestEvaluate:
             ref = np.max(np.abs(pts), axis=-1)
             assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    @staticmethod
+    def _assert_matches_matrix_product(base, B, r):
+        # the row-at-a-time kernels against (sum |x B^T|^r)^(1/r) through BLAS;
+        # only the rounding order of each inner product differs
+        x = np.random.default_rng(3).standard_normal((1000, B.shape[1]))
+        for pts in (x, x[4]):
+            got = base.values(pts)
+            ref = (np.abs(pts @ B.T) ** r).sum(axis=-1) ** (1.0 / r)
+            assert np.shape(got) == np.shape(ref)
+            assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("rows", [3, 9])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.3, 2.0])
+    def test_lr_kernel_matches_matrix_product(self, rows, r):
+        B = np.random.default_rng(rows).standard_normal((rows, 3))
+        self._assert_matches_matrix_product(LrMatrixBase(matrix=B, r=r), B, r)
+
+    def test_euclidean_kernel_matches_matrix_product(self):
+        w = np.array([0.6, 1.7, 1.1])
+        self._assert_matches_matrix_product(DiagEuclideanBase(weights=w),
+                                            np.diag(np.sqrt(w)), 2.0)
 
 
 class TestBlockSymmetry:

@@ -5,8 +5,8 @@ import pytest
 from scipy.special import gamma
 
 from stablecomp import (BlockSplit, HomogeneousFn, LevyBase, LevyMeasure,
-                        MomentExistenceError, Seed, SpectralRep, c_pq,
-                        c_pq_oracle, decouple, euclidean_power,
+                        LrMatrixBase, MomentExistenceError, Seed, SpectralRep,
+                        c_pq, c_pq_oracle, decouple, euclidean_power,
                         levy_expectation, lp_norm_power, max_abs_power,
                         mc_expectation, reflect)
 
@@ -162,6 +162,18 @@ class TestMCExpectation:
         assert est.estimator == "median-of-means" and est.blocks == 32
         est_dec = mc_expectation(f, decouple(rep, BlockSplit(1)), 200_000, Seed(26))
         assert est.value > est_dec.value
+
+    def test_worker_independence(self):
+        # the chunk workers give the same values at any count, for both norm
+        # kernels that run inside them
+        rng = np.random.default_rng(28)
+        rep = SpectralRep(n=3, q=1.3, weights=rng.uniform(0.5, 1.5, 5),
+                          atoms=rng.standard_normal((5, 3)))
+        tall = LrMatrixBase(matrix=rng.standard_normal((6, 3)), r=1.3)
+        for f in (HomogeneousFn(base=tall, p=-0.7),
+                  euclidean_power(3, -1.2, weights=(0.5, 1.0, 2.0))):
+            ests = [mc_expectation(f, rep, 200_000, Seed(29), workers=w) for w in (1, 2, 8)]
+            assert ests[0].value == ests[1].value == ests[2].value
 
     def test_nonexistent_expectation(self):
         rep = SpectralRep.from_atoms(1.2, [(1.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])

@@ -7,8 +7,8 @@ import pytest
 from stablecomp import (BlockSplit, SampleBatch, Seed, SpectralRep, char_fn,
                         decouple, default_workers, empirical_char_fn,
                         random_rep, sample_batch, sample_standard, scale_q)
-from stablecomp.sampling import (_CSV_ROWS, CHUNK, _chunk_rng, _cos, _draw_standard,
-                                 _mix)
+from stablecomp.sampling import (_CSV_ROWS, _MIX_BLOCK, CHUNK, _chunk_points,
+                                 _chunk_rng, _cos, _draw_standard, _mix)
 
 
 class TestSeed:
@@ -177,6 +177,19 @@ class TestMix:
         pts = sample_batch(rep, 200_003, Seed(2024, 1)).points
         digest = hashlib.sha256(np.ascontiguousarray(pts, dtype="<f8").tobytes()).hexdigest()
         assert digest == "4c36b34bd9c3c98a480e71823c4e2281dca3c4eecfe6d3186c80ed795592fe91"
+
+    def test_blocked_mixing_product_bits(self):
+        # the mixing product in row blocks of at most _MIX_BLOCK multiply-adds
+        # gives the bytes of one z @ mix call, at counts around a block edge
+        rng = np.random.default_rng(38)
+        for rep in (random_rep(rng, 3, 1.5, full_rank=True),
+                    decouple(random_rep(rng, 3, 0.7, full_rank=True), BlockSplit(1))):
+            mix = _mix(rep)
+            block = _MIX_BLOCK // mix.size
+            for count in (1, block - 1, block, block + 1, 16960):
+                z = _draw_standard(_chunk_rng(Seed(39), 2), rep.q, (count, len(mix)))
+                got = _chunk_points(rep.q, mix, Seed(39), 2, count)
+                assert got.tobytes() == (z @ mix).tobytes()
 
     def test_merged_worker_independence(self):
         rng = np.random.default_rng(34)
