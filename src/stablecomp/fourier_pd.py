@@ -16,14 +16,20 @@ whose error enters the bound.  For a bump it is a singularity-aware rule
 outside) over a tabulated profile, read through the cubic B-spline of its
 uniform grid (``_interpolant``, which the 2-D oracle shares); the bound adds
 the gap between a coarse and a fine radial rule and a truncation term.  The
-panels have equal widths, so the oscillatory factor cos(r c) at a panel node
-m + h x splits by angle addition into cos(c m), sin(c m) per panel and
-cos(c h x), sin(c h x) per node: every value of c costs about one cosine and
-one sine per panel rather than per node.
+npan panels have equal widths, so blocks of B consecutive panels share one
+set of B * gl local nodes l, and a node of block j is s_j + l.  By angle
+addition cos(c (s_j + l)) needs cos(c s_j), sin(c s_j) per block and
+cos(c l), sin(c l) per local node.  Every value of c then costs
+2 (B * gl + npan / B) cosines and sines; B = sqrt(npan / gl) balances the two
+terms and minimises the count, about 4 sqrt(npan * gl) against 2 (gl + npan)
+for one panel per block.
 
 The angular rules:
 
-* n = 2 sums equal theta panels of Gauss-Legendre nodes.  Their edges at
+* n = 2 sums equal theta panels of Gauss-Legendre nodes over the half circle
+  [0, pi).  Every f is even and the radial integral depends on
+  |<theta, center>|, so theta + pi repeats theta and the half circle, without
+  the factorization's 1/2, is the whole integral.  The panel edges at
   multiples of pi/16 sit on the kinks of l1 and max-abs, so those converge
   spectrally, and the bound is the gap between a coarse and a fine grid.
 * n = 3 uses the centre-aligned rule.  With c^ = center/|center| (e3 for a
@@ -277,13 +283,11 @@ def _gl_panels(edges: np.ndarray, m: int):
 
 @lru_cache(maxsize=64)
 def _circle_grid(spec: tuple):
-    """n = 2: directions on equal theta panels and weights summing to 2 pi."""
+    """n = 2: directions on equal theta panels of the half circle [0, pi) and
+    weights summing to pi."""
     panels, nodes = spec
-    theta, wq = _gl_panels(np.linspace(0.0, 2.0 * np.pi, panels + 1), nodes)
+    theta, wq = _gl_panels(np.linspace(0.0, np.pi, panels + 1), nodes)
     return np.column_stack([np.cos(theta), np.sin(theta)]), wq
-
-
-_DIR_BLOCK = 256  # directions per block; bounds the (directions x panels) arrays
 
 
 def _radial_modulated(a: float, kernel, r0: float, rmax: float, h: float,
@@ -291,17 +295,22 @@ def _radial_modulated(a: float, kernel, r0: float, rmax: float, h: float,
     """2 * int_0^rmax r^(a-1) kernel(r) cos(r c) dr for each c in cabs.
 
     Gauss-Jacobi with weight r^(a-1) on [0, r0], oscillation-limited
-    Gauss-Legendre panels on [r0, rmax].  The panels share one half-width
-    hp, so the far nodes are r_ji = m_j + hp x_i, and by angle addition
+    Gauss-Legendre panels on [r0, rmax].  The npan panels share one width,
+    so B = max(1, round(sqrt(npan / gl))) consecutive panels form a block
+    whose B * gl nodes are s_j + l_i: the block start s_j plus local nodes
+    l_i shared by every block.  By angle addition
 
-        sum_ji W_ji cos(c r_ji) = sum_j cos(c m_j) A_j(c) - sin(c m_j) B_j(c),
-        A = cos(c hp x) @ W^T,   B = sin(c hp x) @ W^T,
+        sum_ji W_ji cos(c (s_j + l_i)) = sum_j cos(c s_j) C_j(c) - sin(c s_j) S_j(c),
+        C = cos(c l) @ W^T,   S = sin(c l) @ W^T,
 
-    with W the (panels, gl) weight table.  That is the same rule as the
-    direct sum over all nodes, with npan + gl instead of npan * gl cosines
-    and sines per direction and no (directions x nodes) matrix.  Directions
-    are taken in blocks of _DIR_BLOCK, so the (directions x panels) arrays
-    stay bounded however many directions and panels a scan needs.
+    with W the (blocks, B * gl) weight table, the last block zero-padded.
+    That is the direct sum over all nodes in another order.  Each value of c
+    costs 2 (B * gl + npan / B) cosines and sines: local nodes plus block
+    starts.  One panel per block (B = 1) would cost 2 (gl + npan); the count
+    is least where both terms are equal, at B = sqrt(npan / gl), where it is
+    4 sqrt(npan * gl).  The largest arrays are (directions x B * gl) and
+    (directions x blocks), both about sqrt(npan * gl) wide, so no
+    (directions x panels) array is built.
     """
     xj, wj = _jacobi(nj, a - 1.0)
     rj = r0 * (xj + 1.0) / 2.0
@@ -310,21 +319,20 @@ def _radial_modulated(a: float, kernel, r0: float, rmax: float, h: float,
 
     npan = max(1, int(np.ceil((rmax - r0) / h)))
     hp = (rmax - r0) / (2.0 * npan)
-    mid = r0 + (2.0 * np.arange(npan) + 1.0) * hp
     x, w = _leggauss(gl)
-    rf = mid[:, None] + hp * x[None, :]
-    W = hp * w * kernel(rf) * rf ** (a - 1.0)
-    far = np.empty(cabs.size)
-    for lo in range(0, cabs.size, _DIR_BLOCK):
-        cb = cabs[lo:lo + _DIR_BLOCK]
-        cx = np.outer(cb, hp * x)
-        A = np.cos(cx) @ W.T
-        B = np.sin(cx) @ W.T
-        cm = np.outer(cb, mid)
-        A *= np.cos(cm)
-        B *= np.sin(cm, out=cm)
-        far[lo:lo + _DIR_BLOCK] = A.sum(axis=1) - B.sum(axis=1)
-    return 2.0 * (near + far)
+    block = max(1, round(math.sqrt(npan / gl)))
+    starts = r0 + 2.0 * hp * block * np.arange(-(-npan // block))
+    local = ((2.0 * np.arange(block) + 1.0)[:, None] * hp + hp * x).ravel()
+    rf = (starts[:, None] + local).ravel()[:npan * gl]
+    W = np.zeros((starts.size, local.size))
+    W.reshape(-1)[:rf.size] = hp * np.tile(w, npan) * kernel(rf) * rf ** (a - 1.0)
+    cl = np.outer(cabs, local)
+    cs = np.outer(cabs, starts)
+    C = np.cos(cl) @ W.T
+    S = np.sin(cl, out=cl) @ W.T
+    C *= np.cos(cs)
+    S *= np.sin(cs, out=cs)
+    return 2.0 * (near + C.sum(axis=1) - S.sum(axis=1))
 
 
 def _bump_transform(n: int, s: np.ndarray) -> np.ndarray:
@@ -439,27 +447,31 @@ def _radial_profile(f_p: float, n: int, phi: TestFunction, cabs: np.ndarray,
 
 
 def _circle_spec(phi: TestFunction, fine: bool):
+    """(panels, nodes) of the half-circle theta rule: edges at multiples of
+    pi/16 for hard tests, pi/8 otherwise."""
     hard = phi.width < 0.5 or np.linalg.norm(phi.center) > 2.5
     if hard:
-        return (32, 12) if fine else (32, 8)
-    return (16, 10) if fine else (16, 6)
+        return (16, 12) if fine else (16, 8)
+    return (8, 10) if fine else (8, 6)
 
 
 def _circle_action(f: HomogeneousFn, phi: TestFunction):
     """n = 2: returns (value, delta, truncation term, scale) as _centre_action
     does.  The value takes the fine theta and radial rules, and delta is its
-    gap to the coarse ones."""
+    gap to the coarse ones.  f is even and the radial profile depends on
+    |<theta, center>|, so theta and theta + pi contribute alike: half the
+    circle, without the factorization's 1/2, is the whole integral."""
     values = []
     for fine in (False, True):
         dirs, w = _circle_grid(_circle_spec(phi, fine))
         fv = evaluate_many(f, dirs) * w
         nj, gl = (28, 14) if fine else (16, 10)
         radial, trunc = _radial_profile(f.p, 2, phi, np.abs(dirs @ phi.center), nj, gl)
-        values.append(0.5 * float(fv @ radial))
+        values.append(float(fv @ radial))
     coarse, value = values
     # fv, radial and trunc are the fine pass's
-    return (value, abs(value - coarse), 0.5 * float(fv.sum()) * trunc,
-            0.5 * float(fv @ np.abs(radial)))
+    return (value, abs(value - coarse), float(fv.sum()) * trunc,
+            float(fv @ np.abs(radial)))
 
 
 # n = 3, the centre-aligned rule.  t = cos(psi) with psi in [0, pi/2]: equal

@@ -115,6 +115,10 @@ def lemma1_margin_batch(X: np.ndarray, Y: np.ndarray, q: float, p_list,
         "reversed_scale": {},
     }
     for p in p_list:
+        if p == q:  # e = 1: the power form is the parallelogram form, bit for bit
+            out["power"][p] = out["parallelogram"]
+            out["power_scale"][p] = out["parallelogram_scale"]
+            continue
         e = p / q
         out["power"][p] = 2.0 * (sx + sy) ** e - sp**e - sm**e
         out["power_scale"][p] = 2.0 * (sx + sy) ** e + sp**e + sm**e
@@ -182,21 +186,30 @@ def random_block_symmetric_measure(rng: np.random.Generator, n: int, k: int,
     return LevyMeasure(p=p, weights=np.array(weights), xis=np.vstack(xis))
 
 
+_PAIR_BLOCK = 1 << 20  # values per (rows x entries x n) block of the witness search
+
+
 def block_symmetry_witness(gamma: LevyMeasure, k: int):
     """Index of an entry with no mirrored partner, or None if closed under the flip.
 
     Entries act through |<x, xi>|, so xi and -xi are interchangeable; the
     partner may match the flipped entry up to an overall sign.  Entries and
-    weights match within 1e-12 (relative for weights above 1).
+    weights match within 1e-12 (relative for weights above 1).  The pairs
+    are compared by broadcasting, a block of rows at a time, so that no
+    temporary holds more than _PAIR_BLOCK values.
     """
-    flipped = gamma.xis.copy()
+    xis, w = gamma.xis, gamma.weights
+    flipped = xis.copy()
     flipped[:, k:] *= -1.0
-    for i in range(gamma.m):
-        d_xi = np.minimum(np.max(np.abs(gamma.xis - flipped[i]), axis=1),
-                          np.max(np.abs(gamma.xis + flipped[i]), axis=1))
-        d_w = np.abs(gamma.weights - gamma.weights[i])
-        if not np.any((d_xi <= 1e-12) & (d_w <= 1e-12 * max(1.0, gamma.weights[i]))):
-            return i
+    rows = max(1, _PAIR_BLOCK // xis.size)
+    for lo in range(0, gamma.m, rows):
+        fl = flipped[lo:lo + rows, None, :]
+        d_xi = np.minimum(np.max(np.abs(xis - fl), axis=2), np.max(np.abs(xis + fl), axis=2))
+        wi = w[lo:lo + rows, None]
+        d_w = np.abs(w - wi)
+        matched = np.any((d_xi <= 1e-12) & (d_w <= 1e-12 * np.maximum(1.0, wi)), axis=1)
+        if not matched.all():
+            return lo + int(np.argmin(matched))
     return None
 
 
@@ -301,26 +314,34 @@ class _Lemma1Batch:
 
     def _template(self) -> tuple:
         """The JSONL line of a record as a ``%`` template, and for each slot
-        the column that fills it (0 index, 1 passed, then ``_values``)."""
+        the column that fills it (0 index, 1 passed, then the reprs of
+        ``_values``)."""
         marks = [f"@{i}@" for i in range(2 + len(self._values()))]
         text = _json_line(self._record(marks[0], marks[1], marks[2:])).replace("%", "%%")
         slots = [json.dumps(m) for m in marks]
         order = sorted(range(len(slots)), key=lambda i: text.index(slots[i]))
         for i, slot in enumerate(slots):
             assert text.count(slot) == 1
-            text = text.replace(slot, "%d" if i == 0 else "%s" if i == 1 else "%r")
+            text = text.replace(slot, "%d" if i == 0 else "%s")
         return text, order
 
     def jsonl(self) -> str:
         template, order = self._template()
         index = range(self.start, self.start + len(self))
         passed = self.passed.tolist()
-        values = [col.tolist() for col in self._values()]
-        cols = [index, ["true" if p else "false" for p in passed], *values]
+        columns = self._values()
+        # a column stored twice (power at p = q is the parallelogram) is formatted once
+        texts = {}
+        for col in columns:
+            if id(col) not in texts:
+                texts[id(col)] = list(map(repr, col.tolist()))
+        cols = [index, ["true" if p else "false" for p in passed],
+                *(texts[id(col)] for col in columns)]
         rows = zip(*(cols[i] for i in order))
-        finite = np.logical_and.reduce([np.isfinite(col) for col in self._values()])
+        finite = np.logical_and.reduce([np.isfinite(col) for col in columns])
         if finite.all():
             return "".join(map(template.__mod__, rows))
+        values = [col.tolist() for col in columns]
         return "".join(template % row if ok else _json_line(self._record(i, p, vals))
                        for ok, row, i, p, *vals
                        in zip(finite.tolist(), rows, index, passed, *values))

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -48,8 +49,9 @@ def radon_action(f: HomogeneousFn, phi: TestFunction) -> float:
 
     The slice-integral radial factor is the part independent of pd_action.
     The angular sum takes rules four times finer than pd_action's fine ones:
-    n = 2, four times its theta panels; n = 3, ``_finer_ring``, since inner
-    depends on theta only through <theta, center> = |center| t.
+    n = 2, four times its theta panels over the half circle; n = 3,
+    ``_finer_ring``, since inner depends on theta only through
+    <theta, center> = |center| t.  Both take half the sphere against the 1/2.
     """
     n, p = f.n, f.p
     cnp = radial_fourier_weight(n, p)  # validates the window
@@ -59,10 +61,9 @@ def radon_action(f: HomogeneousFn, phi: TestFunction) -> float:
     if n == 2:
         panels, nodes = fourier_pd._circle_spec(phi, fine=True)
         dirs, w = fourier_pd._circle_grid((4 * panels, nodes))
-        weights = 0.5 * evaluate_many(f, dirs) * w
+        weights = evaluate_many(f, dirs) * w
         c = dirs @ phi.center
     else:
-        # half the sphere, t >= 0: a factor 2 against the 1/2
         c, weights = _finer_ring(f, phi)
 
     t0 = min(0.3 * sigma, 0.5)
@@ -253,6 +254,28 @@ class TestRadialKernel:
                 allowance = old_trunc + 1e-13 * weight_sum
             assert np.all(np.abs(vals - ref) <= allowance)
 
+    @pytest.mark.parametrize("nj,gl", [(16, 10), (28, 14)])
+    @pytest.mark.parametrize("npan", [1, 5, 51, 101, 400])
+    def test_blocked_sum_matches_direct_sum(self, nj, gl, npan):
+        """The block-local sum against the same rule summed node by node, on
+        panel counts where the blocks of B = max(1, round(sqrt(npan / gl)))
+        panels tile unevenly or trivially: one panel (npan = B = 1), fewer
+        panels than gl (one panel per block), and npan not a multiple of B,
+        whose last block is zero-padded (51, 101, and 400 at gl = 10).  B
+        never exceeds npan, since round(sqrt(npan / gl)) <= npan."""
+        spline, _, _ = fourier_pd._bump_profile(2)
+        rho, r0, h = 0.5, 0.5, 0.37
+
+        def kernel(r):
+            return spline(rho * r)
+
+        # ceil((rmax - r0) / h) = npan panels
+        args = (0.5, kernel, r0, r0 + (npan - 0.5) * h, h, np.linspace(0.0, 4.0, 41), nj, gl)
+        ref, weight_sum = _direct_radial(*args)
+        assert _panel_nodes(*args[2:5], gl)[0].size == npan * gl
+        vals = fourier_pd._radial_modulated(*args)
+        assert np.all(np.abs(vals - ref) <= 1e-13 * weight_sum)
+
     @pytest.mark.parametrize("n,p", [(2, -1.5), (2, -0.5), (3, -2.5), (3, -1.2)])
     def test_gaussian_closed_form_matches_mpmath(self, n, p):
         # sigma and |c| span the reach of refinement on the default family:
@@ -303,8 +326,43 @@ class TestRadialKernel:
                 radial = np.array([
                     float(pref * mpmath.hyp1f1(alpha, 0.5, -mpmath.mpf(c) ** 2 / (2 * s2)))
                     for c in np.abs(dirs @ phi.center)])
-                ref = 0.5 * float((evaluate_many(f, dirs) * w) @ radial)
+                ref = float((evaluate_many(f, dirs) * w) @ radial)
                 assert abs(act.value - ref) <= act.error_bound
+
+
+def _full_circle_action(f, phi):
+    """The n = 2 action summed over the whole circle, as _circle_action did
+    before its half-circle rule: twice the theta panels over [0, 2 pi] and
+    the factorization's 1/2.  Returns (value, delta, truncation term, scale)."""
+    values = []
+    for fine in (False, True):
+        panels, nodes = fourier_pd._circle_spec(phi, fine)
+        theta, w = fourier_pd._gl_panels(np.linspace(0.0, 2.0 * np.pi, 2 * panels + 1), nodes)
+        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+        fv = evaluate_many(f, dirs) * w
+        nj, gl = (28, 14) if fine else (16, 10)
+        radial, trunc = fourier_pd._radial_profile(f.p, 2, phi, np.abs(dirs @ phi.center), nj, gl)
+        values.append(0.5 * float(fv @ radial))
+    coarse, value = values
+    return (value, abs(value - coarse), 0.5 * float(fv.sum()) * trunc,
+            0.5 * float(fv @ np.abs(radial)))
+
+
+@pytest.mark.parametrize("f", [
+    max_abs_power(2, -1.5), lp_norm_power(2, 1.0, -1.2),
+    euclidean_power(2, -0.7, weights=[1.0, 2.5]),
+    HomogeneousFn(base=LrMatrixBase(matrix=np.array([[1.0, 0.3], [-0.2, 1.1], [0.5, 0.5]]),
+                                    r=1.2), p=-0.9),
+], ids=["max_abs", "l1", "weighted_euclidean", "lr_matrix"])
+def test_half_circle_matches_full_circle(f):
+    """f is even and the radial profile depends on |<theta, center>|, so the
+    half circle gives the full circle's value, delta, truncation term and
+    scale, on every member of both default families."""
+    for phi in gaussian_family(2) + bump_family(2):
+        half = fourier_pd._circle_action(f, phi)
+        full = _full_circle_action(f, phi)
+        scale = full[3]
+        assert np.all(np.abs(np.subtract(half, full)) <= 1e-13 * scale), (phi.center, phi.width)
 
 
 def test_euclidean_reference_matches_mpmath():
@@ -430,6 +488,15 @@ _GATE_FNS = {
 }
 
 
+_N2_IDS = ["max-abs-full", "max-abs-away", "l1-full", "l1-away"]
+
+
+def _n2_report(capsys, builtin, mode) -> str:
+    assert cli.main(["pd-check", "--builtin", *builtin.split(), "--mode", mode,
+                     "--json"]) == 0
+    return capsys.readouterr().out.strip()
+
+
 class TestCentreAlignedRule:
     @pytest.mark.parametrize("f,phi", [
         # a gaussian_family(3) member; the (mu, phi) tensor grids gave
@@ -499,6 +566,36 @@ class TestCentreAlignedRule:
 
     @pytest.mark.parametrize("builtin,mode,expected", [
         ("max-abs 2 -1.5", "full-space",
+         '{"evaluations": 93, "family_size": 85, "min_action": 0.7506688754388924, '
+         '"mode": "full-space", "quadrature_error_bound": 1.194227615672675e-07, '
+         '"verdict": "consistent-with-pd", "witness": {"center": [4.0, 0.0], '
+         '"kind": "gaussian", "normalization": 1.0, "width": 0.126025}}'),
+        ("max-abs 2 -1.5", "away-from-origin",
+         '{"evaluations": 56, "family_size": 48, "min_action": 0.49473388466096435, '
+         '"mode": "away-from-origin", "quadrature_error_bound": 0.0006001307467775695, '
+         '"verdict": "consistent-with-pd", "witness": {"center": [6.0, 0.0], '
+         '"kind": "bump", "normalization": 1.0, "width": 0.25205}}'),
+        ("l1 2 -1.2", "full-space",
+         '{"evaluations": 93, "family_size": 85, "min_action": 0.18765455948954268, '
+         '"mode": "full-space", "quadrature_error_bound": 1.2025591230366863e-07, '
+         '"verdict": "consistent-with-pd", "witness": {"center": '
+         '[2.8284271247461903, 2.82842712474619], "kind": "gaussian", '
+         '"normalization": 1.0, "width": 0.126025}}'),
+        ("l1 2 -1.2", "away-from-origin",
+         '{"evaluations": 56, "family_size": 48, "min_action": 0.10960530055289526, '
+         '"mode": "away-from-origin", "quadrature_error_bound": 0.0011752244245836082, '
+         '"verdict": "consistent-with-pd", "witness": {"center": '
+         '[4.242640687119286, 4.242640687119285], "kind": "bump", '
+         '"normalization": 1.0, "width": 0.25205}}'),
+    ], ids=_N2_IDS)
+    def test_n2_reports_unchanged(self, capsys, builtin, mode, expected):
+        """n = 2 integrates the half circle on theta panels whose edges at
+        multiples of pi/16 sit on the l1 and max-abs kinks; these reports
+        are pinned to the bit."""
+        assert _n2_report(capsys, builtin, mode) == expected
+
+    @pytest.mark.parametrize("builtin,mode,full_circle", [
+        ("max-abs 2 -1.5", "full-space",
          '{"evaluations": 93, "family_size": 85, "min_action": 0.7506688754388926, '
          '"mode": "full-space", "quadrature_error_bound": 1.194227615672675e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": [4.0, 0.0], '
@@ -520,13 +617,18 @@ class TestCentreAlignedRule:
          '"verdict": "consistent-with-pd", "witness": {"center": '
          '[4.242640687119286, 4.242640687119285], "kind": "bump", '
          '"normalization": 1.0, "width": 0.25205}}'),
-    ], ids=["max-abs-full", "max-abs-away", "l1-full", "l1-away"])
-    def test_n2_reports_unchanged(self, capsys, builtin, mode, expected):
-        """n = 2 keeps its theta panels, whose edges at multiples of pi/16 sit
-        on the l1 and max-abs kinks; these reports are pinned to the bit."""
-        assert cli.main(["pd-check", "--builtin", *builtin.split(), "--mode", mode,
-                         "--json"]) == 0
-        assert capsys.readouterr().out.strip() == expected
+    ], ids=_N2_IDS)
+    def test_n2_reports_match_full_circle_pins(self, capsys, builtin, mode,
+                                                full_circle):
+        """The reports the full-circle rule and the per-panel radial sum gave:
+        the half-circle rule and the block-local sum keep each witness, count
+        and verdict, and move min_action and the bound only by roundoff."""
+        got, old = json.loads(_n2_report(capsys, builtin, mode)), json.loads(full_circle)
+        for key in ("witness", "evaluations", "family_size", "verdict"):
+            assert got[key] == old[key], key
+        assert abs(got["min_action"] - old["min_action"]) <= 1e-12 * abs(old["min_action"])
+        bound, old_bound = got["quadrature_error_bound"], old["quadrature_error_bound"]
+        assert abs(bound - old_bound) <= 1e-9 * old_bound
 
 
 class TestPdCheck:

@@ -8,6 +8,7 @@ from stablecomp import (BlockSplit, ExperimentConfig, HomogeneousFn, LevyBase,
                         pd_certificate, random_block_symmetric_measure,
                         random_rep, run_experiment, verify_cor3, verify_prop1,
                         verify_thm1)
+from stablecomp import verify
 from stablecomp.verify import (GENERATOR_NOTE, TrialRecord, _Lemma1Batch, _trial_rng,
                                block_symmetry_witness, lemma1_margin_batch)
 
@@ -16,6 +17,20 @@ def margins(x, y, q, p_list=(), reversed_p_list=()):
     """lemma1_margin_batch on the single row pair (x, y)."""
     return lemma1_margin_batch(np.array([x], dtype=float), np.array([y], dtype=float),
                                q, p_list, reversed_p_list)
+
+
+def _loop_witness(gamma, k):
+    """block_symmetry_witness as a loop over entries: the first entry with
+    no partner among the flipped entries, up to sign, within 1e-12."""
+    flipped = gamma.xis.copy()
+    flipped[:, k:] *= -1.0
+    for i in range(gamma.m):
+        d_xi = np.minimum(np.max(np.abs(gamma.xis - flipped[i]), axis=1),
+                          np.max(np.abs(gamma.xis + flipped[i]), axis=1))
+        d_w = np.abs(gamma.weights - gamma.weights[i])
+        if not np.any((d_xi <= 1e-12) & (d_w <= 1e-12 * max(1.0, gamma.weights[i]))):
+            return i
+    return None
 
 
 class TestElementaryMargins:
@@ -78,6 +93,22 @@ class TestElementaryMargins:
             for p, m in out["reversed"].items():
                 assert (m >= -1e-10 * out["reversed_scale"][p]).all()
 
+    def test_power_at_q_is_the_parallelogram(self):
+        """At p = q the power form's exponent is 1, so its formula gives the
+        parallelogram column bit for bit, and the batch stores that column."""
+        rng = np.random.default_rng(4)
+        for q in (0.5, 0.7, 1.0, 1.5, 2.0):
+            X = rng.standard_cauchy((4096, 9)) * rng.uniform(0.2, 2.0)
+            Y = rng.standard_cauchy((4096, 9)) * rng.uniform(0.2, 2.0)
+            out = lemma1_margin_batch(X, Y, q, (q / 2, q))
+            assert out["power"][q] is out["parallelogram"]
+            assert out["power_scale"][q] is out["parallelogram_scale"]
+            sx, sy = (np.abs(X) ** q).sum(axis=1), (np.abs(Y) ** q).sum(axis=1)
+            sp, sm = (np.abs(X + Y) ** q).sum(axis=1), (np.abs(X - Y) ** q).sum(axis=1)
+            e = q / q
+            assert np.array_equal(out["power"][q], 2.0 * (sx + sy) ** e - sp**e - sm**e)
+            assert np.array_equal(out["power_scale"][q], 2.0 * (sx + sy) ** e + sp**e + sm**e)
+
 
 class TestProp1:
     def test_axis_measure_zero_margin(self):
@@ -110,6 +141,36 @@ class TestProp1:
                         xis=np.array([[1.0, 1.0]]) / np.sqrt(2.0))
         with pytest.raises(ValueError, match="sign flip"):
             verify_prop1(rep, BlockSplit(1), g, 1.0)
+
+    def test_witness_matches_entry_loop(self):
+        """The broadcast witness search returns the first unmatched index of
+        the per-entry loop it replaced: on block-symmetric measures, with one
+        entry removed, and with one weight moved by 2e-12 (past the 1e-12
+        match).  The last measure has 800 entries in R^3, so its pairs span
+        more than one row block."""
+        rng = np.random.default_rng(12)
+        cases = []
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            k = int(rng.integers(1, n))
+            cases.append((random_block_symmetric_measure(rng, n, k, 0.8), k))
+        v = rng.standard_normal((400, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        w = rng.exponential(1.0, 400) + 0.1
+        cases.append((LevyMeasure(p=0.8, weights=np.r_[w, w], xis=np.r_[v, v * [1, 1, -1]]), 2))
+        assert 800 * 800 * 3 > verify._PAIR_BLOCK
+        found = []
+        for g, k in cases:
+            assert block_symmetry_witness(g, k) is _loop_witness(g, k) is None
+            i = int(rng.integers(0, g.m))
+            keep = np.arange(g.m) != i
+            w = g.weights.copy()
+            w[i] += 2e-12 * max(1.0, w[i])
+            for h in (LevyMeasure(p=g.p, weights=g.weights[keep], xis=g.xis[keep]),
+                      LevyMeasure(p=g.p, weights=w, xis=g.xis)):
+                found.append(block_symmetry_witness(h, k))
+                assert found[-1] == _loop_witness(h, k)
+        assert found.count(None) < len(found) / 2
 
     def test_witness_accepts_opposite_signs(self):
         g = LevyMeasure(p=1.0, weights=[1.0, 1.0],
