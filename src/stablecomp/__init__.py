@@ -5,7 +5,7 @@ The package builds stable laws from atomic spectral representations,
 samples them exactly, evaluates expectations of homogeneous functionals
 both in closed finite-sum form and by Monte Carlo, checks positive
 definiteness of the functionals numerically, and cross-validates
-everything against a deterministic two-dimensional density oracle.
+everything against exact deterministic two-dimensional expectations.
 """
 
 from .spectral import (BlockSplit, SpectralRep, char_fn, decouple,

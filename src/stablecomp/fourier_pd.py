@@ -130,7 +130,7 @@ class TestFunction:
 class ActionResult:
     """A quadrature value with its error bound; unpacks as (value, error_bound).
 
-    Returned by ``pd_action`` and by ``oracle2d.oracle_expectation``.
+    Returned by ``pd_action`` and by the two-dimensional oracle.
     """
 
     value: float

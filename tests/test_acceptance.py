@@ -17,6 +17,7 @@ from stablecomp import (BlockSplit, HomogeneousFn, LrMatrixBase, Seed,
                         pd_check, sample_batch, sample_standard, scale_q,
                         subordination_norm_power, verify_cor3, verify_prop1,
                         verify_thm1)
+from stablecomp.oracle2d import _angular_expectation
 from stablecomp.sampling import _chunk_rng
 from stablecomp.verify import (lemma1_margin_batch, random_block_symmetric_measure,
                                random_rep, _random_lr_subspace)
@@ -251,6 +252,32 @@ def test_oracle_crosscheck():
     assert elapsed < 300.0
     _report("oracle cross-check", "10 configs: margins >= -bound, "
             f"worst |oracle-MC|/|oracle| {worst_rel:.2e}", elapsed, 300)
+
+
+def test_exact_decoupling_margins_2d():
+    """Exact n = 2 decoupling margins by the angular rule, with no sampling:
+    E f(X) - E f(Y) >= -(bound_X + bound_Y) for 40 random laws, every family
+    in both exponent regimes at every q."""
+    t0 = time.perf_counter()
+    rng = _chunk_rng(Seed(2027), 0)
+    worst = np.inf
+    for t in range(40):
+        q = (0.5, 0.7, 1.0, 1.5, 2.0)[t % 5]
+        family = ("max_abs", "l1", "euclidean")[t % 3]
+        p = float(rng.uniform(-1.9, -1.1) if t // 3 % 2 else rng.uniform(-0.9, -0.1))
+        rep = random_rep(rng, 2, q, full_rank=True, max_condition=1e4)
+        f = {"max_abs": max_abs_power(2, p, block_split=1),
+             "l1": lp_norm_power(2, 1.0, p, block_split=1),
+             "euclidean": euclidean_power(2, p, block_split=1)}[family]
+        ox = _angular_expectation(f, rep)
+        oy = _angular_expectation(f, decouple(rep, BlockSplit(1)))
+        bound = ox.error_bound + oy.error_bound
+        assert ox.value - oy.value >= -bound, (t, q, family, p, ox, oy)
+        worst = min(worst, (ox.value - oy.value) / ox.value)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0
+    _report("exact 2-D decoupling margins", f"40 laws, min margin/E f(X) {worst:.2e}",
+            elapsed, 30)
 
 
 def test_pd_family_consistency():

@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablecomp import (HomogeneousFn, LrMatrixBase, euclidean_power,
-                        evaluate_many, lp_norm_power, max_abs_power)
-from stablecomp.verify import _random_lr_subspace, _random_thm1_fn
+from stablecomp import (ActionResult, ExperimentConfig, HomogeneousFn, LrMatrixBase,
+                        euclidean_power, evaluate_many, lp_norm_power, max_abs_power,
+                        oracle2d, verify)
+from stablecomp.verify import _random_lr_subspace, _random_thm1_fn, _trial_rng
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -64,3 +65,29 @@ def test_probe_levy_base(bench):
     pts = rng.standard_normal((64, 3))
     direct = (np.abs(pts @ xis.T) @ weights) ** -1.5
     np.testing.assert_allclose(evaluate_many(f, pts), direct, rtol=1e-14)
+
+
+def test_oracle_draw_matches_the_trial(bench, monkeypatch):
+    """``workloads._oracle_draw`` replays the draws of ``verify._oracle_trial``
+    to screen seeds for the oracle slots; a changed draw order would
+    otherwise surface only as a stratum mismatch of a benchmark run."""
+    workloads, _ = bench
+    reps = []
+    draw_rep = verify.random_rep
+
+    def spy(*args, **kwargs):
+        reps.append(draw_rep(*args, **kwargs))
+        return reps[-1]
+
+    monkeypatch.setattr(verify, "random_rep", spy)
+    # the quadrature draws nothing; a stub keeps the test fast
+    monkeypatch.setattr(oracle2d, "_angular_expectation",
+                        lambda f, rep: ActionResult(1.0, 0.0))
+    config = ExperimentConfig(mode="oracle-crosscheck", trials=1, N=64,
+                              n_values=(2,), q_values=workloads.ORACLE_Q)
+    for seed in range(50):
+        reps.clear()
+        record = verify._oracle_trial(config, 0, _trial_rng(seed, 0))
+        replay = workloads._oracle_draw(seed)
+        assert next(replay) == record.config["q"]
+        assert next(replay) == (reps[0].m, record.config["family"], record.config["p"])

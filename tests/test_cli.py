@@ -147,6 +147,32 @@ def test_oracle_mode(tmp_path):
     assert rc == 0
 
 
+def test_oracle_heavy_tail_passes(tmp_path):
+    # the density grid reported E f(X) = 0.01405 +- 0.0023 here, against the
+    # exact 0.0102327, and failed the trial
+    out = tmp_path / "o.jsonl"
+    assert main(["oracle", "--trials", "1", "-N", "100000", "--q", "0.5", "--seed", "0",
+                 "--out-jsonl", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["lhs"] == pytest.approx(0.0102327, rel=1e-5)
+
+
+def test_oracle_median_of_means_disagreement(tmp_path):
+    # trial 3 (q = 1, max-abs, p = -1.858) fails on the Monte Carlo side:
+    # median-of-means reads E f(X) about 0.12 against the exact 0.3364; the
+    # exact margin itself holds
+    out = tmp_path / "o.jsonl"
+    assert main(["oracle", "--trials", "6", "-N", "20000", "--q", "1", "--q", "1.5",
+                 "--q", "2", "--seed", "5", "--out-jsonl", str(out)]) == 1
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    failed = [r for r in recs if not r["passed"]]
+    assert [r["index"] for r in failed] == [3]
+    rec = failed[0]
+    assert rec["extra"]["estimator"] == "median-of-means"
+    assert rec["margin"] >= -rec["tolerance"]
+    assert rec["lhs"] == pytest.approx(0.3364, rel=1e-3)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense-mode"])

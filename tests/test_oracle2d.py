@@ -8,6 +8,11 @@ from stablecomp import (BlockSplit, Seed, SpectralRep,
 from stablecomp.fourier_pd import _bump_table, _spline_coefficients
 from stablecomp.oracle2d import (_asymmetry, _interpolant, _polar_box_integral,
                                  _scale_profile)
+from scipy.special import gamma
+
+from stablecomp import LrMatrixBase, MaxAbsBase, evaluate_many, oracle2d
+from stablecomp.oracle2d import _angular_expectation
+from stablecomp.verify import random_rep
 
 
 def gaussian_rep():
@@ -255,3 +260,119 @@ class TestAsymmetry:
         rough = rng.standard_normal((M, M))
         v = rough[1:, 1:]
         assert _asymmetry(rough) == np.abs(v - v[::-1, ::-1]).max()
+
+
+def sphere_route(f, rep):
+    """E f(X) at q = 2 by the Gaussian sphere route: X = L g with L L^T the
+    covariance 2 sum_j w_j a_j a_j^T, so E f(X) = E|g|^p * mean of f(L theta)
+    over the circle.  Gauss-Legendre panels of width at most pi/64, with
+    edges where theta -> f(L theta) has kinks."""
+    cov = 2.0 * (rep.atoms.T * rep.weights) @ rep.atoms
+    L = np.linalg.cholesky(cov)
+    if isinstance(f.base, MaxAbsBase):
+        normals = np.array([[1.0, -1.0], [1.0, 1.0]])
+    elif isinstance(f.base, LrMatrixBase):
+        normals = f.base.matrix
+    else:
+        normals = np.zeros((0, 2))
+    tilted = normals @ L
+    kinks = (np.arctan2(tilted[:, 1], tilted[:, 0]) + np.pi / 2.0) % np.pi
+    edges = np.unique(np.concatenate([kinks, np.arange(64) * (np.pi / 64), [np.pi]]))
+    x, w = np.polynomial.legendre.leggauss(32)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        theta = (a + b) / 2.0 + (b - a) / 2.0 * x
+        pts = np.column_stack([np.cos(theta), np.sin(theta)]) @ L.T
+        total += (b - a) / 2.0 * (w @ evaluate_many(f, pts))
+    p = f.p
+    return 2.0 ** (p / 2.0) * gamma(1.0 + p / 2.0) * total / np.pi
+
+
+def family_fn(family, p):
+    return {"max_abs": max_abs_power(2, p, block_split=1),
+            "l1": lp_norm_power(2, 1.0, p, block_split=1),
+            "euclidean": euclidean_power(2, p, block_split=1)}[family]
+
+
+class TestAngularRule:
+    """The exact angular rule against closed forms, the sphere route at q = 2,
+    the density route and its own refinement."""
+
+    @pytest.mark.parametrize("p", [-1.9, -1.5, -1.01, -1.0, -0.99, -0.5, -0.1])
+    def test_isotropic_gaussian_closed_form(self, p):
+        # X ~ N(0, 2 I): E|X|^p = 2^p Gamma(1 + p/2)
+        exact = 2.0 ** p * gamma(1.0 + p / 2.0)
+        got = _angular_expectation(euclidean_power(2, p), gaussian_rep())
+        assert abs(got.value - exact) <= got.error_bound + 1e-13 * exact
+
+    @pytest.mark.parametrize("family", ["max_abs", "l1", "euclidean"])
+    @pytest.mark.parametrize("p", [-1.6, -1.2, -0.7, -0.3])
+    def test_gaussian_sphere_route(self, family, p):
+        rng = np.random.default_rng(71)
+        f = family_fn(family, p)
+        for _ in range(6):
+            rep = random_rep(rng, 2, 2.0, full_rank=True, max_condition=1e4)
+            for r in (rep, decouple(rep, BlockSplit(1))):
+                ref = sphere_route(f, r)
+                got = _angular_expectation(f, r)
+                assert abs(got.value - ref) <= got.error_bound + 1e-12 * ref
+
+    @pytest.mark.parametrize("q,family,p,seed", [
+        (1.5, "max_abs", -1.5, 3), (1.5, "l1", -0.5, 4), (1.5, "euclidean", -0.8, 5),
+        (2.0, "max_abs", -1.3, 6), (2.0, "l1", -0.4, 7)])
+    def test_within_the_density_route_bound(self, q, family, p, seed):
+        rep = random_rep(np.random.default_rng(seed), 2, q, full_rank=True,
+                         max_condition=1e4)
+        f = family_fn(family, p)
+        grid = oracle_expectation(f, density_2d(rep))
+        assert abs(_angular_expectation(f, rep).value - grid.value) <= grid.error_bound
+
+    @pytest.mark.parametrize("q", [0.5, 0.7, 1.0])
+    def test_bound_covers_four_times_the_nodes(self, q, monkeypatch):
+        rng = np.random.default_rng(int(10 * q))
+        cases = []
+        for family, p in (("max_abs", -1.7), ("l1", -0.6), ("euclidean", -0.25),
+                          ("l1", -1.3)):
+            rep = random_rep(rng, 2, q, full_rank=True, max_condition=1e4)
+            for r in (rep, decouple(rep, BlockSplit(1))):
+                f = family_fn(family, p)
+                cases.append((f, r, _angular_expectation(f, r)))
+        monkeypatch.setattr(oracle2d, "_NODES", 4 * oracle2d._NODES)
+        for f, r, got in cases:
+            assert abs(_angular_expectation(f, r).value - got.value) <= got.error_bound
+
+    def test_p_minus_one_is_the_limit(self):
+        rep = tilted_rep(0.7)
+        f = max_abs_power(2, -1.0)
+        at = _angular_expectation(f, rep).value
+        lo = _angular_expectation(max_abs_power(2, -1.0 - 1e-6), rep).value
+        hi = _angular_expectation(max_abs_power(2, -1.0 + 1e-6), rep).value
+        assert min(lo, hi) <= at <= max(lo, hi)
+
+    @pytest.mark.parametrize("rep", [
+        SpectralRep.from_atoms(1.0, [(1.0, (1.0, 0.0, 0.0)), (1.0, (0.0, 1.0, 0.0)),
+                                     (1.0, (0.0, 0.0, 1.0))]),
+        SpectralRep.from_atoms(2.0, [(1.0, (1.0, 1.0))]),
+        SpectralRep.from_atoms(2.0, [(1.0, (1.0, 1.0)), (1e-9, (1.0, -1.0))]),
+    ], ids=["three-dimensional", "rank-one", "near-rank-one"])
+    def test_rejects_the_reps_density_2d_rejects(self, rep):
+        with pytest.raises(ValueError) as grid:
+            density_2d(rep)
+        with pytest.raises(ValueError) as angular:
+            _angular_expectation(max_abs_power(2, -1.5), rep)
+        assert type(angular.value) is type(grid.value)
+        assert str(angular.value) == str(grid.value)
+
+    @pytest.mark.parametrize("f", [max_abs_power(3, -1.5), max_abs_power(2, -2.0),
+                                   euclidean_power(2, 1.5)])
+    def test_rejects_the_functions_oracle_expectation_rejects(self, f, cauchy_field):
+        with pytest.raises(ValueError) as grid:
+            oracle_expectation(f, cauchy_field)
+        with pytest.raises(ValueError) as angular:
+            _angular_expectation(f, cauchy_rep())
+        assert type(angular.value) is type(grid.value)
+        assert str(angular.value) == str(grid.value)
+
+    def test_rejects_positive_exponents(self):
+        with pytest.raises(ValueError, match=r"p in \(-2, 0\)"):
+            _angular_expectation(euclidean_power(2, 0.5), cauchy_rep())
