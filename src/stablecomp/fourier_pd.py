@@ -65,11 +65,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import hyp1f1, j0, roots_jacobi
 
 from .homogeneous import HomogeneousFn, _lr_exponent, evaluate_many
-from .moments import _quad
+from .moments import _quad, _special
 
 __all__ = [
     "ActionResult",
@@ -180,8 +178,9 @@ def radial_fourier_weight(n: int, p: float) -> float:
     a = n + p - 1.0
     if not (-1.0 < a < 0.0):
         raise ValueError(f"requires p in (-n, -n+1); got n={n}, p={p}")
+    gamma = _special().gamma
     return float(2.0 ** (n + p) * np.sqrt(np.pi)
-                 * _gamma((n + p) / 2.0) / _gamma((1.0 - n - p) / 2.0))
+                 * gamma((n + p) / 2.0) / gamma((1.0 - n - p) / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +194,7 @@ def _leggauss(m: int):
 
 @lru_cache(maxsize=64)
 def _jacobi(m: int, beta: float):
-    x, w = roots_jacobi(m, 0.0, beta)
+    x, w = _special().roots_jacobi(m, 0.0, beta)
     return x, w
 
 
@@ -218,7 +217,9 @@ def _spline_coefficients(values: np.ndarray) -> np.ndarray:
     gives ndimage's coefficients bit for bit.  Lines of length 1 are left as
     they are, as ndimage leaves them.
     """
-    from scipy import ndimage  # about 60 ms to import; only bumps and the oracle need it
+    # 0.25-0.4 s to import, 50-90 ms once scipy.special is loaded;
+    # only bumps and the oracle need it
+    from scipy import ndimage
 
     coeffs = np.array(values, dtype=float, order="C")
     z = _POLE
@@ -350,7 +351,7 @@ def _bump_transform(n: int, s: np.ndarray) -> np.ndarray:
         psi = np.where(r < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - r**2, 1e-300)), 0.0)
     rs = np.outer(s, r)
     if n == 2:
-        return 2.0 * np.pi * (j0(rs) * (psi * r * w)[None, :]).sum(axis=1)
+        return 2.0 * np.pi * (_special().j0(rs) * (psi * r * w)[None, :]).sum(axis=1)
     if n == 3:
         return 4.0 * np.pi * (np.sinc(rs / np.pi) * (psi * r**2 * w)[None, :]).sum(axis=1)
     raise ValueError(f"bump profiles are provided for n in {{2, 3}}, got n={n}")
@@ -397,7 +398,7 @@ def _kummer_m(alpha: float, x: np.ndarray, b: float = 0.5) -> np.ndarray:
     x <= 8 this sums the 60 positive terms of Kummer's transformation
     exp(-x) M(b - alpha, b, x) instead.
     """
-    out = hyp1f1(alpha, b, -x)
+    out = _special().hyp1f1(alpha, b, -x)
     if alpha < 0.2 * b:
         near = x <= 8.0
         k = np.arange(60.0)[:, None]
@@ -426,7 +427,7 @@ def _radial_profile(f_p: float, n: int, phi: TestFunction, cabs: np.ndarray,
     if phi.kind == "gaussian":
         s2 = phi.width**2
         K = phi.normalization * (2.0 * np.pi * s2) ** (n / 2.0)
-        pref = K * _gamma(a / 2.0) * (2.0 / s2) ** (a / 2.0)
+        pref = K * _special().gamma(a / 2.0) * (2.0 / s2) ** (a / 2.0)
         return pref * _kummer_m(a / 2.0, cabs**2 / (2.0 * s2)), _KUMMER_ERR * pref
 
     cmax = float(cabs.max()) if cabs.size else 0.0
@@ -752,7 +753,8 @@ def euclidean_reference_action(n: int, p: float, phi: TestFunction) -> float:
     s2 = phi.width**2
     x = float(phi.center @ phi.center) / (2.0 * s2)
     a = (n + p) / 2.0
-    pref = (2.0 ** (n + p) * np.pi ** (n / 2.0) * _gamma(a) / _gamma(n / 2.0)
+    gamma = _special().gamma
+    pref = (2.0 ** (n + p) * np.pi ** (n / 2.0) * gamma(a) / gamma(n / 2.0)
             * (2.0 * np.pi * s2) ** (n / 2.0) * (2.0 * s2) ** (-a))
     return float(phi.normalization * pref * _kummer_m(a, np.array([x]), n / 2.0)[0])
 
@@ -789,5 +791,5 @@ def subordination_norm_power(f: HomogeneousFn, x, r=None) -> float:
     def integrand(u):
         return np.exp(-p * u - c * np.exp(r * u))
 
-    return float(r / _gamma(-p / r) * _quad(integrand, u_lo, u_hi,
-                                            epsabs=1e-300, epsrel=1e-12))
+    return float(r / _special().gamma(-p / r) * _quad(integrand, u_lo, u_hi,
+                                                      epsabs=1e-300, epsrel=1e-12))

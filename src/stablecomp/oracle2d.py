@@ -82,11 +82,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .fourier_pd import ActionResult, _interpolant, _jacobi, _leggauss
 from .homogeneous import HomogeneousFn, LrMatrixBase, MaxAbsBase, evaluate_many
-from .moments import MomentExistenceError, QuadratureFailure
+from .moments import MomentExistenceError, QuadratureFailure, _special
 from .sampling import _mix, _write_binary
 from .spectral import SpectralRep, _qsum, rep_hash
 
@@ -161,7 +160,7 @@ def _tail_coefficient(q: float) -> float:
     """k_q with P(|Z| > z) ~ k_q z^(-q); exactly zero at q = 2 (no power tail)."""
     if q == 2.0:
         return 0.0
-    return (2.0 / np.pi) * _gamma(q) * np.sin(np.pi * q / 2.0)
+    return (2.0 / np.pi) * _special().gamma(q) * np.sin(np.pi * q / 2.0)
 
 
 def _scale_profile(rep: SpectralRep):
@@ -401,8 +400,9 @@ _ZERO_LEVELS = 2  # extra t panels, each 4x narrower, where a cusp meets t = 0
 
 def _fourier_constant(a: float) -> float:
     """C(a) in int_R |r|^a cos(r t) dr = C(a) |t|^(-1-a), for a in (-1, 1), a != 0."""
-    return float(2.0 ** (a + 1.0) * np.sqrt(np.pi) * _gamma((a + 1.0) / 2.0)
-                 / _gamma(-a / 2.0))
+    gamma = _special().gamma
+    return float(2.0 ** (a + 1.0) * np.sqrt(np.pi) * gamma((a + 1.0) / 2.0)
+                 / gamma(-a / 2.0))
 
 
 def _panel_nodes(edges: np.ndarray, cusps: np.ndarray, m: int) -> tuple:
@@ -655,15 +655,16 @@ def _angular_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
     s = -2.0 - p
     finite_part = p > -1.0
     beta = s + 1.0 if finite_part else s
+    gamma = _special().gamma
     if p != -1.0:
-        K = _fourier_constant(p + 1.0) / 2.0 * _gamma(-p / q) / q / (2.0 * np.pi) ** 2
+        K = _fourier_constant(p + 1.0) / 2.0 * gamma(-p / q) / q / (2.0 * np.pi) ** 2
     results = []
     for m in (_NODES, 2 * _NODES):
         def H(t):
             return _h_values(f, mix, q, t, fixed, moving, cusps, m)
         if p == -1.0:
             # C(a)/2 |t|^(-1-a) -> pi delta(t) as a -> 0
-            value = _gamma(1.0 / q) / (2.0 * np.pi * q) * H(np.zeros(1))[0]
+            value = gamma(1.0 / q) / (2.0 * np.pi * q) * H(np.zeros(1))[0]
             results.append((value, abs(value)))
             continue
         t, w = _t_rule(t_edges, t_cusps, m, s, beta)
@@ -671,7 +672,7 @@ def _angular_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
         scale = np.abs(w) @ np.abs(hv)
         if finite_part:
             h0 = H(np.zeros(1))[0]
-            fp = h0 * np.sqrt(np.pi) * _gamma((s + 1.0) / 2.0) / _gamma(s / 2.0 + 1.0)
+            fp = h0 * np.sqrt(np.pi) * gamma((s + 1.0) / 2.0) / gamma(s / 2.0 + 1.0)
             integral = w @ (hv - h0) + fp
             scale += abs(fp)
         else:

@@ -92,6 +92,15 @@ def default_workers() -> int:
     return min(4, usable)
 
 
+def _resolve_workers(workers) -> int:
+    """``workers``, or default_workers() when it is None; ValueError below 1."""
+    if workers is None:
+        return default_workers()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def _chunk_rng(seed: Seed, chunk_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed.seed,
                                 spawn_key=(seed.stream_id, chunk_index))
@@ -117,12 +126,36 @@ def _sin(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cos(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """cos x in place for |x| <= pi/2, as sin(pi/2 - |x|)."""
-    np.abs(x, out=x)
+def _cos(x: np.ndarray, tmp: np.ndarray, out=None) -> np.ndarray:
+    """cos x for |x| <= pi/2, as sin(pi/2 - |x|), into ``out`` (default x)."""
+    x = np.abs(x, out=x if out is None else out)
     np.subtract(_HALF_PI, x, out=x)
     x += _HALF_PI_LO
     return _sin(x, tmp)
+
+
+# Values per block of the CMS transform.  A block's slices of u and w and its
+# two scratch arrays take 256 KiB each, so its dozen passes stay in a 2 MiB
+# L2 cache.  At 2^20 draws on a 2-core Xeon, 2^14 ran as fast and 2^16 and
+# 2^17 ran 10-20% slower.
+_DRAW_BLOCK = 1 << 15
+
+
+def _cms_block(q: float, u: np.ndarray, w: np.ndarray, expo: np.ndarray,
+               tmp: np.ndarray) -> None:
+    """One block of general-q CMS draws, written into ``u``; ``w`` and the
+    scratch arrays ``expo`` and ``tmp`` are overwritten."""
+    _cos(np.multiply(u, 1.0 - q, out=expo), tmp)  # cos((1-q) u)
+    expo /= w
+    np.log(expo, out=expo)
+    expo *= (1.0 - q) / q
+    cu = np.log(_cos(u, tmp, out=w), out=w)  # log cos(u)
+    cu /= q
+    expo -= cu
+    np.exp(expo, out=expo)
+    u *= q
+    _sin(u, tmp)
+    u *= expo
 
 
 def _draw_standard(rng: np.random.Generator, q: float, size):
@@ -130,32 +163,31 @@ def _draw_standard(rng: np.random.Generator, q: float, size):
 
     For general q this is sin(q u) cos(u)^(-1/q) (cos((1-q) u) / w)^((1-q)/q),
     with both powers folded into one exp of two logs.
+
+    All of ``u`` and then all of ``w`` are drawn first, so the stream is
+    consumed as by one whole-array transform.  The transform then runs over
+    contiguous blocks of _DRAW_BLOCK values with block-sized scratch arrays.
+    It is elementwise, and each value meets the same rounded operations in
+    the same order whatever block it falls in, so the draws have the bytes
+    of the whole-array transform for any size.
     """
     u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
     if q == 1.0:
         # standard Cauchy
         return np.tan(u, out=u)
     w = rng.standard_exponential(size)
-    tmp = np.empty_like(u)
-    if q == 2.0:
-        # centered Gaussian with variance 2
-        np.sqrt(w, out=w)
-        w *= 2.0
-        w *= _sin(u, tmp)
-        return w
-    expo = _cos(np.multiply(u, 1.0 - q), tmp)  # cos((1-q) u)
-    expo /= w
-    np.log(expo, out=expo)
-    expo *= (1.0 - q) / q
-    np.copyto(w, u)
-    cu = np.log(_cos(w, tmp), out=w)  # log cos(u)
-    cu /= q
-    expo -= cu
-    np.exp(expo, out=expo)
-    u *= q
-    _sin(u, tmp)
-    u *= expo
-    return u
+    flat_u, flat_w = u.reshape(-1), w.reshape(-1)
+    expo, tmp = np.empty((2, min(_DRAW_BLOCK, flat_u.size)))
+    for lo in range(0, flat_u.size, _DRAW_BLOCK):
+        ub, wb = flat_u[lo:lo + _DRAW_BLOCK], flat_w[lo:lo + _DRAW_BLOCK]
+        if q == 2.0:
+            # centered Gaussian with variance 2
+            np.sqrt(wb, out=wb)
+            wb *= 2.0
+            wb *= _sin(ub, tmp[:ub.size])
+        else:
+            _cms_block(q, ub, wb, expo[:ub.size], tmp[:ub.size])
+    return w if q == 2.0 else u
 
 
 def sample_standard(q, seed, size=None):
@@ -175,7 +207,7 @@ def _write_binary(path, values: np.ndarray, header: dict) -> None:
     """``values`` as row-major little-endian float64 at ``path``, and
     ``header`` as JSON with sorted keys at ``path`` + ".json"."""
     path = Path(path)
-    values.astype("<f8").tofile(path)
+    values.astype("<f8", copy=False).tofile(path)
     with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
         json.dump(header, fh, sort_keys=True)
 
@@ -330,6 +362,7 @@ def sample_batch(rep: SpectralRep, N: int, seed, workers=None) -> SampleBatch:
         raise ValueError(f"sample count must be a positive integer, got {N}")
     N = int(N)
     seed = as_seed(seed)
+    workers = _resolve_workers(workers)
     nbytes = N * rep.n * 8
     if nbytes > 8 << 30:
         raise ValueError(f"requested batch needs {nbytes / 2**30:.1f} GiB; "
@@ -339,7 +372,6 @@ def sample_batch(rep: SpectralRep, N: int, seed, workers=None) -> SampleBatch:
         out = np.empty((N, rep.n), dtype=float)
     except MemoryError as exc:
         raise RuntimeError(f"cannot allocate sample batch of shape ({N}, {rep.n})") from exc
-    workers = workers if workers is not None else default_workers()
 
     def fill(ci, lo, hi):
         out[lo:hi] = _chunk_points(rep.q, mix, seed, ci, hi - lo)

@@ -531,6 +531,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.N < 64:
             raise ValueError("N must be >= 64")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if not all(0.0 < q <= 2.0 for q in self.q_values):
             raise ValueError("q values must lie in (0, 2]")
         if not all(int(n) == n and n >= 2 for n in self.n_values):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stablecomp
 from stablecomp import Seed, SpectralRep, fn_to_json, max_abs_power, sample_batch
 from stablecomp.sampling import CHUNK
 from stablecomp.cli import main
@@ -206,3 +211,61 @@ def test_config_integral_float_fields(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "cor3", "--config", str(cfg)]) == 2
     assert "'N'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--random-rep", "2", "1.5", "-N", "100", "--workers", "-2", "--out", "x.csv"],
+    ["sample", "--random-rep", "2", "1.5", "-N", "100", "--workers", "0", "--out", "x.csv"],
+    ["verify", "cor3", "--trials", "1", "-N", "1000", "--workers", "0"]])
+def test_workers_below_one_rejected(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_file_workers_below_one_rejected(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"trials": 1, "N": 1000, "workers": 0}))
+    assert main(["verify", "thm1", "--config", str(cfg)]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+def test_sampling_commands_leave_scipy_unimported(tmp_path):
+    # sampling, the Monte Carlo checks and the characteristic function
+    # identities never call scipy; the commands that evaluate special
+    # functions import scipy.special when they first need it
+    code = f"""if True:
+        import json, sys
+        from stablecomp.cli import main
+        d = {str(tmp_path)!r}
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        lean = [
+            ["sample", "--random-rep", "3", "1.5", "-N", "1000", "--out", d + "/x.csv"],
+            ["sample", "--random-rep", "2", "0.7", "-N", "1000", "--format", "bin",
+             "--out", d + "/x.bin"],
+            ["verify", "cor3", "--trials", "2", "-N", "2000", "--seed", "1"],
+            ["verify", "thm1", "--trials", "2", "-N", "2000", "--seed", "1"],
+            ["verify", "lemma1", "--trials", "200", "--seed", "1"],
+            ["cf-check", "--reps", "3"],
+        ]
+        codes = [main(argv) for argv in lean]
+        before = scipy_modules()
+        special = [
+            ["moments", "--p", "-0.5", "--q", "1"],
+            ["verify", "prop1", "--trials", "3", "--seed", "1"],
+            ["pd-check", "--builtin", "max-abs", "2", "-1.5"],
+        ]
+        codes += [main(argv) for argv in special]
+        print(json.dumps([codes, before, "scipy.special" in sys.modules]))
+    """
+    src = str(Path(stablecomp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    codes, before, special_loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * 9
+    assert before == []
+    assert special_loaded

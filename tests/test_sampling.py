@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 
 from stablecomp import (BlockSplit, SampleBatch, Seed, SpectralRep, char_fn,
                         decouple, default_workers, empirical_char_fn,
-                        random_rep, sample_batch, sample_standard, scale_q)
-from stablecomp.sampling import (_CSV_ROWS, _MIX_BLOCK, CHUNK, _chunk_points,
-                                 _chunk_rng, _cos, _draw_standard, _mix)
+                        euclidean_power, mc_expectation, random_rep,
+                        sample_batch, sample_standard, scale_q)
+from stablecomp.sampling import (_CSV_ROWS, _DRAW_BLOCK, _MIX_BLOCK, CHUNK,
+                                 _chunk_points, _chunk_rng, _cos, _draw_standard,
+                                 _mix, _write_binary)
 
 
 class TestSeed:
@@ -57,6 +60,52 @@ class TestStandardGenerator:
         assert isinstance(sample_standard(1.3, Seed(5)), float)
 
 
+def _whole_array_cms(rng, q, size):
+    """The CMS transform of _draw_standard in one pass over whole arrays, with
+    a full-size scratch array: the operations, in order, whose bytes the
+    blocked transform must reproduce."""
+    half_pi, half_pi_lo = 0.5 * np.pi, 6.123233995736766e-17
+
+    def sin(x, tmp):
+        x *= 0.5
+        np.tan(x, out=x)
+        np.multiply(x, x, out=tmp)
+        tmp += 1.0
+        x += x
+        x /= tmp
+        return x
+
+    def cos(x, tmp):
+        np.abs(x, out=x)
+        np.subtract(half_pi, x, out=x)
+        x += half_pi_lo
+        return sin(x, tmp)
+
+    u = rng.uniform(-half_pi, half_pi, size)
+    if q == 1.0:
+        return np.tan(u, out=u)
+    w = rng.standard_exponential(size)
+    tmp = np.empty_like(u)
+    if q == 2.0:
+        np.sqrt(w, out=w)
+        w *= 2.0
+        w *= sin(u, tmp)
+        return w
+    expo = cos(np.multiply(u, 1.0 - q), tmp)
+    expo /= w
+    np.log(expo, out=expo)
+    expo *= (1.0 - q) / q
+    np.copyto(w, u)
+    cu = np.log(cos(w, tmp), out=w)
+    cu /= q
+    expo -= cu
+    np.exp(expo, out=expo)
+    u *= q
+    sin(u, tmp)
+    u *= expo
+    return u
+
+
 def _cms_reference(u, w, q):
     """The CMS transform written with numpy's sin, cos and powers."""
     if q == 2.0:
@@ -82,6 +131,15 @@ class TestCmsTransform:
         u = np.array([-0.5 * np.pi, np.nextafter(0.5 * np.pi, 0.0), 1e-300])
         cu = _cos(u.copy(), np.empty(3))
         assert np.allclose(cu, np.cos(u), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("q", [0.7, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("size", [_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1,
+                                      (CHUNK, 7)])
+    def test_blocks_keep_the_whole_array_bytes(self, q, size):
+        got = sample_standard(q, Seed(42, 3), size)
+        ref = _whole_array_cms(_chunk_rng(Seed(42, 3), 0), q, size)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestVectorSampling:
@@ -258,6 +316,14 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             sample_batch(rep, 0, Seed(0))
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        rep = SpectralRep.from_atoms(1.0, [(1.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sample_batch(rep, 100, Seed(0), workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            mc_expectation(euclidean_power(2, -0.5), rep, 100, Seed(0), workers=workers)
+
 
 class TestExport:
     def test_csv(self, tmp_path):
@@ -281,6 +347,13 @@ class TestExport:
         np.savetxt(ref, pts, delimiter=",", fmt="%.17g", comments="",
                    header=",".join(f"x{i + 1}" for i in range(n)))
         assert path.read_bytes() == ref.read_bytes()
+
+    def test_binary_writes_little_endian_from_big_endian(self, tmp_path):
+        pts = np.random.default_rng(16).standard_cauchy((5, 3))
+        path = tmp_path / "big.bin"
+        _write_binary(path, pts.astype(">f8"), {"shape": [5, 3]})
+        assert path.read_bytes() == pts.astype("<f8").tobytes()
+        assert json.loads((tmp_path / "big.bin.json").read_text()) == {"shape": [5, 3]}
 
     def test_binary_round_trip(self, tmp_path):
         rep = SpectralRep.from_atoms(0.8, [(1.0, (1.0, -0.5)), (0.3, (0.0, 2.0))])
