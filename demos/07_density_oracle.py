@@ -1,6 +1,8 @@
-"""Deterministic two-dimensional oracle: invert the characteristic function,
-integrate functionals against the recovered density, and cross-check the
-Monte Carlo margins without any sampling.
+"""Deterministic two-dimensional oracle: invert the characteristic function
+onto a density grid, take exact expectations of homogeneous functionals of
+the same law (an integral over the circle for p in (-2, 0), and at q = 2
+for p > 0 too), and cross-check the Monte Carlo margins without any
+sampling.
 """
 
 import numpy as np

@@ -14,9 +14,9 @@ integral G depends on theta only through c = <theta, center>
 whose error enters the bound.  For a bump it is a singularity-aware rule
 (Gauss-Jacobi near the origin, oscillation-limited Gauss-Legendre panels
 outside) over a tabulated profile, read through the cubic B-spline of its
-uniform grid (``_interpolant``, which the 2-D oracle shares); the bound adds
-the gap between a coarse and a fine radial rule and a truncation term.  The
-npan panels have equal widths, so blocks of B consecutive panels share one
+uniform grid (``_interpolant``); the bound adds the gap between a coarse
+and a fine radial rule and a truncation term.  The npan panels have equal
+widths, so blocks of B consecutive panels share one
 set of B * gl local nodes l, and a node of block j is s_j + l.  By angle
 addition cos(c (s_j + l)) needs cos(c s_j), sin(c s_j) per block and
 cos(c l), sin(c l) per local node.  Every value of c then costs
@@ -198,76 +198,27 @@ def _jacobi(m: int, beta: float):
     return x, w
 
 
-_POLE = math.sqrt(3.0) - 2.0  # the pole of the cubic B-spline's inverse filter
-_CAUSAL_TERMS = 32  # |_POLE|**32 < 1e-18: later terms of the causal start vanish
-
-
-def _spline_coefficients(values: np.ndarray) -> np.ndarray:
-    """Cubic B-spline coefficients of ``values`` with mirror boundaries, as
-    ``ndimage.spline_filter(values, order=3, mode="mirror")`` computes them.
-
-    Every axis but the last runs the recursive filter (Unser, Aldroubi &
-    Eden 1993) on whole rows of a C-ordered copy, with z = sqrt(3) - 2:
-    gain 6; the causal pass ``c[i] += z c[i-1]`` from the start
-    ``sum_k z^k v[k]`` (k < 32) over the mirror extension of the line; the
-    anticausal pass ``c[i] = z (c[i+1] - c[i])`` from ndimage's mirror start
-    ``(z c[n-2] + c[n-1]) z / (z^2 - 1)``.  A strided line at a time, as
-    ndimage walks those axes, costs several times as much.  The last,
-    contiguous axis goes to ``ndimage.spline_filter1d``, so a 1-D input
-    gives ndimage's coefficients bit for bit.  Lines of length 1 are left as
-    they are, as ndimage leaves them.
+def _interpolant(axis: np.ndarray, values: np.ndarray):
+    """Cubic B-spline interpolant ``rho(s)`` of a profile on the uniform grid
+    ``axis``, with mirror boundaries (``ndimage.spline_filter1d``).  Points
+    beyond the grid are clamped onto its edge, so past ``axis[-1]`` the
+    interpolant holds the edge value.
     """
     # 0.25-0.4 s to import, 50-90 ms once scipy.special is loaded;
-    # only bumps and the oracle need it
+    # only bumps need it
     from scipy import ndimage
 
-    coeffs = np.array(values, dtype=float, order="C")
-    z = _POLE
-    for axis in range(coeffs.ndim - 1):
-        c = np.moveaxis(coeffs, axis, 0)
-        n = c.shape[0]
-        if n < 2:
-            continue
-        c *= (1.0 - z) * (1.0 - 1.0 / z)
-        k = np.arange(_CAUSAL_TERMS)
-        # v[0], ..., v[n-1], v[n-2], ..., v[1], v[0], ...: period 2n - 2
-        mirrored = k % (2 * n - 2)
-        mirrored = np.minimum(mirrored, 2 * n - 2 - mirrored)
-        c[0] = np.tensordot(z ** k, c[mirrored], axes=1)
-        row = np.empty_like(c[0])
-        for i in range(1, n):
-            c[i] += np.multiply(c[i - 1], z, out=row)
-        c[n - 1] = (z * c[n - 2] + c[n - 1]) * (z / (z * z - 1.0))
-        for i in range(n - 2, -1, -1):
-            np.subtract(c[i + 1], c[i], out=c[i])
-            c[i] *= z
-    ndimage.spline_filter1d(coeffs, order=3, axis=-1, mode="mirror", output=coeffs)
-    return coeffs
-
-
-def _interpolant(axis: np.ndarray, values: np.ndarray):
-    """Cubic B-spline interpolant ``rho(x1, ..., xd)`` of a d-dimensional
-    field on the uniform grid ``axis`` in every dimension.
-
-    The coefficients are filtered once with mirror boundaries
-    (``_spline_coefficients``: a recursion over whole rows on every axis but
-    the last, ndimage's line filter on the contiguous last axis).  Points
-    beyond the grid are clamped onto its edge, as FITPACK's ``bispev``
-    clamps them.
-    """
-    from scipy import ndimage
-
-    coeffs = _spline_coefficients(values)
+    coeffs = np.array(values, dtype=float)
+    ndimage.spline_filter1d(coeffs, order=3, mode="mirror", output=coeffs)
     x0, dx, top = float(axis[0]), float(axis[1] - axis[0]), axis.size - 1.0
 
-    def rho(*xs: np.ndarray) -> np.ndarray:
-        coords = np.stack([np.ravel(x) for x in xs])
-        coords -= x0
+    def rho(s: np.ndarray) -> np.ndarray:
+        coords = np.ravel(s)[None, :] - x0
         coords /= dx
         np.clip(coords, 0.0, top, out=coords)
         out = ndimage.map_coordinates(coeffs, coords, order=3, mode="mirror",
                                       prefilter=False)
-        return out.reshape(np.shape(xs[0]))
+        return out.reshape(np.shape(s))
 
     return rho
 

@@ -1,10 +1,10 @@
 """Deterministic two-dimensional oracle: exact expectations E f(X).
 
 A nondegenerate 2-D law X has the characteristic function
-phi(xi) = exp(-S(xi)^q), S = ``scale_q(rep, .)``.  Two routes give
-E f(X) for f = N^p homogeneous, and neither samples, so both give margins
-with deterministic error bounds against which the Monte Carlo machinery is
-validated.
+phi(xi) = exp(-S(xi)^q), S = ``scale_q(rep, .)``.  ``oracle_expectation``
+gives E f(X) for f = N^p homogeneous by one of two exact rules.  Neither
+samples, so both give margins with deterministic error bounds against
+which the Monte Carlo machinery is validated.
 
 The exact angular rule (``_angular_expectation``), which every
 oracle-crosscheck trial takes, is the Fourier-side form of E f(X) for
@@ -54,27 +54,24 @@ rule 32; the value is the fine one, and the error bound is the gap between
 the two plus 1e-13 times the sum of absolute terms.  A bound above
 1e-3 |value| raises QuadratureFailure.
 
-The density route (``density_2d``, ``oracle_expectation``) serves the
-binary export and exponents p > 0.  The density is recovered from the
-characteristic function by an inverse FFT on a frequency grid whose extent
-is chosen so the characteristic function is below 1e-12 outside.  The
-characteristic function is real and even, so it is evaluated on half of
-the grid only (columns 0..M/2 in FFT order), and one complex inverse FFT
-along the first axis and one real inverse FFT along the second give the
-real, centred density.
+The Gaussian circle rule (``_gaussian_expectation``) covers q = 2 and
+p > 0.  There X = L g with g ~ N(0, I) and L L^T = 2 sum_j w_j a_j a_j^T,
+and |g| is independent of g/|g|, so
 
-Expectations of homogeneous functionals are then computed in polar
-coordinates with the radial weight r^(1+p) handled by Gauss-Jacobi rules
-(the integrand is singularity-free after that substitution for every
-p > -2), plus a heavy-tail correction beyond the grid that uses the known
-power tail order of the law.  Between grid points the density is the
-interpolating cubic B-spline of the uniform grid (mirror boundaries);
-points past the last grid line, which the centered box reaches by one
-cell, take the value on that line.  Its coefficients come from the
-recursive B-spline filter (``fourier_pd._spline_coefficients``): along the
-first axis the causal and anticausal recursions run over whole rows of the
-grid at once, along the second, contiguous axis a line at a time.  For
-heavy tails (q <= 1) its bound can miss the exact value.
+    E f(X) = E|g|^p E f(L theta) = 2^(p/2) Gamma(1 + p/2)/pi int_0^pi f(L theta(alpha)) dalpha.
+
+Its alpha panels have edges where L theta(alpha) crosses a kink of f, that
+is where theta(alpha) is orthogonal to L^T b for a kink normal b of f, and
+at even splits of any gap wider than pi/4; the nodes, cusp grading and
+bound are those of the angular rule.  For q < 2 and 0 < p < q neither rule
+applies, and ``oracle_expectation`` raises ValueError.
+
+``density_2d`` recovers the density on a grid for the binary export, by an
+inverse FFT of the characteristic function on a frequency grid whose extent
+is chosen so the characteristic function is below 1e-12 outside.  The characteristic function is real and even, so it
+is evaluated on half of the grid only (columns 0..M/2 in FFT order), and
+one complex inverse FFT along the first axis and one real inverse FFT along
+the second give the real, centred density.
 """
 from __future__ import annotations
 
@@ -83,7 +80,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fourier_pd import ActionResult, _interpolant, _jacobi, _leggauss
+from .fourier_pd import ActionResult, _leggauss
 from .homogeneous import HomogeneousFn, LrMatrixBase, MaxAbsBase, evaluate_many
 from .moments import MomentExistenceError, QuadratureFailure, _special
 from .sampling import _mix, _write_binary
@@ -105,9 +102,7 @@ class DensityField:
 
     ``values`` come from a real inverse FFT of the characteristic function
     on the half frequency grid; no Hermitian fill is needed.
-    ``oracle_expectation`` reads them through the interpolating cubic
-    B-spline of the grid, clamping points beyond ``axis[0]`` and
-    ``axis[-1]`` onto the edge.
+    ``oracle_expectation`` reads only ``rep``.
     """
 
     axis: np.ndarray
@@ -154,13 +149,6 @@ class DensityField:
 
     def export_binary(self, path) -> None:
         _write_binary(path, self.values, self.header_dict())
-
-
-def _tail_coefficient(q: float) -> float:
-    """k_q with P(|Z| > z) ~ k_q z^(-q); exactly zero at q = 2 (no power tail)."""
-    if q == 2.0:
-        return 0.0
-    return (2.0 / np.pi) * _special().gamma(q) * np.sin(np.pi * q / 2.0)
 
 
 def _scale_profile(rep: SpectralRep):
@@ -276,7 +264,7 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
     for lo in range(0, M, 256):
         rows[lo:lo + 256] = np.trapezoid(vals[lo:lo + 256], dx=dx)
     grid_mass = float(np.trapezoid(rows, dx=dx))
-    tail_mass = _tail_term(rep, M / 2 * dx)
+    tail_mass = _tail_mass(rep, M / 2 * dx)
     if abs(grid_mass - 1.0) > 1e-3:
         raise QuadratureFailure(
             f"mass check failed: trapezoidal grid mass {grid_mass:.6f} != 1 "
@@ -286,73 +274,17 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
                         tail_mass=tail_mass, condition=condition)
 
 
-def _polar_box_integral(f: HomogeneousFn, rho_at, half_width: float,
-                        r_inner: float, n_theta: int) -> float:
-    """int f(x) rho(x) dx over the centered box, in polar coordinates.
-
-    The radial weight r^(1+p) is exact in the Gauss-Jacobi segment [0,
-    r_inner]; outside, geometric Gauss-Legendre panels follow the density
-    scale out to the box boundary R(theta).
-    """
-    p = f.p
-    theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    fbar = evaluate_many(f, dirs)
-    w_theta = 2.0 * np.pi / n_theta
-    R = half_width / np.maximum(np.abs(dirs[:, 0]), np.abs(dirs[:, 1]))
-
-    xj, wj = _jacobi(24, 1.0 + p)
-    uj = (xj + 1.0) / 2.0
-    rj = r_inner * uj  # (24,)
-    rho = rho_at(np.outer(dirs[:, 0], rj), np.outer(dirs[:, 1], rj))
-    near = (r_inner / 2.0) ** (2.0 + p) * (rho @ wj)
-
-    # geometric panels from r_inner to max R, masked per direction
-    Rmax = float(R.max())
-    edges = [r_inner]
-    while edges[-1] < Rmax:
-        edges.append(min(edges[-1] * 1.30, Rmax))
-    glx, glw = _leggauss(10)
-    far = np.zeros(n_theta)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        r_nodes = mid + half * glx
-        w_nodes = half * glw
-        active = R >= lo
-        if not np.any(active):
-            continue
-        da = dirs[active]
-        # truncate each direction at its own box boundary
-        cap = np.minimum(r_nodes[None, :], R[active, None])
-        inside = r_nodes[None, :] <= R[active, None]
-        px = da[:, 0:1] * cap
-        py = da[:, 1:2] * cap
-        rho = rho_at(px, py)
-        contrib = (rho * cap ** (1.0 + p) * inside) @ w_nodes
-        far[active] += contrib
-    return float(w_theta * fbar @ (near + far))
-
-
-def _tail_term(rep: SpectralRep, half_width: float, f: HomogeneousFn | None = None) -> float:
-    """Single-excursion estimate of the tail contribution to E f(X) beyond
-    the box; with f None (f = 1, p = 0) it is the mass beyond the box.
-    Frequency sampling folds that mass just inside the opposite edge, where
-    the homogeneous f takes nearly the same value, so the grid integral
-    already carries it; this estimate bounds the residual."""
-    p = 0.0 if f is None else f.p
+def _tail_mass(rep: SpectralRep, half_width: float) -> float:
+    """Single-excursion estimate of the mass beyond the box, which frequency
+    sampling folds back onto the grid: P(|Z| > z) ~ k_q z^(-q) for standard
+    q-stable Z (no power tail at q = 2), summed over the atoms at
+    z = half_width / (w^(1/q) max|a|)."""
     q = rep.q
-    kq = _tail_coefficient(q)
-    if kq == 0.0:
+    if q == 2.0:
         return 0.0
-    total = 0.0
-    for w, a in zip(rep.weights, rep.atoms):
-        amax = np.abs(a).max()
-        if amax == 0.0:
-            continue
-        z_exit = half_width / (w ** (1.0 / q) * amax)
-        fa = 1.0 if f is None else float(evaluate_many(f, a.reshape(1, -1))[0])
-        total += fa * w ** (p / q) * q * kq * z_exit ** (p - q) / (q - p)
-    return float(total)
+    kq = (2.0 / np.pi) * _special().gamma(q) * np.sin(np.pi * q / 2.0)
+    amax = np.abs(rep.atoms).max(axis=1)
+    return float(kq * np.sum(rep.weights * (amax / half_width) ** q))
 
 
 def _check_fn(f: HomogeneousFn, q: float) -> None:
@@ -367,24 +299,15 @@ def _check_fn(f: HomogeneousFn, q: float) -> None:
 
 
 def oracle_expectation(f: HomogeneousFn, field: DensityField) -> ActionResult:
-    """E f(X) against a recovered density, with an error estimate combining
-    a coarse-grid refinement delta and the heavy-tail model uncertainty."""
-    _check_fn(f, field.rep.q)
-    p = f.p
-    ax, vals = field.axis, field.values
-    r_inner = 12.0 * field.dx
-    main = _polar_box_integral(f, _interpolant(ax, vals), field.half_width,
-                               r_inner, n_theta=512)
-    main_coarse = _polar_box_integral(f, _interpolant(ax[::2], vals[::2, ::2]),
-                                      field.half_width, 2.0 * r_inner, n_theta=256)
+    """E f(X) for the law ``field.rep`` by an exact rule (module docstring);
+    the grid itself is not read.
 
-    tail = _tail_term(field.rep, field.half_width, f)
-    theta = (np.arange(64) + 0.5) * (np.pi / 32.0)
-    fbar_mean = float(np.mean(evaluate_many(
-        f, np.column_stack([np.cos(theta), np.sin(theta)]))))
-    err = (abs(main - main_coarse) + abs(tail)
-           + field.clipped_mass * fbar_mean * field.half_width ** min(p, 0.0))
-    return ActionResult(value=main, error_bound=float(err))
+    p in (-2, 0) takes the angular rule, q = 2 with p > 0 the Gaussian
+    circle rule; q < 2 with 0 < p < q raises ValueError.
+    """
+    if f.p < 0.0:
+        return _angular_expectation(f, field.rep)
+    return _gaussian_expectation(f, field.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +410,19 @@ def _normal_angles(rows: np.ndarray) -> np.ndarray:
     return (np.arctan2(rows[:, 1], rows[:, 0]) + np.pi / 2.0) % np.pi
 
 
-def _fn_kinks(f: HomogeneousFn) -> tuple:
-    """(angles in [0, pi), cusp) of the kinks of alpha -> f(theta(alpha)); cusp
-    says the base is |delta|^r there with r not an integer."""
+def _fn_kinks(f: HomogeneousFn, L: np.ndarray | None = None) -> tuple:
+    """(angles in [0, pi), cusp) of the kinks of alpha -> f(L theta(alpha)),
+    L the identity when None; cusp says the base is |delta|^r there with r
+    not an integer.  f has kinks where <b, x> = 0 for a normal b, so
+    f(L theta) has them where theta is orthogonal to L^T b."""
     base = f.base
+    normals, cusp = np.empty((0, 2)), False
     if isinstance(base, MaxAbsBase):
-        return np.array([np.pi / 4.0, 3.0 * np.pi / 4.0]), False
-    if isinstance(base, LrMatrixBase):
-        rows = base.matrix[np.any(base.matrix != 0.0, axis=1)]
-        return _normal_angles(rows), base.r % 1.0 != 0.0
-    return np.empty(0), False
+        normals = np.array([[1.0, -1.0], [1.0, 1.0]])
+    elif isinstance(base, LrMatrixBase):
+        normals = base.matrix[np.any(base.matrix != 0.0, axis=1)]
+        cusp = base.r % 1.0 != 0.0
+    return _normal_angles(normals if L is None else normals @ L), cusp
 
 
 def _merge_edges(edges: np.ndarray, cusps: np.ndarray, lo: float) -> tuple:
@@ -678,9 +604,36 @@ def _angular_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
         else:
             integral = w @ hv
         results.append((2.0 * K * integral, 2.0 * abs(K) * scale))
+    return _fine_result(results, "angular rule")
+
+
+def _fine_result(results: list, rule: str) -> ActionResult:
+    """The fine (value, sum of absolute terms) of [coarse, fine] with the
+    bound |fine - coarse| + 1e-13 sum; QuadratureFailure above 1e-3 |value|."""
     (coarse, _), (value, scale) = results
     bound = abs(value - coarse) + 1e-13 * scale
     if not bound <= 1e-3 * abs(value):
         raise QuadratureFailure(
-            f"angular rule bound {bound:.2e} exceeds 1e-3 of its value {value:.6g}")
+            f"{rule} bound {bound:.2e} exceeds 1e-3 of its value {value:.6g}")
     return ActionResult(value=float(value), error_bound=float(bound))
+
+
+def _gaussian_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
+    """E f(X) for q = 2 by the Gaussian circle rule (module docstring), with
+    the angular rule's nodes and bound."""
+    _check_rep(rep)
+    _check_fn(f, rep.q)
+    if rep.q != 2.0:
+        raise ValueError(f"the Gaussian circle rule needs q = 2, got q={rep.q} "
+                         f"(p={f.p}); no exact rule covers 0 < p < q < 2")
+    mix = _mix(rep)
+    L = np.linalg.cholesky(2.0 * mix.T @ mix)
+    kinks, cusp = _fn_kinks(f, L)
+    edges, cusps = _fill_gaps(*_merge_edges(kinks, np.full(kinks.size, cusp), 0.0), 0.0)
+    const = 2.0 ** (f.p / 2.0) * _special().gamma(1.0 + f.p / 2.0) / np.pi
+    results = []
+    for m in (_NODES, 2 * _NODES):
+        alpha, w = (a.ravel() for a in _panel_nodes(edges, cusps, m))
+        fv = evaluate_many(f, np.column_stack([np.cos(alpha), np.sin(alpha)]) @ L.T)
+        results.append((const * (w @ fv), const * (np.abs(w) @ np.abs(fv))))
+    return _fine_result(results, "Gaussian circle rule")

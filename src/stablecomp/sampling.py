@@ -82,9 +82,12 @@ def default_workers() -> int:
     env = os.environ.get(_WORKER_ENV)
     if env is not None:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ValueError(f"{_WORKER_ENV} must be an integer, got {env!r}") from None
+        if workers < 1:
+            raise ValueError(f"{_WORKER_ENV} must be >= 1, got {workers}")
+        return workers
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))
     else:

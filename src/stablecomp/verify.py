@@ -527,6 +527,9 @@ class ExperimentConfig:
             if isinstance(val, float) and not val.is_integer():
                 raise ValueError(f"experiment configuration key {key!r} must be an "
                                  f"integer, got {val!r}")
+        for key in ("n_values", "q_values"):
+            if not getattr(self, key):
+                raise ValueError(f"experiment configuration key {key!r} must not be empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.N < 64:

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from stablecomp import (ActionResult, ExperimentConfig, HomogeneousFn, LrMatrixBase,
-                        euclidean_power, evaluate_many, lp_norm_power, max_abs_power,
-                        oracle2d, verify)
+                        SpectralRep, euclidean_power, evaluate_many, lp_norm_power,
+                        max_abs_power, oracle2d, verify)
 from stablecomp.verify import _random_lr_subspace, _random_thm1_fn, _trial_rng
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -91,3 +91,14 @@ def test_oracle_draw_matches_the_trial(bench, monkeypatch):
         replay = workloads._oracle_draw(seed)
         assert next(replay) == record.config["q"]
         assert next(replay) == (reps[0].m, record.config["family"], record.config["p"])
+
+
+def test_oracle_probe_call(bench):
+    """``probes.oracle2d_probes`` passes a ``DensityField`` to
+    ``oracle_expectation``; the same call on a smaller grid."""
+    _, probes = bench
+    rep = SpectralRep(n=2, q=1.5, weights=[1.0, 0.6, 0.8],
+                      atoms=[[1.0, 0.2], [-0.3, 1.0], [0.7, 0.7]])
+    got = probes.oracle_expectation(euclidean_power(2, -0.5), probes.density_2d(rep, M=256))
+    assert isinstance(got, ActionResult)
+    assert 0.0 < got.error_bound <= 1e-3 * got.value

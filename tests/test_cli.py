@@ -224,6 +224,23 @@ def test_workers_below_one_rejected(tmp_path, monkeypatch, capsys, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_environment_workers_below_one_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("STABLECOMP_WORKERS", "-3")
+    assert main(["sample", "--random-rep", "2", "1.5", "-N", "100", "--out", "x.csv"]) == 2
+    assert "STABLECOMP_WORKERS must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["lemma1", "thm1", "prop1"])
+@pytest.mark.parametrize("key", ["n_values", "q_values"])
+def test_config_file_empty_values_rejected(tmp_path, capsys, mode, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"trials": 1, "N": 1000, key: []}))
+    assert main(["verify", mode, "--config", str(cfg)]) == 2
+    assert f"{key!r} must not be empty" in capsys.readouterr().err
+
+
 def test_config_file_workers_below_one_rejected(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"trials": 1, "N": 1000, "workers": 0}))

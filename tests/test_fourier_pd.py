@@ -457,6 +457,10 @@ class TestBumpProfile:
         h = knots[1] - knots[0]
         s = np.random.default_rng(11).uniform(knots[0] + 16 * h, knots[-1] - 16 * h, 5000)
         assert np.abs(spline(s) - CubicSpline(knots, vals)(s)).max() <= 1e-13 * peak
+        # past s_cut, which the radial rule reaches only by roundoff, the
+        # profile holds its edge value
+        beyond = knots[-1] + np.array([0.5, 1.0, 7.6]) * h
+        assert np.array_equal(spline(beyond), np.full(3, spline(knots[-1:])[0]))
 
 
 def test_bumps_and_oracle_leave_scipy_interpolate_unimported():

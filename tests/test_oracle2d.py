@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
-from scipy.interpolate import RectBivariateSpline
 
-from stablecomp import (BlockSplit, Seed, SpectralRep,
-                        decouple, density_2d, euclidean_power, lp_norm_power,
-                        max_abs_power, mc_expectation, oracle_expectation)
-from stablecomp.fourier_pd import _bump_table, _spline_coefficients
-from stablecomp.oracle2d import (_asymmetry, _interpolant, _polar_box_integral,
-                                 _scale_profile)
+from stablecomp import (BlockSplit, LevyMeasure, Seed, SpectralRep,
+                        decouple, density_2d, euclidean_power, levy_expectation,
+                        lp_norm_power, max_abs_power, mc_expectation, oracle_expectation)
+from stablecomp.fourier_pd import _bump_profile, _bump_table
+from stablecomp.oracle2d import _asymmetry, _scale_profile
 from scipy.special import gamma
 
 from stablecomp import LrMatrixBase, MaxAbsBase, evaluate_many, oracle2d
-from stablecomp.oracle2d import _angular_expectation
+from stablecomp.oracle2d import _angular_expectation, _gaussian_expectation
 from stablecomp.verify import random_rep
 
 
@@ -152,11 +150,6 @@ def fft2_reference_values(rep, M):
     return np.maximum(vals, 0.0)
 
 
-def fitpack_interpolant(axis, values):
-    spline = RectBivariateSpline(axis, axis, values, kx=3, ky=3, s=0)
-    return lambda x, y: spline.ev(np.ravel(x), np.ravel(y)).reshape(np.shape(x))
-
-
 class TestKernels:
     @pytest.mark.parametrize("q,M", [(0.7, 1024), (1.0, 512), (1.5, 512), (2.0, 256)])
     def test_density_matches_complex_fft(self, q, M):
@@ -174,72 +167,19 @@ class TestKernels:
         full = np.trapezoid(np.trapezoid(field.values, dx=dx), dx=dx)
         assert field.grid_mass == float(full)
 
-    @pytest.mark.parametrize("q,M", [(1.0, 1024), (1.5, 512)])
-    def test_interpolant_matches_fitpack(self, q, M):
-        field = density_2d(tilted_rep(q), M=M)
-        ax, vals, dx = field.axis, field.values, field.dx
-        rho = _interpolant(ax, vals)
-        ref = fitpack_interpolant(ax, vals)
-        rng = np.random.default_rng(7)
-        # interior: the two boundary conditions differ within a few cells of the edge
-        x, y = rng.uniform(ax[0] + 16 * dx, ax[-1] - 16 * dx, (2, 5000))
-        assert np.abs(rho(x, y) - ref(x, y)).max() <= 1e-10 * vals.max()
-        # beyond the last grid line (the box reaches one cell past it) and
-        # before the first, both clamp onto the edge
-        out = np.concatenate([ax[-1] + np.array([0.6, 1.0, 7.6]) * dx,
-                              ax[0] - np.array([0.5, 3.0]) * dx])
-        inner = rng.uniform(ax[0] + 16 * dx, ax[-1] - 16 * dx, out.size)
-        for px, py in ((out, inner), (inner, out)):
-            assert np.abs(rho(px, py) - ref(px, py)).max() <= 1e-10 * vals.max()
-
-    @pytest.mark.parametrize("q,f", [(1.0, max_abs_power(2, -1.5)),
-                                     (1.5, lp_norm_power(2, 1.0, -0.5))])
-    def test_expectation_matches_fitpack_route(self, q, f):
-        field = density_2d(tilted_rep(q))
-        got = oracle_expectation(f, field)
-        ref = _polar_box_integral(f, fitpack_interpolant(field.axis, field.values),
-                                  field.half_width, 12.0 * field.dx, n_theta=512)
-        assert abs(got.value - ref) <= 1e-3 * got.error_bound
-
-
-def ndimage_coefficients(values):
-    from scipy import ndimage
-    return ndimage.spline_filter(values, order=3, mode="mirror")
-
 
 class TestSplineCoefficients:
-    """The row recursion against ndimage's line-at-a-time filter."""
-
-    @staticmethod
-    def assert_close(values):
-        got, ref = _spline_coefficients(values), ndimage_coefficients(values)
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-14 * np.abs(values).max()
-
-    @pytest.mark.parametrize("q,M", [(0.7, 1024), (1.0, 512), (1.5, 512), (2.0, 512)])
-    def test_density_fields(self, q, M):
-        vals = density_2d(tilted_rep(q), M=M).values
-        self.assert_close(vals)
-        self.assert_close(vals[::2, ::2])  # the oracle's coarse grid, a strided view
-
-    def test_rough_fields(self):
-        rng = np.random.default_rng(3)
-        self.assert_close(rng.standard_normal((300, 257)))
-        self.assert_close(rng.standard_normal((6, 7, 9)))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 31, 32, 33])
-    def test_short_axes(self, n):
-        # the causal start sums 32 mirrored terms: on short axes they wrap
-        rng = np.random.default_rng(n)
-        self.assert_close(rng.standard_normal((n, 9)))
-        self.assert_close(rng.standard_normal((9, n)))
+    """The bump profile's B-spline prefilter is ndimage's."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_dimensional_is_ndimage_bit_for_bit(self, n):
-        _, vals, _ = _bump_table(n)
-        assert np.array_equal(_spline_coefficients(vals), ndimage_coefficients(vals))
-        rough = np.random.default_rng(n).standard_normal(33)
-        assert np.array_equal(_spline_coefficients(rough), ndimage_coefficients(rough))
+        from scipy import ndimage
+        knots, vals, _ = _bump_table(n)
+        spline, _, _ = _bump_profile(n)
+        s = np.random.default_rng(n).uniform(knots[0], knots[-1], 2000)
+        ref = ndimage.map_coordinates(vals, (s / (knots[1] - knots[0]))[None, :],
+                                      order=3, mode="mirror")
+        assert np.array_equal(spline(s), ref)
 
 
 class TestAsymmetry:
@@ -376,3 +316,49 @@ class TestAngularRule:
     def test_rejects_positive_exponents(self):
         with pytest.raises(ValueError, match=r"p in \(-2, 0\)"):
             _angular_expectation(euclidean_power(2, 0.5), cauchy_rep())
+
+
+class TestExactRules:
+    """``oracle_expectation`` evaluates ``field.rep`` by the exact rules: the
+    angular rule for p < 0, the Gaussian circle rule for q = 2 and p > 0."""
+
+    @pytest.mark.parametrize("f", [max_abs_power(2, -1.5), lp_norm_power(2, 1.0, -0.5),
+                                   euclidean_power(2, -1.0)])
+    def test_negative_exponents_take_the_angular_rule(self, f, gaussian_field,
+                                                      cauchy_field):
+        for field in (gaussian_field, cauchy_field, density_2d(tilted_rep(1.5), M=256)):
+            got = oracle_expectation(f, field)
+            ref = _angular_expectation(f, field.rep)
+            assert (got.value, got.error_bound) == (ref.value, ref.error_bound)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.5])
+    def test_gaussian_closed_form(self, p, gaussian_field):
+        # X ~ N(0, 2 I): E|X|^p = 2^p Gamma(1 + p/2)
+        exact = 2.0 ** p * gamma(1.0 + p / 2.0)
+        got = oracle_expectation(euclidean_power(2, p), gaussian_field)
+        assert abs(got.value - exact) <= got.error_bound
+
+    @pytest.mark.parametrize("p", [0.4, 1.0, 1.7, 2.5])
+    def test_gaussian_matches_levy_expectation(self, p):
+        # sum |x_i|^p is the l_p norm to the p, whose finite spherical measure
+        # gives E f(X) in closed form
+        f = lp_norm_power(2, p, p)
+        gamma_p = LevyMeasure(p=p, weights=np.ones(2), xis=np.eye(2))
+        rng = np.random.default_rng(int(10 * p))
+        for _ in range(3):
+            rep = random_rep(rng, 2, 2.0, full_rank=True, max_condition=1e4)
+            for r in (rep, decouple(rep, BlockSplit(1))):
+                exact = levy_expectation(r, gamma_p, p)
+                got = _gaussian_expectation(f, r)
+                assert abs(got.value - exact) <= got.error_bound + 1e-14 * exact
+                assert got.error_bound <= 1e-8 * exact
+
+    @pytest.mark.parametrize("p", [0.3, 0.6])
+    def test_positive_exponents_below_q_rejected(self, p, cauchy_field):
+        # E f(X) exists for 0 < p < q, but no exact rule covers it
+        with pytest.raises(ValueError, match="q = 2") as exc:
+            oracle_expectation(euclidean_power(2, p), cauchy_field)
+        assert type(exc.value) is ValueError
+        for q in (0.7, 1.5):
+            with pytest.raises(ValueError, match="q = 2"):
+                _gaussian_expectation(euclidean_power(2, p), tilted_rep(q))

@@ -287,6 +287,12 @@ class TestDefaultWorkers:
         monkeypatch.setenv("STABLECOMP_WORKERS", "7")
         assert default_workers() == 7
 
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_environment_below_one_rejected(self, monkeypatch, env):
+        monkeypatch.setenv("STABLECOMP_WORKERS", env)
+        with pytest.raises(ValueError, match=f"STABLECOMP_WORKERS must be >= 1, got {env}"):
+            default_workers()
+
 
 class TestDeterminism:
     def test_worker_independence(self):

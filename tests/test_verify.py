@@ -258,6 +258,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(config)
 
+    @pytest.mark.parametrize("key", ["n_values", "q_values"])
+    def test_empty_values_rejected(self, key):
+        with pytest.raises(ValueError, match=f"'{key}' must not be empty"):
+            run_experiment(ExperimentConfig(mode="lemma1", trials=1, **{key: ()}))
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(mode="mystery"))
