@@ -24,12 +24,16 @@ estimates agree with the oracle values.
 
 Lemma-1 runs produce tens of thousands of records, so they keep each batch
 of trials as numpy columns and build a TrialRecord only when one is read.
-Their JSONL is written a batch at a time from a ``%`` template that
+Their JSONL is written a batch at a time from a template that
 ``json.dumps`` itself makes from one record holding sentinel values, so key
-order, separators and escaping are json's.  The slots are filled with
-``float.__repr__`` strings, which is what json writes for a finite float; a
-row holding NaN or an infinity goes through ``json.dumps`` instead.  The
-bytes therefore equal ``json.dumps`` of every record.
+order, separators and escaping are json's.  The template is cut at the
+sentinels into constant byte segments, and each slot between them is filled
+for the whole batch at once: the index and passed slots from the integer and
+boolean columns, every float slot by ``_text.repr_slots``, which gives
+exactly the bytes of ``float.__repr__``, what json writes for a finite
+float.  A row holding NaN or an infinity goes through ``json.dumps``
+instead.  The bytes therefore equal ``json.dumps`` of every record.  The
+lemma1 CSV is made the same way, and equals the ``%r`` rows of ``_csv_line``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import time
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, asdict
-from itertools import repeat
 
 import numpy as np
 
@@ -272,6 +275,9 @@ def _csv_line(rec: TrialRecord) -> str:
 
 
 _LEMMA1_TOL = 1e-12  # absolute allowance of the exp-form margin
+# the passed slot of a lemma1 JSONL line, NUL-padded to one width
+_TRUE, _FALSE = (np.frombuffer(b.ljust(5, b"\0"), np.uint8)[:, None]
+                 for b in (b"true", b"false"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,44 +319,50 @@ class _Lemma1Batch:
                             [float(col[j]) for col in self._values()])
 
     def _template(self) -> tuple:
-        """The JSONL line of a record as a ``%`` template, and for each slot
-        the column that fills it (0 index, 1 passed, then the reprs of
-        ``_values``)."""
+        """The JSONL line of a record cut at its slots: the constant byte
+        segments around them, and for each slot in turn the column that
+        fills it (0 index, 1 passed, then ``_values``)."""
         marks = [f"@{i}@" for i in range(2 + len(self._values()))]
-        text = _json_line(self._record(marks[0], marks[1], marks[2:])).replace("%", "%%")
+        line = _json_line(self._record(marks[0], marks[1], marks[2:]))
         slots = [json.dumps(m) for m in marks]
-        order = sorted(range(len(slots)), key=lambda i: text.index(slots[i]))
-        for i, slot in enumerate(slots):
-            assert text.count(slot) == 1
-            text = text.replace(slot, "%d" if i == 0 else "%s")
-        return text, order
+        order = sorted(range(len(slots)), key=lambda i: line.index(slots[i]))
+        segments = []
+        for i in order:
+            assert line.count(slots[i]) == 1
+            head, _, line = line.partition(slots[i])
+            segments.append(head.encode())
+        return segments + [line.encode()], order
 
     def jsonl(self) -> str:
-        template, order = self._template()
-        index = range(self.start, self.start + len(self))
-        passed = self.passed.tolist()
+        from ._text import chunks, int_slots, repr_slots  # loaded on first use, like scipy
+
+        segments, order = self._template()
         columns = self._values()
         # a column stored twice (power at p = q is the parallelogram) is formatted once
-        texts = {}
+        slots = {}
         for col in columns:
-            if id(col) not in texts:
-                texts[id(col)] = list(map(repr, col.tolist()))
-        cols = [index, ["true" if p else "false" for p in passed],
-                *(texts[id(col)] for col in columns)]
-        rows = zip(*(cols[i] for i in order))
+            if id(col) not in slots:
+                slots[id(col)] = repr_slots(col)
+        fills = [int_slots(np.arange(self.start, self.start + len(self))),
+                 np.where(self.passed, _TRUE, _FALSE),
+                 *(slots[id(col)] for col in columns)]
+        pieces = [segments[0]]
+        for i, segment in zip(order, segments[1:]):
+            pieces += [fills[i], segment]
         finite = np.logical_and.reduce([np.isfinite(col) for col in columns])
-        if finite.all():
-            return "".join(map(template.__mod__, rows))
-        values = [col.tolist() for col in columns]
-        return "".join(template % row if ok else _json_line(self._record(i, p, vals))
-                       for ok, row, i, p, *vals
-                       in zip(finite.tolist(), rows, index, passed, *values))
+        out, lo = [], 0
+        for j in np.flatnonzero(~finite).tolist():  # json writes NaN and Infinity
+            out += [*chunks(pieces, lo, j), _json_line(self.record(j))]
+            lo = j + 1
+        return "".join([*out, *chunks(pieces, lo)])
 
     def csv(self) -> str:
-        n = len(self)
-        rows = zip(range(self.start, self.start + n), repeat("lemma1", n),
-                   self.margin.tolist(), repeat(_LEMMA1_TOL, n), self.passed.tolist())
-        return "".join(map(_CSV_ROW.__mod__, rows))
+        from ._text import chunks, int_slots, repr_slots
+
+        return "".join(chunks([int_slots(np.arange(self.start, self.start + len(self))),
+                               b",lemma1,", repr_slots(self.margin), b",",
+                               repr_slots([_LEMMA1_TOL]), b",",
+                               (self.passed + np.uint8(ord("0")))[None], b"\n"]))
 
 
 class _Lemma1Records(Sequence):

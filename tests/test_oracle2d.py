@@ -267,6 +267,19 @@ class TestAngularRule:
         grid = oracle_expectation(f, density_2d(rep))
         assert abs(_angular_expectation(f, rep).value - grid.value) <= grid.error_bound
 
+    @pytest.mark.parametrize("q,family,p,seed", [
+        (1.5, "l1", -0.5, 4), (1.5, "euclidean", -0.8, 5), (2.0, "l1", -0.4, 7)])
+    def test_within_monte_carlo_reach(self, q, family, p, seed):
+        # p > -1 = -n/2, so f(X) has finite variance and the plain mean's
+        # standard error holds: an estimate that shares nothing with the rule
+        rep = random_rep(np.random.default_rng(seed), 2, q, full_rank=True,
+                         max_condition=1e4)
+        f = family_fn(family, p)
+        exact = oracle_expectation(f, density_2d(rep))
+        mc = mc_expectation(f, rep, 2_000_000, Seed(seed))
+        assert mc.estimator == "plain"
+        assert abs(mc.value - exact.value) <= 4.0 * mc.stderr + exact.error_bound
+
     @pytest.mark.parametrize("q", [0.5, 0.7, 1.0])
     def test_bound_covers_four_times_the_nodes(self, q, monkeypatch):
         rng = np.random.default_rng(int(10 * q))
