@@ -12,12 +12,13 @@ scans a family of test functions for a sign violation.  The inner radial
 integral G depends on theta only through c = <theta, center>
 (``_radial_profile``).  For a Gaussian it has a closed form in Kummer's M,
 whose error enters the bound.  For a bump it is a singularity-aware rule
-(Gauss-Jacobi near the origin, oscillation-limited Gauss-Legendre panels
-outside) over a tabulated profile, read through the cubic B-spline of its
-uniform grid (``_interpolant``); the bound adds the gap between a coarse
-and a fine radial rule and a truncation term.  The npan panels have equal
-widths, so blocks of B consecutive panels share one
-set of B * gl local nodes l, and a node of block j is s_j + l.  By angle
+(Gauss-Jacobi near the origin, by Golub-Welsch, and oscillation-limited
+Gauss-Legendre panels outside; both rules are shared with ``oracle2d`` in
+``_quadrature``) over a tabulated profile, read through the cubic B-spline
+of its uniform grid (``_interpolant``); the bound adds the gap between a
+coarse and a fine radial rule and a truncation term.  The npan panels have
+equal widths, so blocks of B consecutive panels share one set of B * gl
+local nodes l, and a node of block j is s_j + l.  By angle
 addition cos(c (s_j + l)) needs cos(c s_j), sin(c s_j) per block and
 cos(c l), sin(c l) per local node.  Every value of c then costs
 2 (B * gl + npan / B) cosines and sines; B = sqrt(npan / gl) balances the two
@@ -66,6 +67,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels, _leggauss
 from .homogeneous import HomogeneousFn, _lr_exponent, evaluate_many
 from .moments import _quad, _special
 
@@ -178,24 +180,11 @@ def radial_fourier_weight(n: int, p: float) -> float:
     a = n + p - 1.0
     if not (-1.0 < a < 0.0):
         raise ValueError(f"requires p in (-n, -n+1); got n={n}, p={p}")
-    gamma = _special().gamma
-    return float(2.0 ** (n + p) * np.sqrt(np.pi)
-                 * gamma((n + p) / 2.0) / gamma((1.0 - n - p) / 2.0))
+    return _fourier_constant(a)
 
 
 # ---------------------------------------------------------------------------
 # quadrature grids
-
-
-@lru_cache(maxsize=64)
-def _leggauss(m: int):
-    return np.polynomial.legendre.leggauss(m)
-
-
-@lru_cache(maxsize=64)
-def _jacobi(m: int, beta: float):
-    x, w = _special().roots_jacobi(m, 0.0, beta)
-    return x, w
 
 
 def _interpolant(axis: np.ndarray, values: np.ndarray):
@@ -223,22 +212,13 @@ def _interpolant(axis: np.ndarray, values: np.ndarray):
     return rho
 
 
-def _gl_panels(edges: np.ndarray, m: int):
-    """Nodes and weights of m-point Gauss-Legendre on each panel between
-    consecutive ``edges``."""
-    x, w = _leggauss(m)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    return nodes, (half[:, None] * w[None, :]).ravel()
-
-
 @lru_cache(maxsize=64)
 def _circle_grid(spec: tuple):
     """n = 2: directions on equal theta panels of the half circle [0, pi) and
     weights summing to pi."""
     panels, nodes = spec
-    theta, wq = _gl_panels(np.linspace(0.0, np.pi, panels + 1), nodes)
+    edges = np.linspace(0.0, np.pi, panels + 1)
+    theta, wq = (a.ravel() for a in _gl_panels(edges[:-1], edges[1:], nodes))
     return np.column_stack([np.cos(theta), np.sin(theta)]), wq
 
 
@@ -264,7 +244,7 @@ def _radial_modulated(a: float, kernel, r0: float, rmax: float, h: float,
     (directions x blocks), both about sqrt(npan * gl) wide, so no
     (directions x panels) array is built.
     """
-    xj, wj = _jacobi(nj, a - 1.0)
+    xj, wj = _gauss_jacobi(nj, a - 1.0)
     rj = r0 * (xj + 1.0) / 2.0
     near_w = (r0 / 2.0) ** a * wj * kernel(rj)
     near = np.cos(np.outer(cabs, rj)) @ near_w
@@ -447,7 +427,7 @@ def _psi_rule(level: int):
                             [0.5 * np.pi]])
     for _ in range(level):
         edges = np.insert(edges, np.arange(1, edges.size), (edges[:-1] + edges[1:]) / 2.0)
-    psi, w = _gl_panels(edges, _PSI_NODES)
+    psi, w = (a.ravel() for a in _gl_panels(edges[:-1], edges[1:], _PSI_NODES))
     s = np.sin(psi)
     return np.cos(psi), s, w * s
 
@@ -455,8 +435,8 @@ def _psi_rule(level: int):
 @lru_cache(maxsize=8)
 def _ring_rule(level: int):
     """(cos omega, sin omega, weights) of the omega rule on [0, 2 pi] at ``level``."""
-    omega, w = _gl_panels(np.linspace(0.0, 2.0 * np.pi, _RING_PANELS * 2**level + 1),
-                          _RING_NODES)
+    edges = np.linspace(0.0, 2.0 * np.pi, _RING_PANELS * 2**level + 1)
+    omega, w = (a.ravel() for a in _gl_panels(edges[:-1], edges[1:], _RING_NODES))
     return np.cos(omega), np.sin(omega), w
 
 

@@ -105,13 +105,18 @@ def _special():
     return special
 
 
-def _check_existence(p: float, q: float) -> None:
-    if p <= -1.0:
+def _moment_exists(p: float, q: float, n: int) -> bool:
+    """Whether E f(X) exists for f homogeneous of order p and X q-stable in
+    R^n: f is integrable at the origin for p > -n, and the tails of X
+    allow p < q unless q = 2."""
+    return p > -n and (q == 2.0 or p < q)
+
+
+def _check_existence(p: float, q: float, n: int = 1) -> None:
+    if not _moment_exists(p, q, n):
         raise MomentExistenceError(
-            f"E|Z|^p diverges at the origin for p <= -1 (got p={p})")
-    if q < 2.0 and p >= q:
-        raise MomentExistenceError(
-            f"E|Z|^p does not exist for p >= q when q < 2 (got p={p}, q={q})")
+            f"the moment of order p={p} does not exist for n={n}, q={q}: "
+            "it needs p > -n, and p < q unless q = 2")
 
 
 def c_pq(p, q) -> float:
@@ -246,10 +251,9 @@ def mc_expectation(f, rep: SpectralRep, N: int, seed, workers=None) -> MCEstimat
     if f.n != rep.n:
         raise ValueError(f"descriptor dimension {f.n} does not match rep n={rep.n}")
     p, q, n = f.p, rep.q, rep.n
-    if not (p > -n and (q == 2.0 or p < q)):
-        raise MomentExistenceError(
-            f"E f(X) does not exist for exponent p={p} with n={n}, q={q}")
-    plain = (2.0 * p > -n) and (q == 2.0 or 2.0 * p < q)
+    _check_existence(p, q, n)
+    # the second moment of f(X) is E f(X)^2 with f^2 of order 2p
+    plain = _moment_exists(2.0 * p, q, n)
     estimator = "plain" if plain else "median-of-means"
     N = int(N)
     min_n = 2 if plain else 2 * _MOM_BLOCKS

@@ -40,10 +40,11 @@ orthogonal to a row of ``sampling._mix(rep)`` (q < 2); at even splits of
 any gap wider than pi/4; and, once max S / min S > 3, at distances
 4^j min S / max S from the minimum of S, about which S^p peaks.  For q
 not in {1, 2}, S^p has |delta|^q cusps, and every panel is halved and
-graded toward the nearest cusp (``_panel_nodes``).  The t panels have edges at t = 0, wherever a
-kink of f meets a kink of S or the peak of S, where H itself is not
-smooth, and at even splits of any gap wider than pi/4.  The two panels at
-t = 0 take Gauss-Jacobi with the weight |t|^s (|t|^(s+1) on
+graded toward the nearest cusp (``_panel_nodes``).  The t panels have
+edges at t = 0, wherever a kink of f meets a kink of S or the peak of S,
+where H itself is not smooth, and at even splits of any gap wider than
+pi/4.  The two panels at t = 0 take Gauss-Jacobi (``_gauss_jacobi``, shared
+with ``fourier_pd`` in ``_quadrature``) with the weight |t|^s (|t|^(s+1) on
 (H(t) - H(0))/t for the finite part); edges in a ratio of 4 grade the
 others toward 0, and two more levels follow where a cusp meets t = 0.
 H is evaluated for blocks of t nodes, so that no array exceeds
@@ -66,39 +67,40 @@ at even splits of any gap wider than pi/4; the nodes, cusp grading and
 bound are those of the angular rule.  For q < 2 and 0 < p < q neither rule
 applies, and ``oracle_expectation`` raises ValueError.
 
-``density_2d`` recovers the density on a grid for the binary export, by an
-inverse FFT of the characteristic function on a frequency grid whose extent
-is chosen so the characteristic function is below 1e-12 outside.  The characteristic function is real and even, so it
-is evaluated on half of the grid only (columns 0..M/2 in FFT order), and
-one complex inverse FFT along the first axis and one real inverse FFT along
-the second give the real, centred density.
+``density_2d`` recovers the density on a grid, checked for its mass, its
+even symmetry and its ringing, by an inverse FFT of the characteristic
+function on a frequency grid whose extent is chosen so the characteristic
+function is below 1e-12 outside.  The characteristic function is real and
+even, so it is evaluated on half of the grid only (columns 0..M/2 in FFT
+order), and one complex inverse FFT along the first axis and one real
+inverse FFT along the second give the real, centred density.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .fourier_pd import ActionResult, _leggauss
+from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels, _leggauss
+from .fourier_pd import ActionResult
 from .homogeneous import HomogeneousFn, LrMatrixBase, MaxAbsBase, evaluate_many
-from .moments import MomentExistenceError, QuadratureFailure, _special
-from .sampling import _mix, _write_binary
-from .spectral import SpectralRep, _qsum, rep_hash
+from .moments import QuadratureFailure, _check_existence, _special
+from .sampling import _mix
+from .spectral import SpectralRep, _qsum
 
 __all__ = ["DensityField", "density_2d", "oracle_expectation"]
 
 
 @dataclass(frozen=True, eq=False)
 class DensityField:
-    """Density values on a uniform centered grid, with tail metadata.
+    """Density values on a uniform centered grid.
 
     ``axis`` holds the (shared) x and y coordinates; ``values`` is the
-    (M, M) nonnegative density after clipping FFT ringing.  Frequency
-    sampling periodizes the density, so the mass beyond the box folds back
-    onto the grid: the trapezoidal grid mass must equal 1 within 1e-3
-    (the construction-time validity gate), and ``tail_mass`` records the
-    single-excursion estimate of how much of it is folded-in tail.
+    (M, M) nonnegative density after clipping FFT ringing, the negative mass
+    ``clipped_mass``.  Frequency sampling periodizes the density, so the
+    mass beyond the box folds back onto the grid: the trapezoidal
+    ``grid_mass`` must equal 1 within 1e-3 (the construction-time validity
+    gate).
 
     ``values`` come from a real inverse FFT of the characteristic function
     on the half frequency grid; no Hermitian fill is needed.
@@ -108,11 +110,8 @@ class DensityField:
     axis: np.ndarray
     values: np.ndarray
     rep: SpectralRep
-    rep_hash: str
     clipped_mass: float
     grid_mass: float
-    tail_mass: float
-    condition: float
 
     def __post_init__(self):
         ax = np.asarray(self.axis, dtype=float).copy()
@@ -129,26 +128,6 @@ class DensityField:
     @property
     def dx(self) -> float:
         return float(self.axis[1] - self.axis[0])
-
-    @property
-    def half_width(self) -> float:
-        return float(self.M / 2 * self.dx)
-
-    def header_dict(self) -> dict:
-        return {
-            "dtype": "<f8",
-            "order": "C",
-            "shape": list(self.values.shape),
-            "x0": float(self.axis[0]),
-            "dx": self.dx,
-            "rep_hash": self.rep_hash,
-            "grid_mass": self.grid_mass,
-            "tail_mass": self.tail_mass,
-            "clipped_mass": self.clipped_mass,
-        }
-
-    def export_binary(self, path) -> None:
-        _write_binary(path, self.values, self.header_dict())
 
 
 def _scale_profile(rep: SpectralRep):
@@ -198,12 +177,12 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
     """Recover the density of a nondegenerate 2-D law on a centered grid.
 
     Rejects rank-one and near-rank-one laws (no 2-D density / inversion
-    aliases silently); raises QuadratureFailure when the combined
-    grid-plus-tail mass misses 1 by more than 1e-3, which happens for very
-    heavy tails (q well below 1) where a uniform grid cannot hold the law.
+    aliases silently); raises QuadratureFailure when the trapezoidal grid
+    mass misses 1 by more than 1e-3, which happens for very heavy tails
+    (q well below 1) where a uniform grid cannot hold the law, or when the
+    inversion loses its even symmetry or rings by more than 1e-4 of mass.
     """
-    smin, smax = _check_rep(rep)
-    condition = (smax / smin) ** 2
+    smin, _ = _check_rep(rep)
     if M is None:
         M = 1024
         if rep.q < 1.5:
@@ -264,38 +243,18 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
     for lo in range(0, M, 256):
         rows[lo:lo + 256] = np.trapezoid(vals[lo:lo + 256], dx=dx)
     grid_mass = float(np.trapezoid(rows, dx=dx))
-    tail_mass = _tail_mass(rep, M / 2 * dx)
     if abs(grid_mass - 1.0) > 1e-3:
         raise QuadratureFailure(
             f"mass check failed: trapezoidal grid mass {grid_mass:.6f} != 1 "
             "within 1e-3 (inversion untrustworthy for this law)")
-    return DensityField(axis=axis, values=vals, rep=rep, rep_hash=rep_hash(rep),
-                        clipped_mass=clipped, grid_mass=grid_mass,
-                        tail_mass=tail_mass, condition=condition)
-
-
-def _tail_mass(rep: SpectralRep, half_width: float) -> float:
-    """Single-excursion estimate of the mass beyond the box, which frequency
-    sampling folds back onto the grid: P(|Z| > z) ~ k_q z^(-q) for standard
-    q-stable Z (no power tail at q = 2), summed over the atoms at
-    z = half_width / (w^(1/q) max|a|)."""
-    q = rep.q
-    if q == 2.0:
-        return 0.0
-    kq = (2.0 / np.pi) * _special().gamma(q) * np.sin(np.pi * q / 2.0)
-    amax = np.abs(rep.atoms).max(axis=1)
-    return float(kq * np.sum(rep.weights * (amax / half_width) ** q))
+    return DensityField(axis=axis, values=vals, rep=rep, clipped_mass=clipped,
+                        grid_mass=grid_mass)
 
 
 def _check_fn(f: HomogeneousFn, q: float) -> None:
     if f.n != 2:
         raise ValueError("the oracle is two-dimensional")
-    p = f.p
-    if p <= -2.0:
-        raise MomentExistenceError(
-            f"f with exponent p={p} <= -2 is not integrable at the origin in 2-D")
-    if not (q == 2.0 or p < q):
-        raise MomentExistenceError(f"E f(X) does not exist for p={p}, q={q}")
+    _check_existence(f.p, q, 2)
 
 
 def oracle_expectation(f: HomogeneousFn, field: DensityField) -> ActionResult:
@@ -321,13 +280,6 @@ _PEAK_RATIO = 3.0  # graded edges about the minimum of S once max S / min S exce
 _ZERO_LEVELS = 2  # extra t panels, each 4x narrower, where a cusp meets t = 0
 
 
-def _fourier_constant(a: float) -> float:
-    """C(a) in int_R |r|^a cos(r t) dr = C(a) |t|^(-1-a), for a in (-1, 1), a != 0."""
-    gamma = _special().gamma
-    return float(2.0 ** (a + 1.0) * np.sqrt(np.pi) * gamma((a + 1.0) / 2.0)
-                 / gamma(-a / 2.0))
-
-
 def _panel_nodes(edges: np.ndarray, cusps: np.ndarray, m: int) -> tuple:
     """Nodes and weights, each (..., k, m), of m nodes on each of the k panels
     between consecutive sorted ``edges`` (..., k) of a period pi circle.
@@ -344,9 +296,7 @@ def _panel_nodes(edges: np.ndarray, cusps: np.ndarray, m: int) -> tuple:
     a = edges
     b = np.concatenate([edges[..., 1:], edges[..., :1] + np.pi], axis=-1)
     if not cusps.any():
-        x, w = _leggauss(m)
-        h = (b - a)[..., None] / 2.0
-        return (a + b)[..., None] / 2.0 + h * x, h * w
+        return _gl_panels(a, b, m)
     x, w = _leggauss(m // 2)
     u, w = (x + 1.0) / 2.0, w / 2.0
     ext = np.concatenate([edges - np.pi, edges, edges + np.pi], axis=-1)
@@ -368,24 +318,6 @@ def _panel_nodes(edges: np.ndarray, cusps: np.ndarray, m: int) -> tuple:
         nodes[..., half] += g[..., None]
         np.multiply(y2, 3.0 * dr * w, out=weights[..., half])
     return nodes, weights
-
-
-@lru_cache(maxsize=8)
-def _gauss_jacobi(m: int, beta: float) -> tuple:
-    """m-node Gauss rule for the weight (1 + x)^beta on [-1, 1], by Golub-Welsch.
-
-    scipy's ``roots_jacobi`` (``fourier_pd._jacobi``) puts up to 1e-11 of the
-    mass on the wrong node for beta near -1 (3e-12 at m = 32, beta = -0.86);
-    the eigenvectors of the Jacobi matrix keep it within a few ulps.
-    """
-    k = np.arange(m, dtype=float)
-    ab = 2.0 * k + beta
-    diag = beta * beta / (ab * (ab + 2.0))
-    diag[0] = beta / (beta + 2.0)
-    k, ab = k[1:], ab[1:]
-    off = np.sqrt(4.0 * k * k * (k + beta) ** 2 / (ab * ab * (ab + 1.0) * (ab - 1.0)))
-    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return x, 2.0 ** (beta + 1.0) / (beta + 1.0) * v[0] ** 2
 
 
 def _scale_argmin(rep: SpectralRep, kinks: np.ndarray) -> float:

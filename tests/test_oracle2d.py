@@ -47,12 +47,6 @@ class TestDensity:
         assert cauchy_field.values.min() >= 0.0
         assert cauchy_field.clipped_mass <= 1e-4
 
-    def test_tail_mass_is_the_box_exit_estimate(self, gaussian_field, cauchy_field):
-        # Cauchy marginals: P(|Z| > z) ~ (2/pi) / z per atom, two unit atoms
-        assert cauchy_field.tail_mass == pytest.approx(
-            2.0 * (2.0 / np.pi) / cauchy_field.half_width, rel=1e-14)
-        assert gaussian_field.tail_mass == 0.0
-
     def test_rank_one_rejected(self):
         with pytest.raises(ValueError, match="rank-one"):
             density_2d(SpectralRep.from_atoms(2.0, [(1.0, (1.0, 1.0))]))
@@ -69,14 +63,6 @@ class TestDensity:
                                            (1.0, (0.0, 0.0, 1.0))])
         with pytest.raises(ValueError):
             density_2d(rep)
-
-    def test_export(self, tmp_path, gaussian_field):
-        path = tmp_path / "field.bin"
-        gaussian_field.export_binary(path)
-        import json
-        header = json.loads((tmp_path / "field.bin.json").read_text())
-        raw = np.fromfile(path, dtype="<f8").reshape(header["shape"])
-        assert np.array_equal(raw, gaussian_field.values)
 
 
 class TestOracleExpectation:
