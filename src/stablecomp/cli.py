@@ -72,6 +72,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_cf_check(args) -> int:
+    for flag, value in (("--reps", args.reps), ("--grid", args.grid)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     worst = 0.0
     rng = np.random.Generator(np.random.PCG64(args.seed))
     for _ in range(args.reps):

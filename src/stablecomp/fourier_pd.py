@@ -11,19 +11,11 @@ decreasing test function phi factorizes in spherical coordinates:
 scans a family of test functions for a sign violation.  The inner radial
 integral G depends on theta only through c = <theta, center>
 (``_radial_profile``).  For a Gaussian it has a closed form in Kummer's M,
-whose error enters the bound.  For a bump it is a singularity-aware rule
-(Gauss-Jacobi near the origin, by Golub-Welsch, and oscillation-limited
-Gauss-Legendre panels outside; both rules are shared with ``oracle2d`` in
-``_quadrature``) over a tabulated profile, read through the cubic B-spline
-of its uniform grid (``_interpolant``); the bound adds the gap between a
-coarse and a fine radial rule and a truncation term.  The npan panels have
-equal widths, so blocks of B consecutive panels share one set of B * gl
-local nodes l, and a node of block j is s_j + l.  By angle
-addition cos(c (s_j + l)) needs cos(c s_j), sin(c s_j) per block and
-cos(c l), sin(c l) per local node.  Every value of c then costs
-2 (B * gl + npan / B) cosines and sines; B = sqrt(npan / gl) balances the two
-terms and minimises the count, about 4 sqrt(npan * gl) against 2 (gl + npan)
-for one panel per block.
+whose error enters the bound.  For a bump it is a finite integral over the
+bump's slice integrals (``_slice_integral``), by Gauss-Legendre and
+Gauss-Jacobi rules shared with ``oracle2d`` in ``_quadrature``.  Nothing is
+truncated: the bound is the gap between a coarse and a fine rule plus the
+roundoff of the sums.
 
 The angular rules:
 
@@ -31,8 +23,10 @@ The angular rules:
   [0, pi).  Every f is even and the radial integral depends on
   |<theta, center>|, so theta + pi repeats theta and the half circle, without
   the factorization's 1/2, is the whole integral.  The panel edges at
-  multiples of pi/16 sit on the kinks of l1 and max-abs, so those converge
-  spectrally, and the bound is the gap between a coarse and a fine grid.
+  multiples of pi/16 sit on the kinks of l1 and max-abs, and a bump adds
+  edges where |<theta, center>| = width, at which its radial profile is not
+  analytic; so the rule converges spectrally, and the bound is the gap
+  between a coarse and a fine grid.
 * n = 3 uses the centre-aligned rule.  With c^ = center/|center| (e3 for a
   centred test) the action is int_0^1 F(t) G(|center| t) dt, where
   F(t) = int_{S^1} f(t c^ + sqrt(1 - t^2) omega) d omega is a ring integral
@@ -67,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels, _leggauss
+from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels
 from .homogeneous import HomogeneousFn, _lr_exponent, evaluate_many
 from .moments import _quad, _special
 
@@ -187,134 +181,14 @@ def radial_fourier_weight(n: int, p: float) -> float:
 # quadrature grids
 
 
-def _interpolant(axis: np.ndarray, values: np.ndarray):
-    """Cubic B-spline interpolant ``rho(s)`` of a profile on the uniform grid
-    ``axis``, with mirror boundaries (``ndimage.spline_filter1d``).  Points
-    beyond the grid are clamped onto its edge, so past ``axis[-1]`` the
-    interpolant holds the edge value.
-    """
-    # 0.25-0.4 s to import, 50-90 ms once scipy.special is loaded;
-    # only bumps need it
-    from scipy import ndimage
-
-    coeffs = np.array(values, dtype=float)
-    ndimage.spline_filter1d(coeffs, order=3, mode="mirror", output=coeffs)
-    x0, dx, top = float(axis[0]), float(axis[1] - axis[0]), axis.size - 1.0
-
-    def rho(s: np.ndarray) -> np.ndarray:
-        coords = np.ravel(s)[None, :] - x0
-        coords /= dx
-        np.clip(coords, 0.0, top, out=coords)
-        out = ndimage.map_coordinates(coeffs, coords, order=3, mode="mirror",
-                                      prefilter=False)
-        return out.reshape(np.shape(s))
-
-    return rho
-
-
 @lru_cache(maxsize=64)
 def _circle_grid(spec: tuple):
-    """n = 2: directions on equal theta panels of the half circle [0, pi) and
-    weights summing to pi."""
-    panels, nodes = spec
-    edges = np.linspace(0.0, np.pi, panels + 1)
+    """n = 2: directions on theta panels of the half circle [0, pi), equal
+    panels split at the angles in ``spec``, and weights summing to pi."""
+    panels, nodes, splits = spec
+    edges = np.union1d(np.linspace(0.0, np.pi, panels + 1), splits)
     theta, wq = (a.ravel() for a in _gl_panels(edges[:-1], edges[1:], nodes))
     return np.column_stack([np.cos(theta), np.sin(theta)]), wq
-
-
-def _radial_modulated(a: float, kernel, r0: float, rmax: float, h: float,
-                      cabs: np.ndarray, nj: int, gl: int):
-    """2 * int_0^rmax r^(a-1) kernel(r) cos(r c) dr for each c in cabs.
-
-    Gauss-Jacobi with weight r^(a-1) on [0, r0], oscillation-limited
-    Gauss-Legendre panels on [r0, rmax].  The npan panels share one width,
-    so B = max(1, round(sqrt(npan / gl))) consecutive panels form a block
-    whose B * gl nodes are s_j + l_i: the block start s_j plus local nodes
-    l_i shared by every block.  By angle addition
-
-        sum_ji W_ji cos(c (s_j + l_i)) = sum_j cos(c s_j) C_j(c) - sin(c s_j) S_j(c),
-        C = cos(c l) @ W^T,   S = sin(c l) @ W^T,
-
-    with W the (blocks, B * gl) weight table, the last block zero-padded.
-    That is the direct sum over all nodes in another order.  Each value of c
-    costs 2 (B * gl + npan / B) cosines and sines: local nodes plus block
-    starts.  One panel per block (B = 1) would cost 2 (gl + npan); the count
-    is least where both terms are equal, at B = sqrt(npan / gl), where it is
-    4 sqrt(npan * gl).  The largest arrays are (directions x B * gl) and
-    (directions x blocks), both about sqrt(npan * gl) wide, so no
-    (directions x panels) array is built.
-    """
-    xj, wj = _gauss_jacobi(nj, a - 1.0)
-    rj = r0 * (xj + 1.0) / 2.0
-    near_w = (r0 / 2.0) ** a * wj * kernel(rj)
-    near = np.cos(np.outer(cabs, rj)) @ near_w
-
-    npan = max(1, int(np.ceil((rmax - r0) / h)))
-    hp = (rmax - r0) / (2.0 * npan)
-    x, w = _leggauss(gl)
-    block = max(1, round(math.sqrt(npan / gl)))
-    starts = r0 + 2.0 * hp * block * np.arange(-(-npan // block))
-    local = ((2.0 * np.arange(block) + 1.0)[:, None] * hp + hp * x).ravel()
-    rf = (starts[:, None] + local).ravel()[:npan * gl]
-    W = np.zeros((starts.size, local.size))
-    W.reshape(-1)[:rf.size] = hp * np.tile(w, npan) * kernel(rf) * rf ** (a - 1.0)
-    cl = np.outer(cabs, local)
-    cs = np.outer(cabs, starts)
-    C = np.cos(cl) @ W.T
-    S = np.sin(cl, out=cl) @ W.T
-    C *= np.cos(cs)
-    S *= np.sin(cs, out=cs)
-    return 2.0 * (near + C.sum(axis=1) - S.sum(axis=1))
-
-
-def _bump_transform(n: int, s: np.ndarray) -> np.ndarray:
-    """Fourier transform of the unit bump in R^n at the radii ``s``.
-
-    Each value is one row sum over a fixed 256-node Gauss-Legendre rule, so
-    it does not depend on which other radii are evaluated with it.  256 nodes
-    resolve J0(r s) and sinc(r s) for s <= 400, and numpy's weights lose
-    accuracy at higher degree (int x^2 errs 5.6e-16 here, 1.6e-13 at 1600).
-    """
-    x, w = _leggauss(256)
-    r = (x + 1.0) / 2.0
-    w = w / 2.0
-    with np.errstate(divide="ignore", over="ignore"):
-        psi = np.where(r < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - r**2, 1e-300)), 0.0)
-    rs = np.outer(s, r)
-    if n == 2:
-        return 2.0 * np.pi * (_special().j0(rs) * (psi * r * w)[None, :]).sum(axis=1)
-    if n == 3:
-        return 4.0 * np.pi * (np.sinc(rs / np.pi) * (psi * r**2 * w)[None, :]).sum(axis=1)
-    raise ValueError(f"bump profiles are provided for n in {{2, 3}}, got n={n}")
-
-
-_BUMP_BLOCK = 500  # grid rows per block; bounds the (rows x 256) temporaries
-
-
-@lru_cache(maxsize=4)
-def _bump_table(n: int):
-    """Radial profile of the Fourier transform of the unit bump in R^n, on a
-    uniform grid of radii.
-
-    Returns (radii on [0, s_cut = 400], profile values there, tail magnitude
-    estimate past s_cut: the largest magnitude over the last 101 knots).
-    """
-    s = np.linspace(0.0, 400.0, 8001)
-    vals = np.concatenate([_bump_transform(n, s[i:i + _BUMP_BLOCK])
-                           for i in range(0, s.size, _BUMP_BLOCK)])
-    return s, vals, float(np.abs(vals[-101:]).max())
-
-
-@lru_cache(maxsize=4)
-def _bump_profile(n: int):
-    """(interpolant of ``_bump_table(n)``, s_cut, tail magnitude estimate).
-
-    The profile is even in s, so the mirror boundary at s = 0 is exact.
-    Past s_cut, which the radial rule reaches only by roundoff, the
-    interpolant holds the edge value, no larger than the tail estimate.
-    """
-    s, vals, tail = _bump_table(n)
-    return _interpolant(s, vals), float(s[-1]), tail
 
 
 # bounds |_kummer_m - M| for a/2 in (0, 1.5], x in [0, 5000]; mpmath scans find 4.2e-15
@@ -338,8 +212,83 @@ def _kummer_m(alpha: float, x: np.ndarray, b: float = 0.5) -> np.ndarray:
     return out
 
 
+# the slice rule: panels on [-1, 1], panels on each side of u0 past its
+# Gauss-Jacobi panel, and nodes per panel (coarse, fine)
+_SLICE_PANELS = 8
+_SLICE_SIDE_PANELS = 1
+_SLICE_NODES = (16, 24)
+
+
+def _slice_derivative(n: int, u: np.ndarray) -> np.ndarray:
+    """m'(u) for the slice integral m(u) = int psi(|(u, v)|) dv, v in R^(n-1),
+    of the unit bump psi(r) = exp(1 - 1/(1 - r^2)); 0 where 1 - u^2 < 2e-3,
+    as psi < e^-499 there.  n = 3: m'(u) = -2 pi u psi(|u|).  n = 2: with
+    v = W tanh y, W^2 = 1 - u^2 and E = exp(-cosh^2 y / W^2), m'(u) =
+    -(e u / W) int_R E (sech^2 y + 2 / W^2) dy, by the trapezoid rule with
+    step 0.1 on [0, 3] (E < 1e-40 of its peak beyond); it meets mpmath to
+    roundoff."""
+    w2 = (1.0 - u) * (1.0 + u)
+    live = w2 >= 2e-3
+    out = np.zeros(np.shape(u))
+    u, w2 = u[live], w2[live]
+    if n == 3:
+        out[live] = -2.0 * np.pi * u * np.exp(1.0 - 1.0 / w2)
+        return out
+    c2 = np.cosh(0.1 * np.arange(31)) ** 2
+    e = np.exp(-c2 / w2[:, None]) * np.concatenate([[0.1], np.full(30, 0.2)])
+    out[live] = -(np.e * u / np.sqrt(w2)) * (e @ (1.0 / c2) + 2.0 / w2 * e.sum(axis=1))
+    return out
+
+
+def _slice_integral(n: int, a: float, u0: np.ndarray, nodes: int):
+    """J(u0) = int_{-1}^{1} m'(u) sign(u - u0) |u - u0|^(1-a) du per u0, a
+    Hadamard finite part for a >= 2, and the sum of the absolute values of
+    its terms.
+
+    The panels on [-1, 1] crowd toward +-1, where m' is flat but not
+    analytic.  For |u0| < 1 they skip the window [lo, hi] of u0's panel and
+    its neighbours, where each side of u0, of length L, takes sign(u - u0)
+    (m'(u) - m'(u0)) |u - u0|^(1-a): Gauss-Jacobi for |u - u0|^(2-a) on the
+    nearest L 2^-S, then S = _SLICE_SIDE_PANELS Gauss-Legendre panels
+    doubling outward.  m'(u0)
+    adds back its finite part m'(u0) ((hi - u0)^(2-a) - (u0 - lo)^(2-a)) /
+    (2 - a).  The absolute sums take |m'(u)| + |m'(u0)| to cover the
+    cancellation."""
+    panels = _SLICE_PANELS
+    edges = np.sin(np.pi * (np.arange(panels + 1) / panels - 0.5))
+    x, w = (v.ravel() for v in _gl_panels(edges[:-1], edges[1:], nodes))
+    k = np.clip(np.searchsorted(edges, u0, side="right") - 1, 0, panels - 1)
+    inside = np.abs(u0) < 1.0
+    skip = inside[:, None] & (np.abs(np.arange(panels).repeat(nodes) - k[:, None]) <= 1)
+    d = np.where(skip, 1.0, x - u0[:, None])
+    kernel = np.where(skip, 0.0, np.sign(d) * np.abs(d) ** (1.0 - a))
+    wm = w * _slice_derivative(n, x)
+    total, absolute = kernel @ wm, np.abs(kernel) @ np.abs(wm)
+
+    # rows: u0 in (-1, 1); axis 1: the sides above and below u0
+    u0, k = u0[inside, None, None], k[inside, None, None]
+    lo, hi = edges[np.maximum(k - 1, 0)], edges[np.minimum(k + 2, panels)]
+    length = np.concatenate([hi - u0, u0 - lo], axis=1)
+    h = length * 2.0 ** -_SLICE_SIDE_PANELS
+    xj, wj = _gauss_jacobi(nodes, 2.0 - a)
+    sj = h * (xj + 1.0) / 2.0
+    ends = h * 2.0 ** np.arange(_SLICE_SIDE_PANELS + 1)
+    sg, wg = (v.reshape(*h.shape[:2], _SLICE_SIDE_PANELS * nodes)
+              for v in _gl_panels(ends[..., :-1], ends[..., 1:], nodes))
+    ws = np.concatenate([(h / 2.0) ** (3.0 - a) * wj / sj, wg * sg ** (1.0 - a)], axis=2)
+    m0 = _slice_derivative(n, u0)
+    sign = np.array([[1.0], [-1.0]])
+    ms = _slice_derivative(n, u0 + sign * np.concatenate([sj, sg], axis=2))
+    ratio = np.log(length[:, 0, 0] / length[:, 1, 0])
+    closed = (m0[:, 0, 0] * length[:, 1, 0] ** (2.0 - a) * ratio
+              * _special().exprel((2.0 - a) * ratio))
+    total[inside] += (sign * (ms - m0) * ws).sum(axis=(1, 2)) + closed
+    absolute[inside] += ((np.abs(ms) + np.abs(m0)) * ws).sum(axis=(1, 2)) + np.abs(closed)
+    return total, absolute
+
+
 def _radial_profile(f_p: float, n: int, phi: TestFunction, cabs: np.ndarray,
-                    nj: int, gl: int):
+                    fine: bool):
     """Inner radial integral of the spherical factorization, per direction.
 
     Returns (values per direction, bound on their error past the coarse and
@@ -351,8 +300,13 @@ def _radial_profile(f_p: float, n: int, phi: TestFunction, cabs: np.ndarray,
             = K Gamma(a/2) (2/sigma^2)^(a/2) M(a/2, 1/2, -c^2 / (2 sigma^2)).
 
     Nothing is truncated and the coarse and fine calls give the same values;
-    the bound is the error of M, _KUMMER_ERR times the prefactor.  Bumps go
-    through the tabulated profile and the panel rule of ``_radial_modulated``.
+    the bound is the error of M, _KUMMER_ERR times the prefactor.  For a
+    bump of width w, the transform of |r|^(a-1) pairs |t|^(-a) with phi's
+    slice integrals, which vanish off [c - w, c + w]; by parts, G(c) =
+    normalization w^(n-a) K(a) J(-c/w), with K(a) = C(a-1)/(a-1) =
+    -2^(a-1) sqrt(pi) Gamma(a/2) / Gamma((3-a)/2), smooth through a = 1, and
+    J by the slice rule at ``fine``; the bound is 1e-14 of J's largest
+    absolute sum.
     """
     a = n + f_p
     if phi.kind == "gaussian":
@@ -361,30 +315,27 @@ def _radial_profile(f_p: float, n: int, phi: TestFunction, cabs: np.ndarray,
         pref = K * _special().gamma(a / 2.0) * (2.0 / s2) ** (a / 2.0)
         return pref * _kummer_m(a / 2.0, cabs**2 / (2.0 * s2)), _KUMMER_ERR * pref
 
-    cmax = float(cabs.max()) if cabs.size else 0.0
-    c_h = 2.4 / cmax if cmax > 0 else np.inf
-    spline, s_cut, tail = _bump_profile(n)
-    rho = phi.width
-    K = phi.normalization * rho**n
-    rmax = s_cut / rho
-    r0 = min(0.5 / rho, rmax / 6.0, 0.78 / cmax if cmax > 0 else np.inf)
-    h = min(c_h, 1.5 / rho)
-
-    def kernel(r):
-        return K * spline(rho * r)
-
-    vals = _radial_modulated(a, kernel, r0, rmax, h, cabs, nj, gl)
-    trunc = 2.0 * K * tail * rmax ** max(a - 1.0, 0.0) * 10.0
-    return vals, float(trunc)
+    w = phi.width
+    values, absolute = _slice_integral(n, a, -cabs / w, _SLICE_NODES[fine])
+    gamma = _special().gamma
+    pref = (-phi.normalization * w ** (n - a) * 2.0 ** (a - 1.0) * np.sqrt(np.pi)
+            * gamma(a / 2.0) / gamma((3.0 - a) / 2.0))
+    return pref * values, 1e-14 * abs(pref) * float(absolute.max())
 
 
 def _circle_spec(phi: TestFunction, fine: bool):
-    """(panels, nodes) of the half-circle theta rule: edges at multiples of
-    pi/16 for hard tests, pi/8 otherwise."""
+    """(panels, nodes, splits) of the half-circle theta rule: edges at
+    multiples of pi/16 for hard tests, pi/8 otherwise, and for a bump at the
+    ``splits`` where |<theta, center>| = width (without them the rule erred
+    up to 3 times its coarse-fine gap near p = -2)."""
     hard = phi.width < 0.5 or np.linalg.norm(phi.center) > 2.5
-    if hard:
-        return (16, 12) if fine else (16, 8)
-    return (8, 10) if fine else (8, 6)
+    panels, nodes = (16, 12 if fine else 8) if hard else (8, 10 if fine else 6)
+    splits = ()
+    if phi.kind == "bump":
+        mid = math.atan2(phi.center[1], phi.center[0])
+        off = math.acos(phi.width / float(np.linalg.norm(phi.center)))
+        splits = ((mid - off) % math.pi, (mid + off) % math.pi)
+    return panels, nodes, splits
 
 
 def _circle_action(f: HomogeneousFn, phi: TestFunction):
@@ -397,8 +348,7 @@ def _circle_action(f: HomogeneousFn, phi: TestFunction):
     for fine in (False, True):
         dirs, w = _circle_grid(_circle_spec(phi, fine))
         fv = evaluate_many(f, dirs) * w
-        nj, gl = (28, 14) if fine else (16, 10)
-        radial, trunc = _radial_profile(f.p, 2, phi, np.abs(dirs @ phi.center), nj, gl)
+        radial, trunc = _radial_profile(f.p, 2, phi, np.abs(dirs @ phi.center), fine)
         values.append(float(fv @ radial))
     coarse, value = values
     # fv, radial and trunc are the fine pass's
@@ -505,8 +455,8 @@ def _centre_action(f: HomogeneousFn, phi: TestFunction, tables: dict):
     fine = _ring_integrals(f, frame, 1, 1, tables)
     ring_coarse = _ring_integrals(f, frame, 1, 0, tables)
     t_coarse = _ring_integrals(f, frame, 0, 1, tables)
-    g2, trunc = _radial_profile(f.p, 3, phi, c * t2, 28, 14)
-    g1, _ = _radial_profile(f.p, 3, phi, c * t1, 16, 10)
+    g2, trunc = _radial_profile(f.p, 3, phi, c * t2, True)
+    g1, _ = _radial_profile(f.p, 3, phi, c * t1, False)
     wf = w2 * fine
     parts = wf * g2
     panel_gaps = (parts.reshape(-1, 2 * _PSI_NODES).sum(axis=1)

@@ -57,6 +57,18 @@ def test_cf_check(rep_file):
     assert main(["cf-check", "--reps", "5", "--seed", "7"]) == 0
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--reps", "0"], "--reps must be >= 1, got 0"),
+    (["--reps", "-3"], "--reps must be >= 1, got -3"),
+    (["--grid", "0"], "--grid must be >= 1, got 0"),
+])
+def test_cf_check_counts_below_one_rejected(capsys, argv, message):
+    # zero reps checked nothing yet reported a deviation of 0 and passed
+    assert main(["cf-check", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_moments_with_oracle(capsys):
     rc = main(["moments", "--p", "-0.5", "--q", "1.0", "--oracle", "--json"])
     assert rc == 0

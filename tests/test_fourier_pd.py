@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from stablecomp import cli, fourier_pd
 from stablecomp._quadrature import _gauss_jacobi, _gl_panels
@@ -38,7 +37,7 @@ def _finer_ring(f, phi, tables=None):
 def _finer_action(f, phi, tables=None):
     """An n = 3 action on ``_finer_ring`` with pd_action's fine radial rule."""
     c, weights = _finer_ring(f, phi, tables)
-    g, _ = fourier_pd._radial_profile(f.p, 3, phi, c, 28, 14)
+    g, _ = fourier_pd._radial_profile(f.p, 3, phi, c, True)
     return float(weights @ g)
 
 
@@ -61,8 +60,8 @@ def radon_action(f: HomogeneousFn, phi: TestFunction) -> float:
     sigma = phi.width
     amp = phi.normalization * (2.0 * np.pi * sigma**2) ** ((n - 1) / 2.0)
     if n == 2:
-        panels, nodes = fourier_pd._circle_spec(phi, fine=True)
-        dirs, w = fourier_pd._circle_grid((4 * panels, nodes))
+        panels, nodes, _ = fourier_pd._circle_spec(phi, fine=True)
+        dirs, w = fourier_pd._circle_grid((4 * panels, nodes, ()))
         weights = evaluate_many(f, dirs) * w
         c = dirs @ phi.center
     else:
@@ -178,9 +177,9 @@ class TestPdAction:
 
 
 def _direct_radial(a, kernel, r0, rmax, h, cabs, nj, gl):
-    """The radial rule of _radial_modulated summed node by node: the
-    (directions x nodes) cosine matrix against the node weights.  Returns
-    the values and 2 * sum |node weights|."""
+    """Gauss-Jacobi on [0, r0] and Gauss-Legendre panels of width h on
+    [r0, rmax] for 2 int_0^rmax r^(a-1) kernel(r) cos(r c) dr, summed node
+    by node.  Returns the values and 2 * sum |node weights|."""
     xj, wj = _gauss_jacobi(nj, a - 1.0)
     rj = r0 * (xj + 1.0) / 2.0
     near_w = (r0 / 2.0) ** a * wj * kernel(rj)
@@ -213,70 +212,26 @@ def _gaussian_quadrature(p, n, phi, cabs, nj, gl):
 
 
 class TestRadialKernel:
-    # (kind, radius, width): a centered Gaussian (c = 0 in every direction),
-    # the narrowest and widest default Gaussians, a wide bump, and the
-    # largest |c| * rmax the default bump family reaches under refinement
+    # (radius, width): a centered Gaussian (c = 0 in every direction) and the
+    # narrowest and widest default Gaussians
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("kind,radius,width", [
         ("gaussian", 0.0, 1.0), ("gaussian", 4.0, 0.25), ("gaussian", 1.5, 4.0),
-        ("bump", 1.5, 1.0), ("bump", 6.0, 0.25),
     ])
-    def test_angle_addition_matches_direct_sum(self, monkeypatch, n, kind,
-                                               radius, width):
-        """Bumps: the angle-addition sum of _radial_modulated against the same
-        rule summed node by node, at both rules pd_action uses.  Gaussians:
-        the closed form against the quadrature it replaced, summed node by
+    def test_angle_addition_matches_direct_sum(self, n, kind, radius, width):
+        """The closed form against the quadrature it replaced, summed node by
         node at the fine rule, within that rule's truncation term.  (The
         coarse rule misses by up to 133 times that term here, an error that
         pd_action's |fine - coarse| delta used to carry.)"""
         center = np.zeros(n)
         center[0] = radius
         phi = TestFunction(kind, center, width)
-        # |<theta, center>| over [0, |center|] sets the same rmax, r0 and
-        # panel width as the full sphere grid at a fraction of the cost
         cabs = np.linspace(0.0, radius, 41)
-        calls = []
-        radial = fourier_pd._radial_modulated
-
-        def spy(*args):
-            calls.append(args)
-            return radial(*args)
-
-        monkeypatch.setattr(fourier_pd, "_radial_modulated", spy)
         p = -1.5 if n == 2 else -2.5
-        rules = ((16, 10), (28, 14)) if kind == "bump" else ((28, 14),)
-        for nj, gl in rules:
-            vals, trunc = fourier_pd._radial_profile(p, n, phi, cabs, nj, gl)
-            if kind == "bump":
-                ref, weight_sum = _direct_radial(*calls[-1])
-                allowance = 1e-13 * weight_sum
-            else:
-                assert not calls and trunc == fourier_pd._KUMMER_ERR * vals[0]
-                ref, weight_sum, old_trunc = _gaussian_quadrature(p, n, phi, cabs, nj, gl)
-                allowance = old_trunc + 1e-13 * weight_sum
-            assert np.all(np.abs(vals - ref) <= allowance)
-
-    @pytest.mark.parametrize("nj,gl", [(16, 10), (28, 14)])
-    @pytest.mark.parametrize("npan", [1, 5, 51, 101, 400])
-    def test_blocked_sum_matches_direct_sum(self, nj, gl, npan):
-        """The block-local sum against the same rule summed node by node, on
-        panel counts where the blocks of B = max(1, round(sqrt(npan / gl)))
-        panels tile unevenly or trivially: one panel (npan = B = 1), fewer
-        panels than gl (one panel per block), and npan not a multiple of B,
-        whose last block is zero-padded (51, 101, and 400 at gl = 10).  B
-        never exceeds npan, since round(sqrt(npan / gl)) <= npan."""
-        spline, _, _ = fourier_pd._bump_profile(2)
-        rho, r0, h = 0.5, 0.5, 0.37
-
-        def kernel(r):
-            return spline(rho * r)
-
-        # ceil((rmax - r0) / h) = npan panels
-        args = (0.5, kernel, r0, r0 + (npan - 0.5) * h, h, np.linspace(0.0, 4.0, 41), nj, gl)
-        ref, weight_sum = _direct_radial(*args)
-        assert _panel_nodes(*args[2:5], gl)[0].size == npan * gl
-        vals = fourier_pd._radial_modulated(*args)
-        assert np.all(np.abs(vals - ref) <= 1e-13 * weight_sum)
+        vals, trunc = fourier_pd._radial_profile(p, n, phi, cabs, True)
+        assert trunc == fourier_pd._KUMMER_ERR * vals[0]
+        ref, weight_sum, old_trunc = _gaussian_quadrature(p, n, phi, cabs, 28, 14)
+        assert np.all(np.abs(vals - ref) <= old_trunc + 1e-13 * weight_sum)
 
     @pytest.mark.parametrize("n,p", [(2, -1.5), (2, -0.5), (3, -2.5), (3, -1.2)])
     def test_gaussian_closed_form_matches_mpmath(self, n, p):
@@ -288,7 +243,7 @@ class TestRadialKernel:
             a = mpmath.mpf(n + p)
             for sigma in (0.126, 0.25, 1.0, 4.0):
                 phi = TestFunction("gaussian", np.zeros(n), sigma)
-                vals, _ = fourier_pd._radial_profile(p, n, phi, cabs, 28, 14)
+                vals, _ = fourier_pd._radial_profile(p, n, phi, cabs, True)
                 s2 = mpmath.mpf(sigma) ** 2
                 K = (2 * mpmath.pi * s2) ** (mpmath.mpf(n) / 2)
                 pref = K * mpmath.gamma(a / 2) * (2 / s2) ** (a / 2)
@@ -334,17 +289,18 @@ class TestRadialKernel:
 
 def _full_circle_action(f, phi):
     """The n = 2 action summed over the whole circle, as _circle_action did
-    before its half-circle rule: twice the theta panels over [0, 2 pi] and
-    the factorization's 1/2.  Returns (value, delta, truncation term, scale)."""
+    before its half-circle rule: twice the theta panels over [0, 2 pi], split
+    at a bump's angles and their antipodes, and the factorization's 1/2.
+    Returns (value, delta, truncation term, scale)."""
     values = []
     for fine in (False, True):
-        panels, nodes = fourier_pd._circle_spec(phi, fine)
-        edges = np.linspace(0.0, 2.0 * np.pi, 2 * panels + 1)
+        panels, nodes, splits = fourier_pd._circle_spec(phi, fine)
+        edges = np.union1d(np.linspace(0.0, 2.0 * np.pi, 2 * panels + 1),
+                           splits + tuple(t + np.pi for t in splits))
         theta, w = (a.ravel() for a in _gl_panels(edges[:-1], edges[1:], nodes))
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
         fv = evaluate_many(f, dirs) * w
-        nj, gl = (28, 14) if fine else (16, 10)
-        radial, trunc = fourier_pd._radial_profile(f.p, 2, phi, np.abs(dirs @ phi.center), nj, gl)
+        radial, trunc = fourier_pd._radial_profile(f.p, 2, phi, np.abs(dirs @ phi.center), fine)
         values.append(0.5 * float(fv @ radial))
     coarse, value = values
     return (value, abs(value - coarse), 0.5 * float(fv.sum()) * trunc,
@@ -411,64 +367,10 @@ def test_euclidean_reference_matches_mpmath():
             assert abs(euclidean_reference_action(n, p, phi) - ref) <= 1e-13 * abs(ref)
 
 
-def _mp_bump_transform(mp, n, s):
-    """The unit bump's Fourier transform at radius s in mpmath: Gauss-Legendre
-    on pieces of about one oscillation period each."""
-    s = mp.mpf(s)
-
-    def integrand(r):
-        if r >= 1:
-            return mp.zero
-        kern = r * mp.besselj(0, r * s) if n == 2 else r * r * mp.sinc(r * s)
-        return mp.exp(1 - 1 / (1 - r * r)) * kern
-
-    pieces = mp.linspace(0, 1, 2 + int(s / 8))
-    return (2 if n == 2 else 4) * mp.pi * mp.quad(integrand, pieces, method="gauss-legendre")
-
-
-class TestBumpProfile:
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_table_matches_mpmath(self, n):
-        mpmath = pytest.importorskip("mpmath")
-        knots, vals, _ = fourier_pd._bump_table(n)
-        peak = abs(vals[0])
-        with mpmath.workdps(20):
-            for s in (0.0, 0.15, 10.0, 100.0, 200.0, 312.35, 399.5, 400.0):
-                i = int(round(s / (knots[1] - knots[0])))
-                ref = _mp_bump_transform(mpmath.mp, n, knots[i])
-                assert abs(vals[i] - float(ref)) <= 1e-15 * peak, s
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_blocked_rows_equal_single_rows(self, n):
-        knots, vals, _ = fourier_pd._bump_table(n)
-        _, s_cut, _ = fourier_pd._bump_profile(n)
-        assert knots[-1] == s_cut
-        block = fourier_pd._BUMP_BLOCK
-        for i in (0, 1, block - 1, block, block + 1, knots.size // 2, knots.size - 2):
-            row = fourier_pd._bump_transform(n, knots[i:i + 1])
-            assert vals[i] == row[0]
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_interpolant_matches_cubic_spline(self, n):
-        # CubicSpline (not-a-knot ends) is the reference only; the two
-        # interpolating cubic splines differ by their end conditions, whose
-        # effect decays within a few knots of either end
-        knots, vals, _ = fourier_pd._bump_table(n)
-        spline, _, _ = fourier_pd._bump_profile(n)
-        peak = abs(vals[0])
-        assert np.abs(spline(knots) - vals).max() <= 1e-13 * peak
-        h = knots[1] - knots[0]
-        s = np.random.default_rng(11).uniform(knots[0] + 16 * h, knots[-1] - 16 * h, 5000)
-        assert np.abs(spline(s) - CubicSpline(knots, vals)(s)).max() <= 1e-13 * peak
-        # past s_cut, which the radial rule reaches only by roundoff, the
-        # profile holds its edge value
-        beyond = knots[-1] + np.array([0.5, 1.0, 7.6]) * h
-        assert np.array_equal(spline(beyond), np.full(3, spline(knots[-1:])[0]))
-
-
 def test_bumps_and_oracle_leave_scipy_interpolate_unimported():
-    """Bump actions at n = 2 and 3 and the oracle load neither
-    scipy.interpolate nor scipy.linalg (scipy's Gauss-Jacobi roots did)."""
+    """Bump actions at n = 2 and 3 and the oracle load none of
+    scipy.interpolate, scipy.linalg (scipy's Gauss-Jacobi roots did) and
+    scipy.ndimage (the spline of the tabulated bump profile did)."""
     code = """if True:
         import sys
         import numpy as np
@@ -479,14 +381,15 @@ def test_bumps_and_oracle_leave_scipy_interpolate_unimported():
                   TestFunction("bump", np.array([0.0, 1.5, 0.0]), 1.0))
         rep = SpectralRep.from_atoms(2.0, [(1.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])
         oracle_expectation(euclidean_power(2, -1.0), density_2d(rep, M=256))
-        print("scipy.interpolate" in sys.modules, "scipy.linalg" in sys.modules)
+        print("scipy.interpolate" in sys.modules, "scipy.linalg" in sys.modules,
+              "scipy.ndimage" in sys.modules)
     """
     src = str(Path(fourier_pd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
 
 
 _GATE_RNG = np.random.default_rng(31)
@@ -582,8 +485,8 @@ class TestCentreAlignedRule:
          '"verdict": "consistent-with-pd", "witness": {"center": [4.0, 0.0], '
          '"kind": "gaussian", "normalization": 1.0, "width": 0.126025}}'),
         ("max-abs 2 -1.5", "away-from-origin",
-         '{"evaluations": 56, "family_size": 48, "min_action": 0.49473388466096535, '
-         '"mode": "away-from-origin", "quadrature_error_bound": 0.0006001307467762372, '
+         '{"evaluations": 56, "family_size": 48, "min_action": 0.494686435151541, '
+         '"mode": "away-from-origin", "quadrature_error_bound": 1.0628714240509391e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": [6.0, 0.0], '
          '"kind": "bump", "normalization": 1.0, "width": 0.25205}}'),
         ("l1 2 -1.2", "full-space",
@@ -593,8 +496,8 @@ class TestCentreAlignedRule:
          '[2.8284271247461903, 2.82842712474619], "kind": "gaussian", '
          '"normalization": 1.0, "width": 0.126025}}'),
         ("l1 2 -1.2", "away-from-origin",
-         '{"evaluations": 56, "family_size": 48, "min_action": 0.10960530055289534, '
-         '"mode": "away-from-origin", "quadrature_error_bound": 0.0011752244245835388, '
+         '{"evaluations": 56, "family_size": 48, "min_action": 0.1094696099309358, '
+         '"mode": "away-from-origin", "quadrature_error_bound": 5.634525080067533e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": '
          '[4.242640687119286, 4.242640687119285], "kind": "bump", '
          '"normalization": 1.0, "width": 0.25205}}'),
@@ -612,8 +515,8 @@ class TestCentreAlignedRule:
          '"verdict": "consistent-with-pd", "witness": {"center": [4.0, 0.0], '
          '"kind": "gaussian", "normalization": 1.0, "width": 0.126025}}'),
         ("max-abs 2 -1.5", "away-from-origin",
-         '{"evaluations": 56, "family_size": 48, "min_action": 0.4947338846609646, '
-         '"mode": "away-from-origin", "quadrature_error_bound": 0.000600130746777736, '
+         '{"evaluations": 56, "family_size": 48, "min_action": 0.49468643515154087, '
+         '"mode": "away-from-origin", "quadrature_error_bound": 1.0628714240509391e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": [6.0, 0.0], '
          '"kind": "bump", "normalization": 1.0, "width": 0.25205}}'),
         ("l1 2 -1.2", "full-space",
@@ -623,17 +526,18 @@ class TestCentreAlignedRule:
          '[2.8284271247461903, 2.82842712474619], "kind": "gaussian", '
          '"normalization": 1.0, "width": 0.126025}}'),
         ("l1 2 -1.2", "away-from-origin",
-         '{"evaluations": 56, "family_size": 48, "min_action": 0.10960530055289472, '
-         '"mode": "away-from-origin", "quadrature_error_bound": 0.001175224424583511, '
+         '{"evaluations": 56, "family_size": 48, "min_action": 0.10946960993093573, '
+         '"mode": "away-from-origin", "quadrature_error_bound": 5.63452508020631e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": '
          '[4.242640687119286, 4.242640687119285], "kind": "bump", '
          '"normalization": 1.0, "width": 0.25205}}'),
     ], ids=_N2_IDS)
     def test_n2_reports_match_full_circle_pins(self, capsys, builtin, mode,
                                                 full_circle):
-        """The reports the full-circle rule and the per-panel radial sum gave:
-        the half-circle rule and the block-local sum keep each witness, count
-        and verdict, and move min_action and the bound only by roundoff."""
+        """The reports the full-circle rule gives (``_full_circle_action``,
+        with the slice rule for bumps): the half-circle rule keeps each
+        witness, count and verdict, and moves min_action and the bound only
+        by roundoff."""
         got, old = json.loads(_n2_report(capsys, builtin, mode)), json.loads(full_circle)
         for key in ("witness", "evaluations", "family_size", "verdict"):
             assert got[key] == old[key], key
@@ -730,3 +634,127 @@ class TestSubordination:
             subordination_norm_power(f, np.array([1.0, 0.5]))
         val = subordination_norm_power(f, np.array([1.0, 0.5]), r=1.0)
         assert val == pytest.approx(f(np.array([1.0, 0.5])), rel=1e-8)
+
+
+def _mp_slice_derivative(mp, n, u):
+    """m'(u) in mpmath: n = 3 from m(u) = 2 pi int_|u|^1 psi(r) r dr; n = 2
+    by differentiating int psi(sqrt(u^2 + v^2)) dv under the integral,
+    over v in (-W, W) with W^2 = 1 - u^2."""
+    u = mp.mpf(u)
+    w2 = 1 - u * u
+    if w2 <= 0:
+        return mp.zero
+    if n == 3:
+        return -2 * mp.pi * u * mp.exp(1 - 1 / w2)
+
+    def integrand(v):
+        d = w2 - v * v
+        return mp.exp(1 - 1 / d) / d**2 if d > 0 else mp.zero
+
+    return -2 * u * mp.quad(integrand, [-mp.sqrt(w2), 0, mp.sqrt(w2)])
+
+
+def _mp_slice_integral(mp, n, a, u0):
+    """J(u0) in mpmath.  Inside (-1, 1) at a >= 2 it takes the finite part
+    as the rule does, but near u0 the subtracted integrand (m'(u0 + s) -
+    m'(u0)) s^(1-a) is integrated term by term from the Taylor series of m'
+    about u0 on s < 1e-3: tanh-sinh nodes crowd so close to u0 that the
+    difference cancels to nothing there."""
+    a, u0 = mp.mpf(a), mp.mpf(u0)
+
+    def mprime(u):
+        return _mp_slice_derivative(mp, n, u)
+
+    if abs(u0) >= 1:
+        return mp.quad(lambda u: mprime(u) * mp.sign(u - u0) * abs(u - u0) ** (1 - a),
+                       [-1, -0.5, 0, 0.5, 1])
+    if a < 2:
+        return (mp.quad(lambda u: mprime(u) * (u - u0) ** (1 - a), [u0, (u0 + 1) / 2, 1])
+                - mp.quad(lambda u: mprime(u) * (u0 - u) ** (1 - a), [-1, (u0 - 1) / 2, u0]))
+    m0, delta, b = mprime(u0), mp.mpf("1e-3"), 2 - a
+    # m^(k+2)(u0) for the series (m'(u0 + s) - m'(u0)) / s = sum_k m^(k+2) s^k / (k+1)!
+    taylor = [mp.diff(mprime, u0, k + 1) for k in range(10)]
+    total = m0 * (mp.log((1 - u0) / (1 + u0)) if b == 0
+                  else ((1 - u0) ** b - (1 + u0) ** b) / b)
+    for sign, length in ((1, 1 - u0), (-1, 1 + u0)):
+        near = sum(d * sign ** (k + 1) / mp.factorial(k + 1) * delta ** (k + b + 1) / (k + b + 1)
+                   for k, d in enumerate(taylor))
+        far = mp.quad(lambda s: (mprime(u0 + sign * s) - m0) * s ** (1 - a),
+                      [delta, length / 2, length])
+        total += sign * (near + far)
+    return total
+
+
+class TestSliceRule:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_derivative_matches_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        u = np.linspace(-0.98, 0.98, 41)
+        with mpmath.workdps(25):
+            ref = np.array([float(_mp_slice_derivative(mpmath.mp, n, v)) for v in u])
+        got = fourier_pd._slice_derivative(n, u)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 2.5, 2.9])
+    def test_integral_matches_mpmath(self, a):
+        """The fine rule within its gap to the coarse one plus its roundoff
+        term, for u0 inside and outside [-1, 1].  The rule reads m' only
+        through ``_slice_derivative``, checked above for both n; n = 3 keeps
+        the reference fast (at n = 2 each m' is itself an mpmath quadrature)."""
+        mpmath = pytest.importorskip("mpmath")
+        u0 = np.array([-0.6, -0.05, -0.97, -1.02, -1.6])
+        coarse, _ = fourier_pd._slice_integral(3, a, u0, fourier_pd._SLICE_NODES[0])
+        fine, absolute = fourier_pd._slice_integral(3, a, u0, fourier_pd._SLICE_NODES[1])
+        with mpmath.workdps(30):
+            ref = np.array([float(_mp_slice_integral(mpmath.mp, 3, a, v)) for v in u0])
+        assert np.all(np.abs(fine - ref) <= np.abs(fine - coarse) + 1e-14 * absolute)
+
+    @pytest.mark.parametrize("n,p", [(2, -1.98), (2, -1.0), (2, -0.5),
+                                     (3, -2.98), (3, -2.0), (3, -1.0), (3, -0.5)])
+    @pytest.mark.parametrize("width,radius", [(0.5, 1.5), (1.0, 1.5), (0.25, 6.0)])
+    def test_profile_within_bound(self, monkeypatch, n, p, width, radius):
+        """On a dense grid of c over [0, |center|], the fine profile differs
+        from the same rule with twice the nodes and panels by no more than
+        its gap to the coarse rule plus its roundoff term."""
+        phi = TestFunction("bump", np.r_[radius, np.zeros(n - 1)], width)
+        c = np.linspace(0.0, radius, 2001)
+        coarse, _ = fourier_pd._radial_profile(p, n, phi, c, False)
+        fine, err = fourier_pd._radial_profile(p, n, phi, c, True)
+        for name in ("_SLICE_PANELS", "_SLICE_SIDE_PANELS"):
+            monkeypatch.setattr(fourier_pd, name, 2 * getattr(fourier_pd, name))
+        monkeypatch.setattr(fourier_pd, "_SLICE_NODES",
+                            tuple(2 * m for m in fourier_pd._SLICE_NODES))
+        ref, _ = fourier_pd._radial_profile(p, n, phi, c, True)
+        assert np.all(np.abs(fine - ref) <= np.abs(fine - coarse) + err)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_euclidean_actions_within_bound(self, n):
+        """Bump actions of Euclidean powers against c(n, p) int |xi|^(-n-p)
+        phi(xi) dxi, the action by Fourier pairing, taken by a product Gauss
+        rule over the bump's ball: xi = center + w rho omega, Gauss-Legendre
+        panels in rho that crowd toward rho = 1, where the bump is flat, and
+        in n = 3 the cosine of the angle to the centre; the trapezoid rule in
+        the angle at n = 2.  The members take the first and last centre
+        direction of bump_family(n)."""
+        from scipy.special import gamma
+        fam = bump_family(n)
+        ndirs = len(fourier_pd._center_directions(n))
+        members = [phi for i, phi in enumerate(fam) if i % ndirs in (0, ndirs - 1)]
+        edges = np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, 9))
+        rho, wr = (v.ravel() for v in _gl_panels(edges[:-1], edges[1:], 32))
+        if n == 2:
+            cos_t = np.cos(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+            wt = np.full(64, 2.0 * np.pi / 64)
+        else:
+            cos_t, wt = np.polynomial.legendre.leggauss(32)
+            wt = 2.0 * np.pi * wt
+        bump = np.exp(1.0 - 1.0 / (1.0 - rho**2)) * rho ** (n - 1) * wr
+        for p in dict.fromkeys((-n + 0.02, 1.0 - n, -1.0, -0.5)):  # 1 - n = -1 at n = 2
+            cnp = 2.0 ** (n + p) * np.pi ** (n / 2.0) * gamma((n + p) / 2.0) / gamma(-p / 2.0)
+            f = euclidean_power(n, p)
+            for phi in members:
+                big_r, w = np.linalg.norm(phi.center), phi.width
+                sq = big_r**2 + (w * rho[:, None]) ** 2 + 2.0 * big_r * w * rho[:, None] * cos_t
+                ref = cnp * w**n * (bump @ sq ** ((-n - p) / 2.0) @ wt)
+                act = pd_action(f, phi)
+                assert abs(act.value - ref) <= act.error_bound, (p, phi.center, w)

@@ -4,7 +4,6 @@ import pytest
 from stablecomp import (BlockSplit, LevyMeasure, Seed, SpectralRep,
                         decouple, density_2d, euclidean_power, levy_expectation,
                         lp_norm_power, max_abs_power, mc_expectation, oracle_expectation)
-from stablecomp.fourier_pd import _bump_profile, _bump_table
 from stablecomp.oracle2d import _asymmetry, _scale_profile
 from scipy.special import gamma
 
@@ -154,20 +153,6 @@ class TestKernels:
         assert field.grid_mass == float(full)
 
 
-class TestSplineCoefficients:
-    """The bump profile's B-spline prefilter is ndimage's."""
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_one_dimensional_is_ndimage_bit_for_bit(self, n):
-        from scipy import ndimage
-        knots, vals, _ = _bump_table(n)
-        spline, _, _ = _bump_profile(n)
-        s = np.random.default_rng(n).uniform(knots[0], knots[-1], 2000)
-        ref = ndimage.map_coordinates(vals, (s / (knots[1] - knots[0]))[None, :],
-                                      order=3, mode="mirror")
-        assert np.array_equal(spline(s), ref)
-
-
 class TestAsymmetry:
     @pytest.mark.parametrize("M", [64, 514, 1024])
     def test_matches_the_full_difference(self, M):
@@ -222,7 +207,7 @@ def family_fn(family, p):
 
 class TestAngularRule:
     """The exact angular rule against closed forms, the sphere route at q = 2,
-    the density route and its own refinement."""
+    plain Monte Carlo and its own refinement."""
 
     @pytest.mark.parametrize("p", [-1.9, -1.5, -1.01, -1.0, -0.99, -0.5, -0.1])
     def test_isotropic_gaussian_closed_form(self, p):
@@ -242,16 +227,6 @@ class TestAngularRule:
                 ref = sphere_route(f, r)
                 got = _angular_expectation(f, r)
                 assert abs(got.value - ref) <= got.error_bound + 1e-12 * ref
-
-    @pytest.mark.parametrize("q,family,p,seed", [
-        (1.5, "max_abs", -1.5, 3), (1.5, "l1", -0.5, 4), (1.5, "euclidean", -0.8, 5),
-        (2.0, "max_abs", -1.3, 6), (2.0, "l1", -0.4, 7)])
-    def test_within_the_density_route_bound(self, q, family, p, seed):
-        rep = random_rep(np.random.default_rng(seed), 2, q, full_rank=True,
-                         max_condition=1e4)
-        f = family_fn(family, p)
-        grid = oracle_expectation(f, density_2d(rep))
-        assert abs(_angular_expectation(f, rep).value - grid.value) <= grid.error_bound
 
     @pytest.mark.parametrize("q,family,p,seed", [
         (1.5, "l1", -0.5, 4), (1.5, "euclidean", -0.8, 5), (2.0, "l1", -0.4, 7)])
