@@ -12,8 +12,10 @@ scans a family of test functions for a sign violation.  The inner radial
 integral G depends on theta only through c = <theta, center>
 (``_radial_profile``).  For a Gaussian it has a closed form in Kummer's M,
 whose error enters the bound.  For a bump it is a finite integral over the
-bump's slice integrals (``_slice_integral``), by Gauss-Legendre and
-Gauss-Jacobi rules shared with ``oracle2d`` in ``_quadrature``.  Nothing is
+derivative m' of the bump's slice integral (``_slice_integral``), by
+Gauss-Legendre and Gauss-Jacobi rules shared with ``oracle2d`` in
+``_quadrature``.  m' is closed-form: an exponential at n = 3, modified
+Bessel functions K0 and K1 at n = 2 (``_slice_derivative``).  Nothing is
 truncated: the bound is the gap between a coarse and a fine rule plus the
 roundoff of the sums.
 
@@ -122,16 +124,13 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class ActionResult:
-    """A quadrature value with its error bound; unpacks as (value, error_bound).
+    """A quadrature value with its error bound.
 
     Returned by ``pd_action`` and by the two-dimensional oracle.
     """
 
     value: float
     error_bound: float
-
-    def __iter__(self):
-        return iter((self.value, self.error_bound))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,10 +222,18 @@ def _slice_derivative(n: int, u: np.ndarray) -> np.ndarray:
     """m'(u) for the slice integral m(u) = int psi(|(u, v)|) dv, v in R^(n-1),
     of the unit bump psi(r) = exp(1 - 1/(1 - r^2)); 0 where 1 - u^2 < 2e-3,
     as psi < e^-499 there.  n = 3: m'(u) = -2 pi u psi(|u|).  n = 2: with
-    v = W tanh y, W^2 = 1 - u^2 and E = exp(-cosh^2 y / W^2), m'(u) =
-    -(e u / W) int_R E (sech^2 y + 2 / W^2) dy, by the trapezoid rule with
-    step 0.1 on [0, 3] (E < 1e-40 of its peak beyond); it meets mpmath to
-    roundoff."""
+    W^2 = 1 - u^2 and b = 1 / (2 W^2),
+
+        m'(u) = -u W^-3 e^(1 - b) (K0(b) + K1(b)),
+
+    taken as e^(1 - 2b) times the scaled k0e(b) + k1e(b).  Differentiating
+    under the integral and substituting v = W tanh y, then s = 2y, gives
+    m'(u) = -(e u / W) int_R E (sech^2 y + 2 / W^2) dy with E = exp(-cosh^2 y
+    / W^2) = e^-b exp(-b cosh s), and two identities close it:
+    int_R exp(-b cosh s) ds = 2 K0(b) (DLMF 10.32.9), so int E dy = e^-b
+    K0(b); and int_b^inf e^-x K0(x) dx = b e^-b (K1(b) - K0(b)), so
+    int E sech^2 y dy = 2b e^-b (K1(b) - K0(b)) and the bracket is 2b e^-b
+    (K0(b) + K1(b))."""
     w2 = (1.0 - u) * (1.0 + u)
     live = w2 >= 2e-3
     out = np.zeros(np.shape(u))
@@ -234,9 +241,9 @@ def _slice_derivative(n: int, u: np.ndarray) -> np.ndarray:
     if n == 3:
         out[live] = -2.0 * np.pi * u * np.exp(1.0 - 1.0 / w2)
         return out
-    c2 = np.cosh(0.1 * np.arange(31)) ** 2
-    e = np.exp(-c2 / w2[:, None]) * np.concatenate([[0.1], np.full(30, 0.2)])
-    out[live] = -(np.e * u / np.sqrt(w2)) * (e @ (1.0 / c2) + 2.0 / w2 * e.sum(axis=1))
+    b = 0.5 / w2
+    sp = _special()
+    out[live] = -u / (w2 * np.sqrt(w2)) * np.exp(1.0 - 1.0 / w2) * (sp.k0e(b) + sp.k1e(b))
     return out
 
 
@@ -339,20 +346,20 @@ def _circle_spec(phi: TestFunction, fine: bool):
 
 
 def _circle_action(f: HomogeneousFn, phi: TestFunction):
-    """n = 2: returns (value, delta, truncation term, scale) as _centre_action
-    does.  The value takes the fine theta and radial rules, and delta is its
-    gap to the coarse ones.  f is even and the radial profile depends on
+    """n = 2: returns (value, delta, radial error term, scale) as
+    _centre_action does.  The value takes the fine theta and radial rules,
+    and delta is its gap to the coarse ones.  f is even and the radial profile depends on
     |<theta, center>|, so theta and theta + pi contribute alike: half the
     circle, without the factorization's 1/2, is the whole integral."""
     values = []
     for fine in (False, True):
         dirs, w = _circle_grid(_circle_spec(phi, fine))
         fv = evaluate_many(f, dirs) * w
-        radial, trunc = _radial_profile(f.p, 2, phi, np.abs(dirs @ phi.center), fine)
+        radial, radial_err = _radial_profile(f.p, 2, phi, np.abs(dirs @ phi.center), fine)
         values.append(float(fv @ radial))
     coarse, value = values
-    # fv, radial and trunc are the fine pass's
-    return (value, abs(value - coarse), float(fv.sum()) * trunc,
+    # fv, radial and radial_err are the fine pass's
+    return (value, abs(value - coarse), float(fv.sum()) * radial_err,
             float(fv @ np.abs(radial)))
 
 
@@ -442,11 +449,12 @@ def _ring_integrals(f: HomogeneousFn, frame: np.ndarray, t_level: int,
 def _centre_action(f: HomogeneousFn, phi: TestFunction, tables: dict):
     """n = 3: the action as int_0^1 F(t) G(|center| t) dt, G the radial profile.
 
-    Returns (value, delta, truncation term, scale).  The value takes the fine
-    t, omega and radial rules.  delta sums two local gaps, so that errors of
-    opposite sign in different places cannot cancel in it: per coarse psi
-    panel, the fine value against the coarse t and radial rules; per t node,
-    the ring integral F against the coarse omega rule.
+    Returns (value, delta, radial error term, scale).  The value takes the
+    fine t, omega and radial rules.  delta sums two local gaps, so that
+    errors of opposite sign in different places cannot cancel in it: per
+    coarse psi panel, the fine value against the coarse t and radial rules;
+    per t node, the ring integral F against the coarse omega rule.  The
+    radial error term carries the radial profile's own bound past its gap.
     """
     frame = _axis_frame(phi.center)
     c = float(np.linalg.norm(phi.center))
@@ -455,7 +463,7 @@ def _centre_action(f: HomogeneousFn, phi: TestFunction, tables: dict):
     fine = _ring_integrals(f, frame, 1, 1, tables)
     ring_coarse = _ring_integrals(f, frame, 1, 0, tables)
     t_coarse = _ring_integrals(f, frame, 0, 1, tables)
-    g2, trunc = _radial_profile(f.p, 3, phi, c * t2, True)
+    g2, radial_err = _radial_profile(f.p, 3, phi, c * t2, True)
     g1, _ = _radial_profile(f.p, 3, phi, c * t1, False)
     wf = w2 * fine
     parts = wf * g2
@@ -463,7 +471,7 @@ def _centre_action(f: HomogeneousFn, phi: TestFunction, tables: dict):
                   - (w1 * t_coarse * g1).reshape(-1, _PSI_NODES).sum(axis=1))
     ring_gaps = (w2 * np.abs(g2)) @ np.abs(fine - ring_coarse)
     return (float(parts.sum()), float(np.abs(panel_gaps).sum() + ring_gaps),
-            float(wf.sum()) * trunc, float(wf @ np.abs(g2)))
+            float(wf.sum()) * radial_err, float(wf @ np.abs(g2)))
 
 
 def _validate_action_args(f: HomogeneousFn, phis):
@@ -477,28 +485,16 @@ def _validate_action_args(f: HomogeneousFn, phis):
             raise ValueError(f"test function dimension {phi.n} != descriptor dimension {f.n}")
 
 
-def pd_action(f: HomogeneousFn, phi) -> ActionResult:
-    """The pairing (f^, phi) = int f(x) phi^(x) dx with an error bound.
-
-    ``phi`` may be a single TestFunction or a sequence (interpreted as the
-    sum, so the action is additive); an empty sequence gives exactly 0.
-    """
-    phis = [phi] if isinstance(phi, TestFunction) else list(phi)
-    if not phis:
-        return ActionResult(0.0, 0.0)
-    _validate_action_args(f, phis)
-    return _action(f, phis, {})
+def pd_action(f: HomogeneousFn, phi: TestFunction) -> ActionResult:
+    """The pairing (f^, phi) = int f(x) phi^(x) dx with an error bound."""
+    _validate_action_args(f, [phi])
+    return _action(f, phi, {})
 
 
-def _action(f: HomogeneousFn, phis: list, tables: dict) -> ActionResult:
-    value = delta = trunc = scale = 0.0
-    for one in phis:
-        v, d, tb, sc = _centre_action(f, one, tables) if f.n == 3 else _circle_action(f, one)
-        value += v
-        delta += d
-        trunc += tb
-        scale += sc
-    return ActionResult(float(value), float(delta + trunc + 1e-14 * scale))
+def _action(f: HomogeneousFn, phi: TestFunction, tables: dict) -> ActionResult:
+    value, delta, radial_err, scale = (_centre_action(f, phi, tables) if f.n == 3
+                                       else _circle_action(f, phi))
+    return ActionResult(value, float(delta + radial_err + 1e-14 * scale))
 
 
 def _center_directions(n: int) -> np.ndarray:
@@ -582,14 +578,14 @@ def pd_check(f: HomogeneousFn, family=None, mode: str = "full-space",
     evaluations = 0
     best = None
     for phi in family:
-        res = _action(f, [phi], tables)
+        res = _action(f, phi, tables)
         evaluations += 1
         if best is None or _clearly_lower(res, best[0]):
             best = (res, phi)
     for _ in range(refine_rounds):
         improved = False
         for cand in _refine_neighbors(best[1]):
-            res = _action(f, [cand], tables)
+            res = _action(f, cand, tables)
             evaluations += 1
             if _clearly_lower(res, best[0]):
                 best = (res, cand)

@@ -125,10 +125,6 @@ class DensityField:
     def M(self) -> int:
         return self.axis.size
 
-    @property
-    def dx(self) -> float:
-        return float(self.axis[1] - self.axis[0])
-
 
 def _scale_profile(rep: SpectralRep):
     ang = np.arange(720) * (np.pi / 720)  # half circle suffices (even)

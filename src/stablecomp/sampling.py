@@ -206,15 +206,6 @@ def sample_standard(q, seed, size=None):
     return _draw_standard(rng, q, size)
 
 
-def _write_binary(path, values: np.ndarray, header: dict) -> None:
-    """``values`` as row-major little-endian float64 at ``path``, and
-    ``header`` as JSON with sorted keys at ``path`` + ".json"."""
-    path = Path(path)
-    values.astype("<f8", copy=False).tofile(path)
-    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-        json.dump(header, fh, sort_keys=True)
-
-
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """I.i.d. draws from a SpectralRep law, with provenance."""
@@ -235,15 +226,6 @@ class SampleBatch:
     def n(self) -> int:
         return self.points.shape[1]
 
-    def header_dict(self) -> dict:
-        return {
-            "dtype": "<f8",
-            "order": "C",
-            "shape": list(self.points.shape),
-            "rep_hash": self.rep_hash,
-            "seed": self.seed.to_json_dict(),
-        }
-
     def to_csv(self, path) -> None:
         """An ``x1,...,xn`` header, then one row per point with each value
         as ``%.17g``: the bytes of ``np.savetxt(fmt="%.17g")``, which applies
@@ -263,8 +245,14 @@ class SampleBatch:
                                       for piece in (slots[:, j * r:(j + 1) * r], sep)]))
 
     def to_binary(self, path) -> None:
-        """Row-major little-endian float64 dump plus a JSON sidecar header."""
-        _write_binary(path, self.points, self.header_dict())
+        """Row-major little-endian float64 dump at ``path`` plus a JSON
+        sidecar header, keys sorted, at ``path`` + ".json"."""
+        path = Path(path)
+        self.points.astype("<f8", copy=False).tofile(path)
+        header = {"dtype": "<f8", "order": "C", "shape": list(self.points.shape),
+                  "rep_hash": self.rep_hash, "seed": self.seed.to_json_dict()}
+        with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
+            json.dump(header, fh, sort_keys=True)
 
     @classmethod
     def from_binary(cls, path) -> "SampleBatch":

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -131,11 +132,6 @@ class TestPdAction:
         ref = euclidean_reference_action(n, p, phi)
         assert abs(act.value - ref) <= max(act.error_bound, 1e-8 * abs(ref))
 
-    def test_empty_family_is_zero(self):
-        f = euclidean_power(2, -1.0)
-        act = pd_action(f, [])
-        assert act.value == 0.0 and act.error_bound == 0.0
-
     def test_modulated_max_abs_nonnegative(self):
         f = max_abs_power(2, -1.5)
         phi = TestFunction("gaussian", np.array([5.0, 0.0]), 1.0)
@@ -143,18 +139,20 @@ class TestPdAction:
         assert act.value >= -act.error_bound
 
     def test_linearity(self):
-        f = lp_norm_power(2, 1.0, -1.2)
-        p1 = TestFunction("gaussian", np.array([1.0, 0.5]), 0.7, normalization=1.0)
-        p2 = TestFunction("gaussian", np.zeros(2), 2.0, normalization=1.0)
-        a, b = 2.5, 0.75
-        scaled = [TestFunction("gaussian", p1.center, p1.width, normalization=a),
-                  TestFunction("gaussian", p2.center, p2.width, normalization=b)]
-        combined = pd_action(f, scaled)
-        single1 = pd_action(f, p1)
-        single2 = pd_action(f, p2)
-        target = a * single1.value + b * single2.value
-        budget = combined.error_bound + a * single1.error_bound + b * single2.error_bound
-        assert abs(combined.value - target) <= budget + 1e-12 * abs(target)
+        """The action scales with the test function's normalization, within
+        the two bounds, for Gaussians and bumps at n = 2 and 3."""
+        for n, kind, center, width in ((2, "gaussian", (1.0, 0.5), 0.7),
+                                       (2, "gaussian", (0.0, 0.0), 2.0),
+                                       (2, "bump", (1.5, 0.5), 0.8),
+                                       (3, "bump", (0.0, 2.0, 1.0), 1.0)):
+            f = lp_norm_power(n, 1.0, -1.2)
+            unit = TestFunction(kind, np.array(center), width)
+            single = pd_action(f, unit)
+            for a in (2.5, 0.75):
+                scaled = pd_action(f, TestFunction(kind, unit.center, width, normalization=a))
+                target = a * single.value
+                budget = scaled.error_bound + a * single.error_bound
+                assert abs(scaled.value - target) <= budget + 1e-12 * abs(target)
 
     def test_exponent_window_enforced(self):
         with pytest.raises(ValueError):
@@ -228,8 +226,8 @@ class TestRadialKernel:
         phi = TestFunction(kind, center, width)
         cabs = np.linspace(0.0, radius, 41)
         p = -1.5 if n == 2 else -2.5
-        vals, trunc = fourier_pd._radial_profile(p, n, phi, cabs, True)
-        assert trunc == fourier_pd._KUMMER_ERR * vals[0]
+        vals, err = fourier_pd._radial_profile(p, n, phi, cabs, True)
+        assert err == fourier_pd._KUMMER_ERR * vals[0]
         ref, weight_sum, old_trunc = _gaussian_quadrature(p, n, phi, cabs, 28, 14)
         assert np.all(np.abs(vals - ref) <= old_trunc + 1e-13 * weight_sum)
 
@@ -291,7 +289,7 @@ def _full_circle_action(f, phi):
     """The n = 2 action summed over the whole circle, as _circle_action did
     before its half-circle rule: twice the theta panels over [0, 2 pi], split
     at a bump's angles and their antipodes, and the factorization's 1/2.
-    Returns (value, delta, truncation term, scale)."""
+    Returns (value, delta, radial error term, scale)."""
     values = []
     for fine in (False, True):
         panels, nodes, splits = fourier_pd._circle_spec(phi, fine)
@@ -300,10 +298,10 @@ def _full_circle_action(f, phi):
         theta, w = (a.ravel() for a in _gl_panels(edges[:-1], edges[1:], nodes))
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
         fv = evaluate_many(f, dirs) * w
-        radial, trunc = fourier_pd._radial_profile(f.p, 2, phi, np.abs(dirs @ phi.center), fine)
+        radial, radial_err = fourier_pd._radial_profile(f.p, 2, phi, np.abs(dirs @ phi.center), fine)
         values.append(0.5 * float(fv @ radial))
     coarse, value = values
-    return (value, abs(value - coarse), 0.5 * float(fv.sum()) * trunc,
+    return (value, abs(value - coarse), 0.5 * float(fv.sum()) * radial_err,
             0.5 * float(fv @ np.abs(radial)))
 
 
@@ -315,7 +313,7 @@ def _full_circle_action(f, phi):
 ], ids=["max_abs", "l1", "weighted_euclidean", "lr_matrix"])
 def test_half_circle_matches_full_circle(f):
     """f is even and the radial profile depends on |<theta, center>|, so the
-    half circle gives the full circle's value, delta, truncation term and
+    half circle gives the full circle's value, delta, radial error term and
     scale, on every member of both default families."""
     for phi in gaussian_family(2) + bump_family(2):
         half = fourier_pd._circle_action(f, phi)
@@ -485,7 +483,7 @@ class TestCentreAlignedRule:
          '"verdict": "consistent-with-pd", "witness": {"center": [4.0, 0.0], '
          '"kind": "gaussian", "normalization": 1.0, "width": 0.126025}}'),
         ("max-abs 2 -1.5", "away-from-origin",
-         '{"evaluations": 56, "family_size": 48, "min_action": 0.494686435151541, '
+         '{"evaluations": 56, "family_size": 48, "min_action": 0.4946864351515408, '
          '"mode": "away-from-origin", "quadrature_error_bound": 1.0628714240509391e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": [6.0, 0.0], '
          '"kind": "bump", "normalization": 1.0, "width": 0.25205}}'),
@@ -654,26 +652,46 @@ def _mp_slice_derivative(mp, n, u):
     return -2 * u * mp.quad(integrand, [-mp.sqrt(w2), 0, mp.sqrt(w2)])
 
 
+@lru_cache(maxsize=None)
+def _mp_bessel_slice_derivative(u, prec):
+    """n = 2 m'(u) at ``prec`` bits by its closed form -u W^-3 e^(1 - b)
+    (K0(b) + K1(b)), W^2 = 1 - u^2, b = 1 / (2 W^2).  Cached: the quadratures
+    of every a about one u0 share their nodes, and mpmath's besselk takes
+    milliseconds for b below about 45."""
+    import mpmath as mp
+
+    with mp.workprec(prec):
+        w2 = 1 - u * u
+        if w2 <= 0:
+            return mp.mpf(0)
+        b = 1 / (2 * w2)
+        return -u / (w2 * mp.sqrt(w2)) * mp.exp(1 - b) * (mp.besselk(0, b) + mp.besselk(1, b))
+
+
 def _mp_slice_integral(mp, n, a, u0):
-    """J(u0) in mpmath.  Inside (-1, 1) at a >= 2 it takes the finite part
-    as the rule does, but near u0 the subtracted integrand (m'(u0 + s) -
-    m'(u0)) s^(1-a) is integrated term by term from the Taylor series of m'
-    about u0 on s < 1e-3: tanh-sinh nodes crowd so close to u0 that the
-    difference cancels to nothing there."""
+    """J(u0) in mpmath, taking m' at n = 2 from its closed form (a
+    quadrature of ``_mp_slice_derivative`` under every node would be too
+    slow).  Inside (-1, 1) it splits m' as the rule does: the part
+    m'(u0) sign(u - u0) |u - u0|^(1-a) in closed form (a finite part for
+    a >= 2), and each side of the subtracted integrand (m'(u0 + s) - m'(u0))
+    s^(1-a) by tanh-sinh.  That integrand is bounded at s = 0 for a < 2.
+    For a >= 2 it is not, and tanh-sinh nodes crowd so close to u0 that the
+    difference cancels to nothing there, so on s < 1e-3 it is integrated
+    term by term from the Taylor series of m' about u0."""
     a, u0 = mp.mpf(a), mp.mpf(u0)
 
     def mprime(u):
+        if n == 2:
+            return _mp_bessel_slice_derivative(mp.mpf(u), mp.prec)
         return _mp_slice_derivative(mp, n, u)
 
     if abs(u0) >= 1:
         return mp.quad(lambda u: mprime(u) * mp.sign(u - u0) * abs(u - u0) ** (1 - a),
                        [-1, -0.5, 0, 0.5, 1])
-    if a < 2:
-        return (mp.quad(lambda u: mprime(u) * (u - u0) ** (1 - a), [u0, (u0 + 1) / 2, 1])
-                - mp.quad(lambda u: mprime(u) * (u0 - u) ** (1 - a), [-1, (u0 - 1) / 2, u0]))
-    m0, delta, b = mprime(u0), mp.mpf("1e-3"), 2 - a
+    m0, b = mprime(u0), 2 - a
+    delta = mp.mpf("1e-3") if a >= 2 else mp.zero
     # m^(k+2)(u0) for the series (m'(u0 + s) - m'(u0)) / s = sum_k m^(k+2) s^k / (k+1)!
-    taylor = [mp.diff(mprime, u0, k + 1) for k in range(10)]
+    taylor = [mp.diff(mprime, u0, k + 1) for k in range(10)] if a >= 2 else []
     total = m0 * (mp.log((1 - u0) / (1 + u0)) if b == 0
                   else ((1 - u0) ** b - (1 + u0) ** b) / b)
     for sign, length in ((1, 1 - u0), (-1, 1 + u0)):
@@ -683,6 +701,11 @@ def _mp_slice_integral(mp, n, a, u0):
                       [delta, length / 2, length])
         total += sign * (near + far)
     return total
+
+
+# (n, a) for test_integral_matches_mpmath; its ids give a alone at n = 3
+_SLICE_CASES = ([(3, a) for a in (0.5, 1.0, 1.5, 2.0, 2.5, 2.9)]
+                + [(2, a) for a in (0.5, 1.0, 1.5, 1.98)])
 
 
 class TestSliceRule:
@@ -695,18 +718,19 @@ class TestSliceRule:
         got = fourier_pd._slice_derivative(n, u)
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 2.5, 2.9])
-    def test_integral_matches_mpmath(self, a):
+    @pytest.mark.parametrize("n,a", _SLICE_CASES,
+                             ids=[f"n2-{a}" if n == 2 else str(a) for n, a in _SLICE_CASES])
+    def test_integral_matches_mpmath(self, n, a):
         """The fine rule within its gap to the coarse one plus its roundoff
-        term, for u0 inside and outside [-1, 1].  The rule reads m' only
-        through ``_slice_derivative``, checked above for both n; n = 3 keeps
-        the reference fast (at n = 2 each m' is itself an mpmath quadrature)."""
+        term, for u0 inside and outside [-1, 1] and a = n + p with p in
+        (-n, 0).  The n = 2 reference works at 15 digits: its besselk calls
+        take most of the n = 2 cases' time."""
         mpmath = pytest.importorskip("mpmath")
         u0 = np.array([-0.6, -0.05, -0.97, -1.02, -1.6])
-        coarse, _ = fourier_pd._slice_integral(3, a, u0, fourier_pd._SLICE_NODES[0])
-        fine, absolute = fourier_pd._slice_integral(3, a, u0, fourier_pd._SLICE_NODES[1])
-        with mpmath.workdps(30):
-            ref = np.array([float(_mp_slice_integral(mpmath.mp, 3, a, v)) for v in u0])
+        coarse, _ = fourier_pd._slice_integral(n, a, u0, fourier_pd._SLICE_NODES[0])
+        fine, absolute = fourier_pd._slice_integral(n, a, u0, fourier_pd._SLICE_NODES[1])
+        with mpmath.workdps(30 if n == 3 else 15):
+            ref = np.array([float(_mp_slice_integral(mpmath.mp, n, a, v)) for v in u0])
         assert np.all(np.abs(fine - ref) <= np.abs(fine - coarse) + 1e-14 * absolute)
 
     @pytest.mark.parametrize("n,p", [(2, -1.98), (2, -1.0), (2, -0.5),

@@ -11,7 +11,7 @@ from stablecomp import (BlockSplit, SampleBatch, Seed, SpectralRep, char_fn,
                         sample_batch, sample_standard, scale_q)
 from stablecomp.sampling import (_CSV_ROWS, _DRAW_BLOCK, _MIX_BLOCK, CHUNK,
                                  _chunk_points, _chunk_rng, _cos, _draw_standard,
-                                 _mix, _write_binary)
+                                 _mix)
 
 
 class TestSeed:
@@ -356,10 +356,13 @@ class TestExport:
 
     def test_binary_writes_little_endian_from_big_endian(self, tmp_path):
         pts = np.random.default_rng(16).standard_cauchy((5, 3))
+        batch = SampleBatch(points=pts.astype(">f8"), rep_hash="0" * 16, seed=Seed(16))
         path = tmp_path / "big.bin"
-        _write_binary(path, pts.astype(">f8"), {"shape": [5, 3]})
+        batch.to_binary(path)
         assert path.read_bytes() == pts.astype("<f8").tobytes()
-        assert json.loads((tmp_path / "big.bin.json").read_text()) == {"shape": [5, 3]}
+        assert json.loads((tmp_path / "big.bin.json").read_text()) == {
+            "dtype": "<f8", "order": "C", "shape": [5, 3], "rep_hash": "0" * 16,
+            "seed": Seed(16).to_json_dict()}
 
     def test_binary_round_trip(self, tmp_path):
         rep = SpectralRep.from_atoms(0.8, [(1.0, (1.0, -0.5)), (0.3, (0.0, 2.0))])
