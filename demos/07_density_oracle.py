@@ -1,8 +1,8 @@
 """Deterministic two-dimensional oracle: invert the characteristic function
 onto a density grid, take exact expectations of homogeneous functionals of
-the same law (an integral over the circle for p in (-2, 0), and at q = 2
-for p > 0 too), and cross-check the Monte Carlo margins without any
-sampling.
+the same law (at q = 2 one integral over the circle for every p > -2,
+below q = 2 a double integral over the circle for p in (-2, 0)), and
+cross-check the Monte Carlo margins without any sampling.
 """
 
 import numpy as np

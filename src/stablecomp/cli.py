@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_pd_check)
 
     sp = sub.add_parser("oracle",
-                        help="exact angular cross-check of the two-dimensional "
+                        help="exact cross-check of the two-dimensional "
                              "Monte Carlo margins")
     _add_experiment_args(sp)
     sp.set_defaults(func=_cmd_verify, mode="oracle-crosscheck", n=[2], p=None)

@@ -1,15 +1,15 @@
 """Deterministic two-dimensional oracle: exact expectations E f(X).
 
 A nondegenerate 2-D law X has the characteristic function
-phi(xi) = exp(-S(xi)^q), S = ``scale_q(rep, .)``.  ``oracle_expectation``
-gives E f(X) for f = N^p homogeneous by one of two exact rules.  Neither
-samples, so both give margins with deterministic error bounds against
-which the Monte Carlo machinery is validated.
+phi(xi) = exp(-S(xi)^q), S = ``scale_q(rep, .)``.  ``_exact_expectation``,
+which ``oracle_expectation`` and every oracle-crosscheck trial call, gives
+E f(X) for f = N^p homogeneous by the exact rule of q: the Gaussian circle
+rule at q = 2, the angular rule below.  Neither samples, so both give
+deterministic error bounds for validating the Monte Carlo machinery.
 
-The exact angular rule (``_angular_expectation``), which every
-oracle-crosscheck trial takes, is the Fourier-side form of E f(X) for
-p in (-2, 0) (Koldobsky, Fourier Analysis in Convex Geometry, 2005, ch. 3).
-With s = -2 - p,
+The exact angular rule (``_angular_expectation``), exact at q = 2 too, is
+the Fourier-side form of E f(X) for p in (-2, 0) (Koldobsky, Fourier
+Analysis in Convex Geometry, 2005, ch. 3).  With s = -2 - p,
 
     E f(X) = K int_{S^1 x S^1} f(theta) S(omega)^p |<theta, omega>|^s dtheta domega,
     K = (2 pi)^-2 C(p+1)/2 Gamma(-p/q)/q,
@@ -36,7 +36,7 @@ E f(X) = Gamma(1/q) H(0) / (2 pi q); the general form would read 0 * inf.
 Panels.  H is a Gauss rule in alpha on panels with edges at the kinks of
 f (x1 = +-x2 for max-abs, <b, x> = 0 for each row b of an L_r matrix base,
 none for the diagonal Euclidean base); at the kinks of S, where omega is
-orthogonal to a row of ``sampling._mix(rep)`` (q < 2); at even splits of
+orthogonal to a row of ``sampling._mix(rep)``; at even splits of
 any gap wider than pi/4; and, once max S / min S > 3, at distances
 4^j min S / max S from the minimum of S, about which S^p peaks.  For q
 not in {1, 2}, S^p has |delta|^q cusps, and every panel is halved and
@@ -55,17 +55,19 @@ rule 32; the value is the fine one, and the error bound is the gap between
 the two plus 1e-13 times the sum of absolute terms.  A bound above
 1e-3 |value| raises QuadratureFailure.
 
-The Gaussian circle rule (``_gaussian_expectation``) covers q = 2 and
-p > 0.  There X = L g with g ~ N(0, I) and L L^T = 2 sum_j w_j a_j a_j^T,
-and |g| is independent of g/|g|, so
+The Gaussian circle rule (``_gaussian_expectation``) covers every p > -2:
+X = L g with g ~ N(0, I), L L^T = 2 sum_j w_j a_j a_j^T, and |g| is
+independent of g/|g|, so
 
     E f(X) = E|g|^p E f(L theta) = 2^(p/2) Gamma(1 + p/2)/pi int_0^pi f(L theta(alpha)) dalpha.
 
-Its alpha panels have edges where L theta(alpha) crosses a kink of f, that
-is where theta(alpha) is orthogonal to L^T b for a kink normal b of f, and
-at even splits of any gap wider than pi/4; the nodes, cusp grading and
-bound are those of the angular rule.  For q < 2 and 0 < p < q neither rule
-applies, and ``oracle_expectation`` raises ValueError.
+L = V diag(sqrt(lam)) with lam the ascending eigenvalues of L L^T, so
+|L theta(alpha)| is least at alpha = 0.  The alpha panels have edges where
+theta(alpha) is orthogonal to L^T b for a kink normal b of f; for p < 0,
+the angular rule's peak edges (``_peak_edges``) about alpha = 0, with
+sqrt(lam0 / lam1) for min S / max S; and even splits of gaps wider than
+pi/4.  Nodes, cusp grading and bound are the angular rule's.  For q < 2
+and 0 < p < q neither rule applies: the angular rule raises ValueError.
 
 ``density_2d`` recovers the density on a grid, checked for its mass, its
 even symmetry and its ringing, by an inverse FFT of the characteristic
@@ -100,11 +102,7 @@ class DensityField:
     ``clipped_mass``.  Frequency sampling periodizes the density, so the
     mass beyond the box folds back onto the grid: the trapezoidal
     ``grid_mass`` must equal 1 within 1e-3 (the construction-time validity
-    gate).
-
-    ``values`` come from a real inverse FFT of the characteristic function
-    on the half frequency grid; no Hermitian fill is needed.
-    ``oracle_expectation`` reads only ``rep``.
+    gate).  ``oracle_expectation`` reads only ``rep``.
     """
 
     axis: np.ndarray
@@ -124,13 +122,6 @@ class DensityField:
     @property
     def M(self) -> int:
         return self.axis.size
-
-
-def _scale_profile(rep: SpectralRep):
-    ang = np.arange(720) * (np.pi / 720)  # half circle suffices (even)
-    dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-    s = _qsum(rep, dirs) ** (1.0 / rep.q)
-    return float(s.min()), float(s.max())
 
 
 def _asymmetry(vals: np.ndarray) -> float:
@@ -154,11 +145,14 @@ def _asymmetry(vals: np.ndarray) -> float:
 
 
 def _check_rep(rep: SpectralRep) -> tuple:
-    """(min, max) of the scale on the circle for a nondegenerate 2-D law;
+    """(min S, max S, S^q at the angles k pi / 720; S is even) of a 2-D law;
     rank-one and near-rank-one laws raise ValueError."""
     if rep.n != 2:
         raise ValueError(f"density inversion is two-dimensional only, got n={rep.n}")
-    smin, smax = _scale_profile(rep)
+    ang = np.arange(720) * (np.pi / 720)
+    qs = _qsum(rep, np.column_stack([np.cos(ang), np.sin(ang)]))
+    s = qs ** (1.0 / rep.q)
+    smin, smax = float(s.min()), float(s.max())
     if smin <= 0.0 or np.linalg.matrix_rank(rep.atoms) < 2:
         raise ValueError("rank-one representation: no two-dimensional density exists; "
                          "use the one-dimensional reduction instead")
@@ -166,7 +160,7 @@ def _check_rep(rep: SpectralRep) -> tuple:
     if condition > 1e6:
         raise ValueError(f"near-rank-one representation (form condition {condition:.2e}); "
                          "inversion would alias")
-    return smin, smax
+    return smin, smax, qs
 
 
 def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
@@ -178,7 +172,7 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
     (q well below 1) where a uniform grid cannot hold the law, or when the
     inversion loses its even symmetry or rings by more than 1e-4 of mass.
     """
-    smin, _ = _check_rep(rep)
+    smin = _check_rep(rep)[0]
     if M is None:
         M = 1024
         if rep.q < 1.5:
@@ -254,15 +248,15 @@ def _check_fn(f: HomogeneousFn, q: float) -> None:
 
 
 def oracle_expectation(f: HomogeneousFn, field: DensityField) -> ActionResult:
-    """E f(X) for the law ``field.rep`` by an exact rule (module docstring);
-    the grid itself is not read.
+    """E f(X) for the law ``field.rep`` by ``_exact_expectation``; the grid is not read."""
+    return _exact_expectation(f, field.rep)
 
-    p in (-2, 0) takes the angular rule, q = 2 with p > 0 the Gaussian
-    circle rule; q < 2 with 0 < p < q raises ValueError.
-    """
-    if f.p < 0.0:
-        return _angular_expectation(f, field.rep)
-    return _gaussian_expectation(f, field.rep)
+
+def _exact_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
+    """E f(X) by the exact rule of the law's regime: the Gaussian circle rule
+    at q = 2, the angular rule for q < 2, which raises ValueError for p > 0."""
+    rule = _gaussian_expectation if rep.q == 2.0 else _angular_expectation
+    return rule(f, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +310,31 @@ def _panel_nodes(edges: np.ndarray, cusps: np.ndarray, m: int) -> tuple:
     return nodes, weights
 
 
-def _scale_argmin(rep: SpectralRep, kinks: np.ndarray) -> float:
-    """The angle of the direction that minimises S (mod pi).
+def _scale_argmin(rep: SpectralRep, profile: np.ndarray, kinks: np.ndarray) -> float:
+    """The angle minimising S (mod pi); ``profile`` is ``_check_rep``'s S^q.
 
     For q <= 1, S^q is concave between its kinks, so the minimum is at one of
-    them; otherwise two rounds of 64 points refine the best of 720.
+    them; otherwise two rounds of 64 points refine the best of the 720.
     """
     def qsum(beta):
         return _qsum(rep, np.column_stack([np.cos(beta), np.sin(beta)]))
     beta = np.concatenate([np.arange(720) * (np.pi / 720), kinks])
-    best = float(beta[np.argmin(qsum(beta))])
+    best = float(beta[np.argmin(np.concatenate([profile, qsum(kinks)]))])
     if rep.q > 1.0:
         for step in (np.pi / 720, np.pi / 720 / 32):
             beta = best + np.linspace(-step, step, 65)
             best = float(beta[np.argmin(qsum(beta))])
     return best
+
+
+def _peak_edges(center: float, smin: float, smax: float) -> np.ndarray:
+    """Edges at distances 4^j smin / smax < pi / 8 about ``center``, where a
+    negative power of a scale in [smin, smax] peaks; none unless smax > _PEAK_RATIO smin."""
+    if not smax > _PEAK_RATIO * smin:
+        return np.empty(0)
+    width = smin / smax * 4.0 ** np.arange(8)
+    width = width[width < np.pi / 8.0]
+    return center + np.concatenate([[0.0], width, -width])
 
 
 def _normal_angles(rows: np.ndarray) -> np.ndarray:
@@ -434,16 +438,14 @@ def _h_values(f: HomogeneousFn, mix: np.ndarray, q: float, t: np.ndarray,
             np.multiply(cs[0], a1 * ct - a0 * st, out=proj)
             proj -= cs[1] * (a0 * ct + a1 * st)
             np.abs(proj, out=proj)
-            if q == 2.0:
-                np.square(proj, out=proj)
-            elif q != 1.0:
+            if q != 1.0:
                 proj **= q
             qsum += proj
-        # f(theta) S^p = (N(theta)^q S^q)^(p/q): one power where N^q is cheap
+        # f(theta) S^p = (N(theta) S)^p at q = 1: one power
         base = f.base.values(cs.reshape(2, -1).T).reshape(alpha.shape)
-        if q == 1.0 or q == 2.0:
-            qsum *= base if q == 1.0 else np.square(base, out=base)
-            qsum **= f.p / q
+        if q == 1.0:
+            qsum *= base
+            qsum **= f.p
         else:
             qsum **= f.p / q
             qsum *= np.power(base, f.p, out=base)
@@ -478,22 +480,19 @@ def _angular_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
     plus 1e-13 times the sum of absolute terms.  A bound above 1e-3 |value|
     raises QuadratureFailure.
     """
-    smin, smax = _check_rep(rep)
+    smin, smax, profile = _check_rep(rep)
     _check_fn(f, rep.q)
     p, q = f.p, rep.q
     if p >= 0.0:
-        raise ValueError(f"the angular rule needs p in (-2, 0), got p={p}")
+        raise ValueError(f"the angular rule needs p in (-2, 0), got p={p}; "
+                         "for p > 0 only q = 2 has an exact rule")
     mix = _mix(rep)
     fk, fcusp = _fn_kinks(f)
-    sk = _normal_angles(mix) if q < 2.0 else np.empty(0)
+    sk = _normal_angles(mix)
     scusp = q % 1.0 != 0.0
-    # S^p peaks at the minimum of S, on the scale smin/smax: graded edges
-    # about it for the alpha panels, and about its meetings with f's kinks in t
-    peak = np.empty(0)
-    if smax > _PEAK_RATIO * smin:
-        width = smin / smax * 4.0 ** np.arange(8)
-        width = width[width < np.pi / 8.0]
-        peak = _scale_argmin(rep, sk) + np.concatenate([[0.0], width, -width])
+    # S^p peaks at the minimum of S: graded edges about it for the alpha
+    # panels, and about its meetings with f's kinks in t
+    peak = _peak_edges(_scale_argmin(rep, profile, sk), smin, smax)
     fixed = _merge_edges(fk, np.zeros(fk.size, bool), 0.0)[0]
     moving, moving_cusps = _fill_gaps(*_merge_edges(
         np.concatenate([sk, peak]),
@@ -551,13 +550,14 @@ def _gaussian_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
     the angular rule's nodes and bound."""
     _check_rep(rep)
     _check_fn(f, rep.q)
-    if rep.q != 2.0:
-        raise ValueError(f"the Gaussian circle rule needs q = 2, got q={rep.q} "
-                         f"(p={f.p}); no exact rule covers 0 < p < q < 2")
     mix = _mix(rep)
-    L = np.linalg.cholesky(2.0 * mix.T @ mix)
+    lam, V = np.linalg.eigh(2.0 * mix.T @ mix)
+    L = V * np.sqrt(lam)
     kinks, cusp = _fn_kinks(f, L)
-    edges, cusps = _fill_gaps(*_merge_edges(kinks, np.full(kinks.size, cusp), 0.0), 0.0)
+    peak = _peak_edges(0.0, *np.sqrt(lam)) if f.p < 0.0 else np.empty(0)
+    edges, cusps = _fill_gaps(*_merge_edges(
+        np.concatenate([kinks, peak]),
+        np.concatenate([np.full(kinks.size, cusp), np.zeros(peak.size, bool)]), 0.0), 0.0)
     const = 2.0 ** (f.p / 2.0) * _special().gamma(1.0 + f.p / 2.0) / np.pi
     results = []
     for m in (_NODES, 2 * _NODES):

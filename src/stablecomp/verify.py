@@ -8,7 +8,7 @@ Margins are oriented so that nonnegative means "inequality holds":
   companion (and its sign-reflected average form) for norms given by a
   spherical measure;
 * Monte Carlo comparison E f(X) - E f(Y) for homogeneous descriptors,
-  and its cross-check by the exact two-dimensional angular rule.
+  and its cross-check by the exact two-dimensional rules.
 
 A Monte Carlo trial only counts as a failure when its margin drops below
 minus three combined standard errors; the exact finite-sum checks use a
@@ -18,7 +18,7 @@ relative floating point allowance instead.
 ``_TRIALS`` table: ``trial(config, t, rng)`` draws trial ``t``'s setup from
 its own generator ``_trial_rng(seed, t)`` and returns its TrialRecord.  The
 oracle-crosscheck trial runs a thm1 comparison through ``verify_thm1``, then
-evaluates both laws with the exact angular rule of ``oracle2d``; it keeps the
+evaluates both laws by ``oracle2d._exact_expectation``; it keeps the
 deterministic oracle margin as the verdict and checks that the Monte Carlo
 estimates agree with the oracle values.
 
@@ -751,7 +751,7 @@ def _pd_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) -> Tri
 
 
 def _oracle_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) -> TrialRecord:
-    from .oracle2d import _angular_expectation
+    from .oracle2d import _exact_expectation
 
     q = float(_pick(rng, config.q_values))
     rep = random_rep(rng, 2, q, full_rank=True, max_condition=1e4)
@@ -768,8 +768,8 @@ def _oracle_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) ->
     split = BlockSplit(1)
     mc = verify_thm1(rep, split, f, config.N, Seed(config.seed, t), workers=config.workers)
     x = mc.extra
-    ox = _angular_expectation(f, rep)
-    oy = _angular_expectation(f, decouple(rep, split))
+    ox = _exact_expectation(f, rep)
+    oy = _exact_expectation(f, decouple(rep, split))
     margin = ox.value - oy.value
     bound = ox.error_bound + oy.error_bound
     if x["estimator"] == "plain":

@@ -17,7 +17,7 @@ from stablecomp import (BlockSplit, HomogeneousFn, LrMatrixBase, Seed,
                         pd_check, sample_batch, sample_standard, scale_q,
                         subordination_norm_power, verify_cor3, verify_prop1,
                         verify_thm1)
-from stablecomp.oracle2d import _angular_expectation
+from stablecomp.oracle2d import _exact_expectation
 from stablecomp.sampling import _chunk_rng
 from stablecomp.verify import (lemma1_margin_batch, random_block_symmetric_measure,
                                random_rep, _random_lr_subspace)
@@ -255,7 +255,7 @@ def test_oracle_crosscheck():
 
 
 def test_exact_decoupling_margins_2d():
-    """Exact n = 2 decoupling margins by the angular rule, with no sampling:
+    """Exact n = 2 decoupling margins by the exact rules, with no sampling:
     E f(X) - E f(Y) >= -(bound_X + bound_Y) for 40 random laws, every family
     in both exponent regimes at every q."""
     t0 = time.perf_counter()
@@ -269,8 +269,8 @@ def test_exact_decoupling_margins_2d():
         f = {"max_abs": max_abs_power(2, p, block_split=1),
              "l1": lp_norm_power(2, 1.0, p, block_split=1),
              "euclidean": euclidean_power(2, p, block_split=1)}[family]
-        ox = _angular_expectation(f, rep)
-        oy = _angular_expectation(f, decouple(rep, BlockSplit(1)))
+        ox = _exact_expectation(f, rep)
+        oy = _exact_expectation(f, decouple(rep, BlockSplit(1)))
         bound = ox.error_bound + oy.error_bound
         assert ox.value - oy.value >= -bound, (t, q, family, p, ox, oy)
         worst = min(worst, (ox.value - oy.value) / ox.value)

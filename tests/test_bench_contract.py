@@ -81,7 +81,7 @@ def test_oracle_draw_matches_the_trial(bench, monkeypatch):
 
     monkeypatch.setattr(verify, "random_rep", spy)
     # the quadrature draws nothing; a stub keeps the test fast
-    monkeypatch.setattr(oracle2d, "_angular_expectation",
+    monkeypatch.setattr(oracle2d, "_exact_expectation",
                         lambda f, rep: ActionResult(1.0, 0.0))
     config = ExperimentConfig(mode="oracle-crosscheck", trials=1, N=64,
                               n_values=(2,), q_values=workloads.ORACLE_Q)

@@ -4,7 +4,7 @@ import pytest
 from stablecomp import (BlockSplit, LevyMeasure, Seed, SpectralRep,
                         decouple, density_2d, euclidean_power, levy_expectation,
                         lp_norm_power, max_abs_power, mc_expectation, oracle_expectation)
-from stablecomp.oracle2d import _asymmetry, _scale_profile
+from stablecomp.oracle2d import _asymmetry, _check_rep
 from scipy.special import gamma
 
 from stablecomp import LrMatrixBase, MaxAbsBase, evaluate_many, oracle2d
@@ -122,7 +122,7 @@ def tilted_rep(q):
 
 def fft2_reference_values(rep, M):
     """The density by a complex FFT of the full centered grid, clipped at 0."""
-    T = np.log(1e12) ** (1.0 / rep.q) / _scale_profile(rep)[0]
+    T = np.log(1e12) ** (1.0 / rep.q) / _check_rep(rep)[0]
     dxi = 2.0 * T / M
     freq = (np.arange(M) - M / 2) * dxi
     sign = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
@@ -148,7 +148,7 @@ class TestKernels:
         rep = tilted_rep(q)
         field = density_2d(rep, M=M)
         # density_2d's cell width, which field.dx (an axis difference) rounds
-        dx = np.pi / (np.log(1e12) ** (1.0 / q) / _scale_profile(rep)[0])
+        dx = np.pi / (np.log(1e12) ** (1.0 / q) / _check_rep(rep)[0])
         full = np.trapezoid(np.trapezoid(field.values, dx=dx), dx=dx)
         assert field.grid_mass == float(full)
 
@@ -206,8 +206,8 @@ def family_fn(family, p):
 
 
 class TestAngularRule:
-    """The exact angular rule against closed forms, the sphere route at q = 2,
-    plain Monte Carlo and its own refinement."""
+    """The exact angular rule against closed forms, the sphere route at q = 2
+    (with the Gaussian circle rule), plain Monte Carlo and its own refinement."""
 
     @pytest.mark.parametrize("p", [-1.9, -1.5, -1.01, -1.0, -0.99, -0.5, -0.1])
     def test_isotropic_gaussian_closed_form(self, p):
@@ -225,8 +225,9 @@ class TestAngularRule:
             rep = random_rep(rng, 2, 2.0, full_rank=True, max_condition=1e4)
             for r in (rep, decouple(rep, BlockSplit(1))):
                 ref = sphere_route(f, r)
-                got = _angular_expectation(f, r)
-                assert abs(got.value - ref) <= got.error_bound + 1e-12 * ref
+                for rule in (_angular_expectation, _gaussian_expectation):
+                    got = rule(f, r)
+                    assert abs(got.value - ref) <= got.error_bound + 1e-12 * ref
 
     @pytest.mark.parametrize("q,family,p,seed", [
         (1.5, "l1", -0.5, 4), (1.5, "euclidean", -0.8, 5), (2.0, "l1", -0.4, 7)])
@@ -293,17 +294,45 @@ class TestAngularRule:
 
 
 class TestExactRules:
-    """``oracle_expectation`` evaluates ``field.rep`` by the exact rules: the
-    angular rule for p < 0, the Gaussian circle rule for q = 2 and p > 0."""
+    """``oracle_expectation`` evaluates ``field.rep`` by the exact rule of its
+    regime: the Gaussian circle rule at q = 2, the angular rule for q < 2."""
 
     @pytest.mark.parametrize("f", [max_abs_power(2, -1.5), lp_norm_power(2, 1.0, -0.5),
-                                   euclidean_power(2, -1.0)])
-    def test_negative_exponents_take_the_angular_rule(self, f, gaussian_field,
-                                                      cauchy_field):
-        for field in (gaussian_field, cauchy_field, density_2d(tilted_rep(1.5), M=256)):
+                                   euclidean_power(2, -1.0), euclidean_power(2, 1.5)])
+    def test_the_rule_follows_q(self, f, gaussian_field, cauchy_field):
+        fields = [gaussian_field, density_2d(tilted_rep(2.0), M=256)]
+        if f.p < 0.0:
+            fields += [cauchy_field, density_2d(tilted_rep(1.5), M=256)]
+        for field in fields:
             got = oracle_expectation(f, field)
-            ref = _angular_expectation(f, field.rep)
+            rule = _gaussian_expectation if field.rep.q == 2.0 else _angular_expectation
+            ref = rule(f, field.rep)
             assert (got.value, got.error_bound) == (ref.value, ref.error_bound)
+
+    @pytest.mark.parametrize("p,pairs", [
+        (-0.9553748024968693,
+         [(0.19322210658818412, (-0.09628041571698269, 3.591886148503298)),
+          (1.903659605938395, (-0.43359799411144107, 3.1128826882501652))]),
+        (-1.2723240856306783,
+         [(0.16410697464406343, (4.497120301547628, 1.212984689640663)),
+          (0.4092940536394469, (-0.7361740031500617, -0.15438878244980306))]),
+        (-1.0795405632795985,
+         [(0.832957573269831, (1.8215443165549314, 4.61658724067644)),
+          (0.7222029691939289, (0.3143289444317232, 0.23181602738087448))]),
+    ], ids=["rng1-law34", "rng3-law28", "rng4-law6"])
+    def test_circle_rule_grades_toward_the_peak(self, p, pairs):
+        # X sides of random_rep(default_rng(seed), 2, 2.0, full_rank=True,
+        # max_condition=1e4) whose |L theta|^p peaks sharply at the least
+        # |L theta|: without graded edges there the bound broke 1e-3
+        rep = SpectralRep.from_atoms(2.0, pairs)
+        f = euclidean_power(2, p)
+        got = _gaussian_expectation(f, rep)
+        assert got.error_bound <= 1e-3 * got.value
+        ref = sphere_route(f, rep)
+        assert abs(got.value - ref) <= got.error_bound + 1e-12 * ref
+        angular = _angular_expectation(f, rep)
+        assert abs(got.value - angular.value) <= got.error_bound + angular.error_bound \
+            + 1e-12 * angular.value
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.5])
     def test_gaussian_closed_form(self, p, gaussian_field):
@@ -333,6 +362,3 @@ class TestExactRules:
         with pytest.raises(ValueError, match="q = 2") as exc:
             oracle_expectation(euclidean_power(2, p), cauchy_field)
         assert type(exc.value) is ValueError
-        for q in (0.7, 1.5):
-            with pytest.raises(ValueError, match="q = 2"):
-                _gaussian_expectation(euclidean_power(2, p), tilted_rep(q))
