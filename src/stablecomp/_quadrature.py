@@ -17,9 +17,17 @@ import numpy as np
 from .moments import _special
 
 
+def _read_only(*arrays) -> tuple:
+    """``arrays``, made read-only: a cached rule is shared by every caller,
+    and rules run at the same time on the worker pool."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=64)
 def _leggauss(m: int) -> tuple:
-    return np.polynomial.legendre.leggauss(m)
+    return _read_only(*np.polynomial.legendre.leggauss(m))
 
 
 def _gl_panels(a: np.ndarray, b: np.ndarray, m: int) -> tuple:
@@ -49,7 +57,7 @@ def _gauss_jacobi(m: int, beta: float) -> tuple:
     diag[1:] = beta * beta / (ab * (ab + 2.0))
     off = np.sqrt(4.0 * k * k * (k + beta) ** 2 / (ab * ab * (ab + 1.0) * (ab - 1.0)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return x, 2.0 ** (beta + 1.0) / (beta + 1.0) * v[0] ** 2
+    return _read_only(x, 2.0 ** (beta + 1.0) / (beta + 1.0) * v[0] ** 2)
 
 
 def _fourier_constant(a: float) -> float:

@@ -88,7 +88,10 @@ def _powers() -> tuple:
         hi.append(h)
         lo.append(((num << 52) - int(h * 2.0 ** 52) * den) / (den << 52))
         t.append(tk)
-    return np.array(hi), np.array(lo), np.array(t, dtype=np.int64)
+    tables = np.array(hi), np.array(lo), np.array(t, dtype=np.int64)
+    for a in tables:
+        a.setflags(write=False)  # cached, so shared by every caller
+    return tables
 
 
 @functools.cache
@@ -97,9 +100,11 @@ def _exponents() -> np.ndarray:
     three digits, the first NUL below 100."""
     X = np.arange(-400, 400)
     a = np.abs(X)
-    return np.array([np.full(800, ord("e")), np.where(X < 0, _MINUS, _PLUS),
-                     np.where(a >= 100, a // 100 + _ZERO, 0), a // 10 % 10 + _ZERO,
-                     a % 10 + _ZERO], dtype=np.uint8)
+    table = np.array([np.full(800, ord("e")), np.where(X < 0, _MINUS, _PLUS),
+                      np.where(a >= 100, a // 100 + _ZERO, 0), a // 10 % 10 + _ZERO,
+                      a % 10 + _ZERO], dtype=np.uint8)
+    table.setflags(write=False)  # cached, so shared by every caller
+    return table
 
 
 def _scaled(bits: np.ndarray, k: np.ndarray) -> tuple:

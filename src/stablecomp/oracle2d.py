@@ -35,18 +35,19 @@ E f(X) = Gamma(1/q) H(0) / (2 pi q); the general form would read 0 * inf.
 
 Panels.  H is a Gauss rule in alpha on panels with edges at the kinks of
 f (x1 = +-x2 for max-abs, <b, x> = 0 for each row b of an L_r matrix base,
-none for the diagonal Euclidean base); at the kinks of S, where omega is
-orthogonal to a row of ``sampling._mix(rep)``; at even splits of
-any gap wider than pi/4; and, once max S / min S > 3, at distances
-4^j min S / max S from the minimum of S, about which S^p peaks.  For q
-not in {1, 2}, S^p has |delta|^q cusps, and every panel is halved and
-graded toward the nearest cusp (``_panel_nodes``).  The t panels have
-edges at t = 0, wherever a kink of f meets a kink of S or the peak of S,
-where H itself is not smooth, and at even splits of any gap wider than
-pi/4.  The two panels at t = 0 take Gauss-Jacobi (``_gauss_jacobi``, shared
-with ``fourier_pd`` in ``_quadrature``) with the weight |t|^s (|t|^(s+1) on
-(H(t) - H(0))/t for the finite part); edges in a ratio of 4 grade the
-others toward 0, and two more levels follow where a cusp meets t = 0.
+none for the diagonal Euclidean base); for q < 2, at the kinks of S, where
+omega is orthogonal to a row of ``sampling._mix(rep)`` (S is smooth at
+q = 2); at even splits of any gap wider than pi/4; and, once
+max S / min S > 3, at distances 4^j min S / max S from the minimum of S,
+about which S^p peaks.  For q not in {1, 2}, S^p has |delta|^q cusps, and
+every panel is halved and graded toward the nearest cusp (``_panel_nodes``).
+The t panels have edges at t = 0, wherever a kink of f meets a kink of S
+or the peak of S, where H itself is not smooth, and at even splits of any
+gap wider than pi/4.  The two panels at t = 0 take Gauss-Jacobi
+(``_gauss_jacobi``, shared with ``fourier_pd`` in ``_quadrature``) with the
+weight |t|^s (|t|^(s+1) on (H(t) - H(0))/t for the finite part); edges in a
+ratio of 4 grade the others toward 0, and two more levels follow where a
+cusp meets t = 0.
 H is evaluated for blocks of t nodes, so that no array exceeds
 _BLOCK_POINTS nodes.
 
@@ -148,7 +149,8 @@ def _check_rep(rep: SpectralRep) -> tuple:
     """(min S, max S, S^q at the angles k pi / 720; S is even) of a 2-D law;
     rank-one and near-rank-one laws raise ValueError."""
     if rep.n != 2:
-        raise ValueError(f"density inversion is two-dimensional only, got n={rep.n}")
+        raise ValueError(f"the density grid and the exact rules need a "
+                         f"two-dimensional law, got n={rep.n}")
     ang = np.arange(720) * (np.pi / 720)
     qs = _qsum(rep, np.column_stack([np.cos(ang), np.sin(ang)]))
     s = qs ** (1.0 / rep.q)
@@ -263,7 +265,12 @@ def _exact_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
 # the exact angular rule
 
 _NODES = 16  # Gauss nodes per panel of the coarse rule; the fine rule takes twice as many
-_BLOCK_POINTS = 1 << 17  # alpha nodes per block of H: each block array is 1 MiB
+# alpha nodes per block of H.  Each block array takes 256 KiB, so the arrays
+# of the two rules that an oracle trial runs at once on the worker pool stay
+# small beside its Monte Carlo chunks.  On 168 random sides at one thread,
+# 2^15 took a median 12 ms a side against 16.5 ms at 2^17 on a 2-core Xeon,
+# with the same bytes.
+_BLOCK_POINTS = 1 << 15
 _EDGE_TOL = 1e-12  # edges closer than this are one edge
 _MAX_PANEL = np.pi / 4.0  # widest panel in either angle
 _PEAK_RATIO = 3.0  # graded edges about the minimum of S once max S / min S exceeds this
@@ -488,7 +495,8 @@ def _angular_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
                          "for p > 0 only q = 2 has an exact rule")
     mix = _mix(rep)
     fk, fcusp = _fn_kinks(f)
-    sk = _normal_angles(mix)
+    # S has kinks where omega is orthogonal to a row of mix, unless q = 2
+    sk = _normal_angles(mix) if q < 2.0 else np.empty(0)
     scusp = q % 1.0 != 0.0
     # S^p peaks at the minimum of S: graded edges about it for the alpha
     # panels, and about its meetings with f's kinks in t

@@ -18,14 +18,25 @@ X = sum_j w_j^(1/q) Z_j a_j, one draw per atom.
 Reproducibility contract: draws are produced in fixed-size chunks whose RNG
 streams depend only on (seed, stream_id, chunk index).  Batches are
 therefore bit-identical for any worker count and scheduling order.
+
+Worker pool: the process keeps one pool of worker threads, made on first
+use and sized by the resolved worker count.  A call with another count
+replaces it, and a forked child drops the parent's (its threads do not
+exist there).  ``_map_chunks`` runs its chunks as tasks of that pool, and
+``_pool_tasks`` runs other independent work on it, such as the exact rules
+of an oracle trial.  At one worker, or when the caller is itself a pool
+thread, the work runs on the calling thread instead: a pool task that
+waited for tasks queued behind it could wait forever.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -326,25 +337,110 @@ def _chunk_points(q: float, mix: np.ndarray, seed: Seed,
     return out
 
 
+# The process's worker pool as (worker count, executor), made on first use.
+# _pool_lock guards both replacing it and submitting to it, so no task goes
+# to a pool that another thread has just shut down.
+_pool = None
+_pool_lock = threading.Lock()
+_thread = threading.local()  # in_pool is set on the pool's own threads
+
+
+def _mark_pool_thread() -> None:
+    _thread.in_pool = True
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, where its threads do not run."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _inline(workers: int) -> bool:
+    """Whether work at ``workers`` runs on the calling thread: at one worker,
+    and on a pool thread, which could wait forever for tasks queued behind it."""
+    return workers == 1 or getattr(_thread, "in_pool", False)
+
+
+def _pool_tasks(workers: int, calls) -> list:
+    """Futures of the zero-argument ``calls``: tasks of the process's pool of
+    ``workers`` threads, or run here and now when ``_inline(workers)``.
+
+    Every task must keep to its thread, as ``_map_chunks`` says of ``fill``.
+    """
+    global _pool
+    if _inline(workers):
+        futures = []
+        for call in calls:
+            futures.append(Future())
+            try:
+                futures[-1].set_result(call())
+            except Exception as exc:
+                futures[-1].set_exception(exc)
+        return futures
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)  # the tasks already queued still run
+            _pool = (workers, ThreadPoolExecutor(workers, initializer=_mark_pool_thread))
+        return [_pool[1].submit(call) for call in calls]
+
+
+def _results(futures) -> list:
+    """The results of ``futures`` once all are done; the first exception among
+    them, in order, is raised."""
+    wait(futures)
+    return [fut.result() for fut in futures]
+
+
+def _side_by_side(workers: int, calls) -> list:
+    """The results of the zero-argument ``calls``, made at the same time unless
+    ``_inline(workers)``: the first on this thread, each other on a short-lived
+    thread of its own.  The chunks that they map then share the pool's queue,
+    so no call's last chunk leaves a worker idle.  Every call is done before
+    this returns or raises; the first exception in order is raised."""
+    if _inline(workers):
+        return [call() for call in calls]
+    futures = [Future() for _ in calls[1:]]
+
+    def run(call, fut):
+        try:
+            fut.set_result(call())
+        except BaseException as exc:  # the future must be set, or result() waits forever
+            fut.set_exception(exc)
+
+    threads = [threading.Thread(target=run, args=pair) for pair in zip(calls[1:], futures)]
+    for th in threads:
+        th.start()
+    try:
+        first = calls[0]()
+    finally:
+        for th in threads:
+            th.join()
+    return [first, *(fut.result() for fut in futures)]
+
+
 def _map_chunks(N: int, workers: int, fill) -> None:
     """Run fill(ci, lo, hi) over the CHUNK-sized chunks [lo, hi) of range(N),
-    on a thread pool when workers > 1.
+    as tasks of the process's worker pool when workers > 1 (``_pool_tasks``).
 
     ``fill`` must draw only from chunk ci's stream and write only rows
     [lo, hi); the result is then the same for any worker count.  It must
     also keep to its calling thread: no BLAS call large enough for OpenBLAS
     to spread it over threads of its own (see _MIX_BLOCK).  Every worker
     would start those threads on every call, so the workers would
-    oversubscribe the cores and run no faster than one.
+    oversubscribe the cores and run no faster than one.  The same rule holds
+    for every other pool task, such as the exact rules of an oracle trial.
     """
     def run(ci):
         lo = ci * CHUNK
         fill(ci, lo, min(N, lo + CHUNK))
 
     n_chunks = -(-N // CHUNK)
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(n_chunks)))
+    if n_chunks > 1 and not _inline(workers):
+        _results(_pool_tasks(workers, [partial(run, ci) for ci in range(n_chunks)]))
     else:
         for ci in range(n_chunks):
             run(ci)

@@ -17,10 +17,19 @@ relative floating point allowance instead.
 ``run_experiment`` runs every mode but lemma1 through one loop over the
 ``_TRIALS`` table: ``trial(config, t, rng)`` draws trial ``t``'s setup from
 its own generator ``_trial_rng(seed, t)`` and returns its TrialRecord.  The
-oracle-crosscheck trial runs a thm1 comparison through ``verify_thm1``, then
-evaluates both laws by ``oracle2d._exact_expectation``; it keeps the
+oracle-crosscheck trial evaluates both laws by ``oracle2d._exact_expectation``
+and runs a thm1 comparison through ``verify_thm1``; it keeps the
 deterministic oracle margin as the verdict and checks that the Monte Carlo
 estimates agree with the oracle values.
+
+Worker threads.  Above one worker, the pieces of a trial that do not depend
+on each other run at the same time on the process's worker pool (see
+``sampling``): ``verify_thm1`` estimates X and Y side by side, so that the
+chunks of both share the pool's queue, and the oracle-crosscheck trial runs
+its two exact rules as pool tasks while the Monte Carlo runs, and waits for
+both before it returns or raises.  Each chunk draws from its own stream and
+writes only its own rows, and every reduction runs after its chunks are
+done, so each record has the same bytes at any worker count.
 
 Lemma-1 runs produce tens of thousands of records, so they keep each batch
 of trials as numpy columns and build a TrialRecord only when one is read.
@@ -43,7 +52,9 @@ import operator
 import time
 from bisect import bisect_right
 from collections.abc import Sequence
+from concurrent.futures import wait
 from dataclasses import dataclass, field, fields, asdict
+from functools import partial
 
 import numpy as np
 
@@ -51,7 +62,8 @@ from .homogeneous import (HomogeneousFn, LevyMeasure, LrMatrixBase, _lr_exponent
                           check_block_symmetry, check_homogeneity,
                           euclidean_power, lp_norm_power, max_abs_power)
 from .moments import levy_expectation, mc_expectation
-from .sampling import Seed, as_seed, _chunk_rng
+from .sampling import (Seed, as_seed, _chunk_rng, _pool_tasks, _resolve_workers,
+                       _results, _side_by_side)
 from .spectral import BlockSplit, SpectralRep, decouple, reflect, rep_hash, scale_q
 
 __all__ = [
@@ -438,10 +450,11 @@ def verify_thm1(rep: SpectralRep, split: BlockSplit, f: HomogeneousFn,
                 workers=None) -> TrialRecord:
     """Monte Carlo comparison E f(X) >= E f(Y) for a certified descriptor.
 
-    X and Y are estimated from independent streams; the margin tolerance is
-    three combined standard errors (or median-of-means deviation bounds in
-    the infinite-variance regime).  Descriptors without a positive
-    definiteness certificate are flagged, not rejected.
+    X and Y are estimated from independent streams, side by side above one
+    worker; the margin tolerance is three combined standard errors (or
+    median-of-means deviation bounds in the infinite-variance regime).
+    Descriptors without a positive definiteness certificate are flagged, not
+    rejected.
     """
     split.validate(rep.n)
     if f.n != rep.n:
@@ -456,13 +469,16 @@ def verify_thm1(rep: SpectralRep, split: BlockSplit, f: HomogeneousFn,
     if not sym.passed:
         raise ValueError(f"f(u, v) != f(u, -v) at witness {sym.witness}")
     seed = as_seed(seed)
+    workers = _resolve_workers(workers)
     cert = pd_certificate(f)
     flags = [] if cert else ["uncertified"]
     rep_y = decouple(rep, split)
-    est_x = mc_expectation(f, rep, N, Seed(seed.seed, 2 * seed.stream_id),
-                           workers=workers)
-    est_y = mc_expectation(f, rep_y, N, Seed(seed.seed, 2 * seed.stream_id + 1),
-                           workers=workers)
+    # both sides at once, so that their chunks share the worker pool's queue
+    est_x, est_y = _side_by_side(workers, [
+        partial(mc_expectation, f, rep, N, Seed(seed.seed, 2 * seed.stream_id),
+                workers=workers),
+        partial(mc_expectation, f, rep_y, N, Seed(seed.seed, 2 * seed.stream_id + 1),
+                workers=workers)])
     margin = est_x.value - est_y.value
     combined = float(np.hypot(est_x.uncertainty, est_y.uncertainty))
     tol = 3.0 * combined
@@ -766,10 +782,16 @@ def _oracle_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) ->
         f = lp_norm_power(2, 1.0, p, block_split=1) if family == "l1" \
             else euclidean_power(2, p, block_split=1)
     split = BlockSplit(1)
-    mc = verify_thm1(rep, split, f, config.N, Seed(config.seed, t), workers=config.workers)
+    workers = _resolve_workers(config.workers)
+    # the exact rules run on the worker pool while the Monte Carlo runs
+    exact = _pool_tasks(workers, [partial(_exact_expectation, f, r)
+                                  for r in (rep, decouple(rep, split))])
+    try:
+        mc = verify_thm1(rep, split, f, config.N, Seed(config.seed, t), workers=workers)
+    finally:
+        wait(exact)
+    ox, oy = _results(exact)
     x = mc.extra
-    ox = _exact_expectation(f, rep)
-    oy = _exact_expectation(f, decouple(rep, split))
     margin = ox.value - oy.value
     bound = ox.error_bound + oy.error_bound
     if x["estimator"] == "plain":

@@ -60,7 +60,7 @@ class TestDensity:
         rep = SpectralRep.from_atoms(1.0, [(1.0, (1.0, 0.0, 0.0)),
                                            (1.0, (0.0, 1.0, 0.0)),
                                            (1.0, (0.0, 0.0, 1.0))])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need a two-dimensional law, got n=3"):
             density_2d(rep)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stablecomp._quadrature import _gauss_jacobi, _gl_panels
+from stablecomp._quadrature import _gauss_jacobi, _gl_panels, _leggauss
 
 
 @pytest.mark.parametrize("beta", [-0.95, -0.5, 0.0, 0.5, 1.9])
@@ -26,3 +26,9 @@ def test_gl_panels_shape_and_weights():
     widths = np.diff(edges, axis=-1)
     assert np.all(np.abs(weights.sum(axis=-1) - widths) <= 1e-15 * widths)
 
+
+def test_cached_rules_are_read_only():
+    # a cached rule is shared by the rules that run at once on the worker pool
+    for a in (*_leggauss(8), *_gauss_jacobi(8, -0.5)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import multiprocessing
 import os
+import sys
+import threading
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -9,9 +13,10 @@ from stablecomp import (BlockSplit, SampleBatch, Seed, SpectralRep, char_fn,
                         decouple, default_workers, empirical_char_fn,
                         euclidean_power, mc_expectation, random_rep,
                         sample_batch, sample_standard, scale_q)
+from stablecomp import sampling
 from stablecomp.sampling import (_CSV_ROWS, _DRAW_BLOCK, _MIX_BLOCK, CHUNK,
                                  _chunk_points, _chunk_rng, _cos, _draw_standard,
-                                 _mix)
+                                 _mix, _pool_tasks)
 
 
 class TestSeed:
@@ -329,6 +334,76 @@ class TestDeterminism:
             sample_batch(rep, 100, Seed(0), workers=workers)
         with pytest.raises(ValueError, match="workers must be >= 1"):
             mc_expectation(euclidean_power(2, -0.5), rep, 100, Seed(0), workers=workers)
+
+
+class TestWorkerPool:
+    """The process's one worker pool: every call gets the bytes of one worker."""
+
+    REP = SpectralRep.from_atoms(
+        1.2, [(1.0, (1.0, 0.2)), (0.4, (-0.3, 1.0)), (2.0, (0.5, 0.5))])
+    N = 3 * CHUNK + 5
+
+    def draw(self, workers=None) -> bytes:
+        return sample_batch(self.REP, self.N, Seed(41), workers=workers).points.tobytes()
+
+    def test_calls_from_pool_tasks_finish(self):
+        # each pool thread runs its chunks itself: had both queued them behind
+        # their own tasks, neither would ever finish
+        tasks = _pool_tasks(2, [lambda: self.draw(workers=2)] * 2)
+        done, _ = wait(tasks, timeout=60)
+        assert len(done) == 2
+        assert [t.result() for t in tasks] == [self.draw(workers=1)] * 2
+
+    def test_forked_child_gets_the_parent_bytes(self):
+        want = self.draw(workers=2)  # the pool exists before the fork
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def child():
+            send.send_bytes(hashlib.sha256(self.draw(workers=2)).digest())
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        try:
+            assert recv.poll(60), "the forked child did not finish sampling"
+            got = recv.recv_bytes()
+        finally:
+            proc.join(60)
+            if proc.is_alive():
+                proc.kill()
+            recv.close()
+            send.close()
+        assert proc.exitcode == 0
+        assert got == hashlib.sha256(want).digest()
+
+    def test_concurrent_calls_at_changing_counts(self):
+        # more workers than cores, and callers that keep replacing the pool
+        # while the chunks of the others are queued on it
+        want = self.draw(workers=1)
+        got = [None] * 6
+
+        def call(i):
+            got[i] = self.draw(workers=2 + i % 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(got))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == [want] * len(got)
+
+    def test_worker_count_changes_between_calls(self, monkeypatch):
+        want = self.draw(workers=1)
+        for env in ("2", "3", "2"):
+            monkeypatch.setenv("STABLECOMP_WORKERS", env)
+            assert self.draw() == want
+            assert sampling._pool[0] == int(env)
 
 
 class TestExport:

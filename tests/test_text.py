@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from stablecomp import Seed, sample_standard
-from stablecomp._text import (chunks, _BLOCK, _K_MAX, _K_MIN, _decimal, _powers, g17_slots,
-                              int_slots, repr_slots)
+from stablecomp._text import (chunks, _BLOCK, _K_MAX, _K_MIN, _decimal, _exponents, _powers,
+                              g17_slots, int_slots, repr_slots)
 
 FORMS = {"g17": (g17_slots, "%.17g".__mod__), "repr": (repr_slots, repr)}
 
@@ -122,6 +122,13 @@ def test_any_floats_match_python(form):
         _check(values, form)
 
     check()
+
+
+def test_cached_tables_are_read_only():
+    # the tables are cached, so every writer, on any thread, shares them
+    for table in (*_powers(), _exponents()):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 def test_empty_column():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -286,6 +287,40 @@ class TestRunExperiment:
         assert lines[0] == "index,mode,margin,tolerance,passed"
         assert len(lines) == 6
         assert report.passed
+
+    @pytest.mark.parametrize("mode", ["thm1", "cor3", "oracle-crosscheck"])
+    def test_jsonl_bytes_at_any_worker_count(self, tmp_path, mode):
+        # two chunks per side; the sides share the pool's queue, and the
+        # oracle's exact rules run on the pool beside the Monte Carlo
+        texts = []
+        for workers in (1, 2, 8):
+            out = tmp_path / f"{workers}.jsonl"
+            run_experiment(ExperimentConfig(
+                mode=mode, trials=3, N=100_000, seed=12, out_jsonl=str(out),
+                n_values=(2,) if mode == "oracle-crosscheck" else (2, 3),
+                workers=workers))
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_oracle_trial_waits_for_its_exact_rules(self, monkeypatch):
+        from stablecomp import oracle2d
+
+        finished = []
+
+        def slow_rule(f, rep):
+            time.sleep(0.2)
+            finished.append(rep)
+
+        def failing_thm1(*args, **kwargs):
+            raise ValueError("no Monte Carlo")
+
+        monkeypatch.setattr(oracle2d, "_exact_expectation", slow_rule)
+        monkeypatch.setattr(verify, "verify_thm1", failing_thm1)
+        config = ExperimentConfig(mode="oracle-crosscheck", trials=1, n_values=(2,),
+                                  workers=2)
+        with pytest.raises(ValueError, match="no Monte Carlo"):
+            verify._oracle_trial(config, 0, _trial_rng(0, 0))
+        assert len(finished) == 2
 
     def test_config_json_round_trip(self):
         config = ExperimentConfig(mode="thm1", trials=7, N=1000, seed=3,
