@@ -21,10 +21,19 @@ variable is evaluated two independent ways:
 representations) into the exact finite-sum value of E||X||^p, and
 ``mc_expectation`` estimates E f(X) for arbitrary homogeneous descriptors,
 switching to a median-of-means estimator in the infinite-variance regime.
+
+The Monte Carlo reduction streams: each chunk of the sample stream (see
+``sampling``) evaluates f on its own draws and reduces them, where they are
+drawn, to a (count, mean, M2) triple for each estimator block it meets, M2
+being the sum of squared deviations from that mean.  The triples are merged
+in chunk order by the pairwise update of Chan, Golub & LeVeque (1979).  So
+no N values are ever held, and since the chunks and the merge order are
+fixed, an estimate has the same bytes for any worker count.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +66,11 @@ class QuadratureFailure(RuntimeError):
 class MCEstimate:
     """Monte Carlo value with its uncertainty and estimator provenance.
 
-    ``stderr`` is set for the plain-mean estimator; the median-of-means
-    path reports ``dev_bound`` instead (a robust scale of the block-mean
-    median, MAD-based).
+    ``stderr`` is set for the plain-mean estimator, sqrt(M2 / (N - 1) / N)
+    from the merged sum of squared deviations M2; the median-of-means path
+    reports ``dev_bound`` instead (a robust scale of the block-mean median,
+    MAD-based).  Both come from per-chunk partials merged in chunk order,
+    so they have the same bytes for any worker count.
     """
 
     value: float
@@ -228,16 +239,49 @@ def levy_expectation(rep: SpectralRep, gamma: LevyMeasure, p) -> float:
 _MOM_BLOCKS = 32
 
 
-def _mc_values(f, rep: SpectralRep, N: int, seed: Seed, workers: int) -> np.ndarray:
-    """f evaluated on the same deterministic chunk stream as sample_batch."""
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Two (count, mean, M2) partials of adjacent runs as one, by the
+    pairwise update of Chan, Golub & LeVeque (1979); M2 is the sum of
+    squared deviations from the mean."""
+    na, ma, m2a = a
+    nb, mb, m2b = b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * (nb / n), m2a + m2b + delta * delta * (na * nb / n)
+
+
+def _mc_moments(f, rep: SpectralRep, N: int, seed: Seed, workers: int,
+                blocks: int) -> list:
+    """(count, mean, M2) of f(X) over each of ``blocks`` contiguous blocks of
+    the sample, with the edges of np.array_split(range(N), blocks).
+
+    f is evaluated on the same deterministic chunk stream as sample_batch.
+    Each chunk reduces its values where it is drawn, to one partial for each
+    block it meets, and the partials are merged in chunk order.  Memory is
+    therefore constant in N, and the result has the same bytes for any
+    worker count.
+    """
     mix = _mix(rep)
-    values = np.empty(N, dtype=float)
+    size, extra = divmod(N, blocks)
+    edges = [b * size + min(b, extra) for b in range(blocks + 1)]
 
-    def fill(ci, lo, hi):
-        values[lo:hi] = evaluate_many(f, _chunk_points(rep.q, mix, seed, ci, hi - lo))
+    def reduce_chunk(ci, lo, hi):
+        values = evaluate_many(f, _chunk_points(rep.q, mix, seed, ci, hi - lo))
+        parts = []
+        # the blocks that meet [lo, hi): the one holding row lo up to the
+        # last that starts before hi
+        for b in range(bisect_right(edges, lo) - 1, bisect_left(edges, hi)):
+            seg = values[max(lo, edges[b]) - lo:min(hi, edges[b + 1]) - lo]
+            mean = seg.mean()
+            dev = seg - mean  # M2 by square and sum: a BLAS dot could go multithreaded
+            parts.append((b, (seg.size, mean, np.square(dev, out=dev).sum())))
+        return parts
 
-    _map_chunks(N, workers, fill)
-    return values
+    merged = [None] * blocks
+    for parts in _map_chunks(N, workers, reduce_chunk):
+        for b, part in parts:
+            merged[b] = part if merged[b] is None else _merge(merged[b], part)
+    return merged
 
 
 def mc_expectation(f, rep: SpectralRep, N: int, seed, workers=None) -> MCEstimate:
@@ -247,6 +291,11 @@ def mc_expectation(f, rep: SpectralRep, N: int, seed, workers=None) -> MCEstimat
     f(X) exists, i.e. when 2p lies inside the existence range; otherwise a
     median-of-means estimate over _MOM_BLOCKS contiguous blocks is returned,
     flagged through ``estimator`` so callers can widen tolerances.
+
+    No N values are held: each chunk of the sample stream is reduced to a
+    count, mean and sum of squared deviations for each block it meets, and
+    those are merged in chunk order (``_mc_moments``).  The estimate has the
+    same bytes for any worker count.
     """
     if f.n != rep.n:
         raise ValueError(f"descriptor dimension {f.n} does not match rep n={rep.n}")
@@ -260,15 +309,16 @@ def mc_expectation(f, rep: SpectralRep, N: int, seed, workers=None) -> MCEstimat
     if N < min_n:
         raise ValueError(f"N={N} too small for the {estimator} estimator (need >= {min_n})")
     seed = as_seed(seed)
-    values = _mc_values(f, rep, N, seed, _resolve_workers(workers))
+    blocks = _mc_moments(f, rep, N, seed, _resolve_workers(workers),
+                         1 if plain else _MOM_BLOCKS)
 
     if plain:
-        value = float(values.mean())
-        stderr = float(values.std(ddof=1) / np.sqrt(N))
-        return MCEstimate(value=value, n_samples=N, estimator="plain",
+        _, mean, m2 = blocks[0]
+        stderr = float(np.sqrt(m2 / (N - 1) / N))
+        return MCEstimate(value=float(mean), n_samples=N, estimator="plain",
                           stderr=stderr, rep_hash=rep_hash(rep), seed=seed)
 
-    block_means = np.array([b.mean() for b in np.array_split(values, _MOM_BLOCKS)])
+    block_means = np.array([mean for _, mean, _ in blocks])
     value = float(np.median(block_means))
     mad = float(np.median(np.abs(block_means - value)))
     scale = float(block_means.std(ddof=1)) if mad == 0.0 else 1.4826 * mad

@@ -17,7 +17,10 @@ X = sum_j w_j^(1/q) Z_j a_j, one draw per atom.
 
 Reproducibility contract: draws are produced in fixed-size chunks whose RNG
 streams depend only on (seed, stream_id, chunk index).  Batches are
-therefore bit-identical for any worker count and scheduling order.
+therefore bit-identical for any worker count and scheduling order.  A
+reduction over a stream, such as the Monte Carlo mean, reduces each chunk
+where it is drawn and merges the chunk results in chunk order, so its
+result is bit-identical too.
 
 Worker pool: the process keeps one pool of worker threads, made on first
 use and sized by the resolved worker count.  A call with another count
@@ -368,7 +371,7 @@ def _pool_tasks(workers: int, calls) -> list:
     """Futures of the zero-argument ``calls``: tasks of the process's pool of
     ``workers`` threads, or run here and now when ``_inline(workers)``.
 
-    Every task must keep to its thread, as ``_map_chunks`` says of ``fill``.
+    Every task must keep to its thread, as ``_map_chunks`` says of ``fn``.
     """
     global _pool
     if _inline(workers):
@@ -422,28 +425,30 @@ def _side_by_side(workers: int, calls) -> list:
     return [first, *(fut.result() for fut in futures)]
 
 
-def _map_chunks(N: int, workers: int, fill) -> None:
-    """Run fill(ci, lo, hi) over the CHUNK-sized chunks [lo, hi) of range(N),
-    as tasks of the process's worker pool when workers > 1 (``_pool_tasks``).
+def _map_chunks(N: int, workers: int, fn) -> list:
+    """The results of fn(ci, lo, hi) over the CHUNK-sized chunks [lo, hi) of
+    range(N), as a list in chunk order.  The chunks run as tasks of the
+    process's worker pool when workers > 1 (``_pool_tasks``).
 
-    ``fill`` must draw only from chunk ci's stream and write only rows
-    [lo, hi); the result is then the same for any worker count.  It must
-    also keep to its calling thread: no BLAS call large enough for OpenBLAS
-    to spread it over threads of its own (see _MIX_BLOCK).  Every worker
-    would start those threads on every call, so the workers would
-    oversubscribe the cores and run no faster than one.  The same rule holds
-    for every other pool task, such as the exact rules of an oracle trial.
+    ``fn`` must draw only from chunk ci's stream, and write, if it writes,
+    only rows [lo, hi) of a shared output.  Its result and its writes are
+    then the same for any worker count, and a caller that merges the
+    results in the list's order gets the same bytes for any worker count.
+    ``fn`` must also keep to its calling thread: no BLAS call large enough
+    for OpenBLAS to spread it over threads of its own (see _MIX_BLOCK).
+    Every worker would start those threads on every call, so the workers
+    would oversubscribe the cores and run no faster than one.  The same rule
+    holds for every other pool task, such as the exact rules of an oracle
+    trial.
     """
     def run(ci):
         lo = ci * CHUNK
-        fill(ci, lo, min(N, lo + CHUNK))
+        return fn(ci, lo, min(N, lo + CHUNK))
 
     n_chunks = -(-N // CHUNK)
     if n_chunks > 1 and not _inline(workers):
-        _results(_pool_tasks(workers, [partial(run, ci) for ci in range(n_chunks)]))
-    else:
-        for ci in range(n_chunks):
-            run(ci)
+        return _results(_pool_tasks(workers, [partial(run, ci) for ci in range(n_chunks)]))
+    return [run(ci) for ci in range(n_chunks)]
 
 
 def sample_batch(rep: SpectralRep, N: int, seed, workers=None) -> SampleBatch:

@@ -540,8 +540,10 @@ class TestCentreAlignedRule:
         for key in ("witness", "evaluations", "family_size", "verdict"):
             assert got[key] == old[key], key
         assert abs(got["min_action"] - old["min_action"]) <= 1e-12 * abs(old["min_action"])
+        # the bound may move by its own roundoff or by a few ulps of min_action
         bound, old_bound = got["quadrature_error_bound"], old["quadrature_error_bound"]
-        assert abs(bound - old_bound) <= 1e-9 * old_bound
+        assert abs(bound - old_bound) <= (1e-9 * old_bound
+                                          + 8 * np.finfo(float).eps * abs(old["min_action"]))
 
 
 class TestPdCheck:

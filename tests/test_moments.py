@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from scipy.special import gamma
 from stablecomp import (BlockSplit, HomogeneousFn, LevyBase, LevyMeasure,
                         LrMatrixBase, MomentExistenceError, Seed, SpectralRep,
                         c_pq, c_pq_oracle, decouple, euclidean_power,
-                        levy_expectation, lp_norm_power, max_abs_power,
-                        mc_expectation, reflect)
+                        evaluate_many, levy_expectation, lp_norm_power,
+                        max_abs_power, mc_expectation, moments, reflect,
+                        sample_batch)
+from stablecomp.sampling import CHUNK
 
 
 def norm_of(g):
@@ -164,16 +167,73 @@ class TestMCExpectation:
         assert est.value > est_dec.value
 
     def test_worker_independence(self):
-        # the chunk workers give the same values at any count, for both norm
-        # kernels that run inside them
+        # the chunk workers give the same estimate at any count, for both
+        # norm kernels that run inside them and for both estimators: 2p = -3.2
+        # puts the max-abs case in median-of-means, whose blocks straddle
+        # chunk edges at N = 200 000
         rng = np.random.default_rng(28)
         rep = SpectralRep(n=3, q=1.3, weights=rng.uniform(0.5, 1.5, 5),
                           atoms=rng.standard_normal((5, 3)))
         tall = LrMatrixBase(matrix=rng.standard_normal((6, 3)), r=1.3)
-        for f in (HomogeneousFn(base=tall, p=-0.7),
-                  euclidean_power(3, -1.2, weights=(0.5, 1.0, 2.0))):
+        for f, estimator in ((HomogeneousFn(base=tall, p=-0.7), "plain"),
+                             (euclidean_power(3, -1.2, weights=(0.5, 1.0, 2.0)), "plain"),
+                             (max_abs_power(3, -1.6), "median-of-means")):
             ests = [mc_expectation(f, rep, 200_000, Seed(29), workers=w) for w in (1, 2, 8)]
-            assert ests[0].value == ests[1].value == ests[2].value
+            assert ests[0].estimator == estimator
+            got = [(e.value, e.stderr, e.dev_bound) for e in ests]
+            assert got[0] == got[1] == got[2]
+
+    @pytest.mark.parametrize("N", [5_000, 3 * CHUNK + 777, 64])
+    @pytest.mark.parametrize("p", [-1.2, -1.6])
+    def test_streamed_matches_whole_array(self, N, p):
+        # the per-chunk reduction against the whole-array estimators on the
+        # same draws: 2p = -2.4 > -3 is plain, 2p = -3.2 median-of-means;
+        # at N = 3 CHUNK + 777 the blocks straddle chunk edges
+        rng = np.random.default_rng(31)
+        rep = SpectralRep(n=3, q=1.3, weights=rng.uniform(0.5, 1.5, 4),
+                          atoms=rng.standard_normal((4, 3)))
+        f = max_abs_power(3, p)
+        est = mc_expectation(f, rep, N, Seed(32), workers=2)
+        values = evaluate_many(f, sample_batch(rep, N, Seed(32), workers=1).points)
+
+        def close(got, want):
+            return abs(got - want) <= 8 * np.finfo(float).eps * abs(want)
+
+        if est.estimator == "plain":
+            assert close(est.value, values.mean())
+            assert close(est.stderr, values.std(ddof=1) / np.sqrt(N))
+        else:
+            block_means = np.array([b.mean() for b in np.array_split(values, 32)])
+            value = np.median(block_means)
+            assert close(est.value, value)
+            mad = np.median(np.abs(block_means - value))
+            assert close(est.dev_bound, 1.2533 * 1.4826 * mad / np.sqrt(32))
+        # every block's count, mean and squared deviations, for both block counts
+        for blocks in (1, 32):
+            parts = moments._mc_moments(f, rep, N, Seed(32), 2, blocks)
+            for (count, mean, m2), b in zip(parts, np.array_split(values, blocks),
+                                            strict=True):
+                assert count == b.size
+                assert close(mean, b.mean())
+                assert close(m2, ((b - b.mean()) ** 2).sum())
+
+    def test_memory_constant_in_n(self):
+        # no N values are held: the traced peak at N = 2^22 is that at 2^18,
+        # where holding f(X) took 30 MiB more
+        rep = SpectralRep.from_atoms(1.0, [(1.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])
+        f = euclidean_power(2, 0.5)
+        mc_expectation(f, rep, 1_000, Seed(33), workers=1)  # first-use caches
+        peaks = []
+        tracemalloc.start()
+        try:
+            for N in (1 << 18, 1 << 22):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                mc_expectation(f, rep, N, Seed(33), workers=1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
 
     def test_nonexistent_expectation(self):
         rep = SpectralRep.from_atoms(1.2, [(1.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])
