@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .moments import _special
+from .moments import _gamma
 
 
 def _read_only(*arrays) -> tuple:
@@ -65,6 +65,5 @@ def _fourier_constant(a: float) -> float:
 
         C(a) = 2^(a+1) sqrt(pi) Gamma((a+1)/2) / Gamma(-a/2).
     """
-    gamma = _special().gamma
-    return float(2.0 ** (a + 1.0) * np.sqrt(np.pi) * gamma((a + 1.0) / 2.0)
-                 / gamma(-a / 2.0))
+    return float(2.0 ** (a + 1.0) * np.sqrt(np.pi) * _gamma((a + 1.0) / 2.0)
+                 / _gamma(-a / 2.0))

@@ -65,7 +65,7 @@ import numpy as np
 
 from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels
 from .homogeneous import HomogeneousFn, _lr_exponent, evaluate_many
-from .moments import _quad, _special
+from .moments import _gamma, _quad
 
 __all__ = [
     "ActionResult",
@@ -188,6 +188,20 @@ def _circle_grid(spec: tuple):
     edges = np.union1d(np.linspace(0.0, np.pi, panels + 1), splits)
     theta, wq = (a.ravel() for a in _gl_panels(edges[:-1], edges[1:], nodes))
     return np.column_stack([np.cos(theta), np.sin(theta)]), wq
+
+
+def _special():
+    """scipy.special, imported on first use, for the functions of this module
+    that the standard library lacks: Kummer's hyp1f1, the scaled Bessel
+    functions k0e and k1e, and exprel.
+
+    Importing it takes about 0.3 s and 25 MiB.  The Gamma values take
+    ``moments._gamma`` instead, so sampling, the Monte Carlo estimators, the
+    moment constants and the 2-D oracle never load it.
+    """
+    from scipy import special
+
+    return special
 
 
 # bounds |_kummer_m - M| for a/2 in (0, 1.5], x in [0, 5000]; mpmath scans find 4.2e-15
@@ -319,14 +333,13 @@ def _radial_profile(f_p: float, n: int, phi: TestFunction, cabs: np.ndarray,
     if phi.kind == "gaussian":
         s2 = phi.width**2
         K = phi.normalization * (2.0 * np.pi * s2) ** (n / 2.0)
-        pref = K * _special().gamma(a / 2.0) * (2.0 / s2) ** (a / 2.0)
+        pref = K * _gamma(a / 2.0) * (2.0 / s2) ** (a / 2.0)
         return pref * _kummer_m(a / 2.0, cabs**2 / (2.0 * s2)), _KUMMER_ERR * pref
 
     w = phi.width
     values, absolute = _slice_integral(n, a, -cabs / w, _SLICE_NODES[fine])
-    gamma = _special().gamma
     pref = (-phi.normalization * w ** (n - a) * 2.0 ** (a - 1.0) * np.sqrt(np.pi)
-            * gamma(a / 2.0) / gamma((3.0 - a) / 2.0))
+            * _gamma(a / 2.0) / _gamma((3.0 - a) / 2.0))
     return pref * values, 1e-14 * abs(pref) * float(absolute.max())
 
 
@@ -630,8 +643,7 @@ def euclidean_reference_action(n: int, p: float, phi: TestFunction) -> float:
     s2 = phi.width**2
     x = float(phi.center @ phi.center) / (2.0 * s2)
     a = (n + p) / 2.0
-    gamma = _special().gamma
-    pref = (2.0 ** (n + p) * np.pi ** (n / 2.0) * gamma(a) / gamma(n / 2.0)
+    pref = (2.0 ** (n + p) * np.pi ** (n / 2.0) * _gamma(a) / _gamma(n / 2.0)
             * (2.0 * np.pi * s2) ** (n / 2.0) * (2.0 * s2) ** (-a))
     return float(phi.normalization * pref * _kummer_m(a, np.array([x]), n / 2.0)[0])
 
@@ -668,5 +680,5 @@ def subordination_norm_power(f: HomogeneousFn, x, r=None) -> float:
     def integrand(u):
         return np.exp(-p * u - c * np.exp(r * u))
 
-    return float(r / _special().gamma(-p / r) * _quad(integrand, u_lo, u_hi,
-                                                      epsabs=1e-300, epsrel=1e-12))
+    return float(r / _gamma(-p / r) * _quad(integrand, u_lo, u_hi,
+                                            epsabs=1e-300, epsrel=1e-12))

@@ -87,7 +87,7 @@ import numpy as np
 from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels, _leggauss
 from .fourier_pd import ActionResult
 from .homogeneous import HomogeneousFn, LrMatrixBase, MaxAbsBase, evaluate_many
-from .moments import QuadratureFailure, _check_existence, _special
+from .moments import QuadratureFailure, _check_existence, _gamma
 from .sampling import _mix
 from .spectral import SpectralRep, _qsum
 
@@ -516,16 +516,15 @@ def _angular_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
     s = -2.0 - p
     finite_part = p > -1.0
     beta = s + 1.0 if finite_part else s
-    gamma = _special().gamma
     if p != -1.0:
-        K = _fourier_constant(p + 1.0) / 2.0 * gamma(-p / q) / q / (2.0 * np.pi) ** 2
+        K = _fourier_constant(p + 1.0) / 2.0 * _gamma(-p / q) / q / (2.0 * np.pi) ** 2
     results = []
     for m in (_NODES, 2 * _NODES):
         def H(t):
             return _h_values(f, mix, q, t, fixed, moving, cusps, m)
         if p == -1.0:
             # C(a)/2 |t|^(-1-a) -> pi delta(t) as a -> 0
-            value = gamma(1.0 / q) / (2.0 * np.pi * q) * H(np.zeros(1))[0]
+            value = _gamma(1.0 / q) / (2.0 * np.pi * q) * H(np.zeros(1))[0]
             results.append((value, abs(value)))
             continue
         t, w = _t_rule(t_edges, t_cusps, m, s, beta)
@@ -533,7 +532,7 @@ def _angular_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
         scale = np.abs(w) @ np.abs(hv)
         if finite_part:
             h0 = H(np.zeros(1))[0]
-            fp = h0 * np.sqrt(np.pi) * gamma((s + 1.0) / 2.0) / gamma(s / 2.0 + 1.0)
+            fp = h0 * np.sqrt(np.pi) * _gamma((s + 1.0) / 2.0) / _gamma(s / 2.0 + 1.0)
             integral = w @ (hv - h0) + fp
             scale += abs(fp)
         else:
@@ -566,7 +565,7 @@ def _gaussian_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
     edges, cusps = _fill_gaps(*_merge_edges(
         np.concatenate([kinks, peak]),
         np.concatenate([np.full(kinks.size, cusp), np.zeros(peak.size, bool)]), 0.0), 0.0)
-    const = 2.0 ** (f.p / 2.0) * _special().gamma(1.0 + f.p / 2.0) / np.pi
+    const = 2.0 ** (f.p / 2.0) * _gamma(1.0 + f.p / 2.0) / np.pi
     results = []
     for m in (_NODES, 2 * _NODES):
         alpha, w = (a.ravel() for a in _panel_nodes(edges, cusps, m))

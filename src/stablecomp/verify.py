@@ -423,8 +423,9 @@ def verify_prop1(rep: SpectralRep, split: BlockSplit, gamma: LevyMeasure,
             f"offending entry {witness}: {gamma.xis[witness].tolist()}")
     q = rep.q
     reversed_regime = q == 2.0 and p > 2.0
-    if not (0.0 < p <= q or reversed_regime):
-        raise ValueError(f"need 0 < p <= q, or q = 2 with p > 2; got p={p}, q={q}")
+    if not (0.0 < p and (p < q or q == 2.0)):
+        raise ValueError(f"prop1 needs 0 < p < q, or q = 2 with any p > 0 "
+                         f"(E||X||^q is infinite for q < 2); got p={p}, q={q}")
     e_x = levy_expectation(rep, gamma, p)
     e_y = levy_expectation(decouple(rep, split), gamma, p)
     e_xm = levy_expectation(reflect(rep, split), gamma, p)
@@ -582,9 +583,12 @@ class ExperimentConfig:
                 f"cor3 requires p in (-n, -n+1) for every configured n; got p={p}")
         if self.mode in ("thm1", "pd") and not all(-n < p < 0 for n in self.n_values):
             raise ValueError(f"{self.mode} requires p in (-n, 0); got p={p}")
-        if self.mode == "prop1" and not all(0 < p <= q or (q == 2.0 and p > 2.0)
+        if self.mode == "prop1" and not all(0 < p and (p < q or q == 2.0)
                                             for q in self.q_values):
-            raise ValueError(f"prop1 requires 0 < p <= q (or q = 2 with p > 2); got p={p}")
+            raise ValueError(
+                f"prop1 requires 0 < p < q for every configured q < 2, and p > 0 "
+                f"for q = 2 (E||X||^q is infinite for q < 2); got p={p}, "
+                f"q values {list(self.q_values)}")
 
     def to_json_dict(self) -> dict:
         d = asdict(self)

@@ -260,10 +260,28 @@ def test_config_file_workers_below_one_rejected(tmp_path, capsys):
     assert "workers must be >= 1" in capsys.readouterr().err
 
 
+def test_moments_gamma_overflow_exits_3(capsys):
+    # c(-0.9, 0.005) needs Gamma(180), past the largest float: no inf is printed
+    assert main(["moments", "--p", "-0.9", "--q", "0.005"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical failure: Gamma(180.0)" in err
+
+
+@pytest.mark.parametrize("q", [["1.5"], ["2", "--q", "1.5"]])
+def test_prop1_p_equal_q_below_two_rejected(capsys, q):
+    # E||X||^q is infinite for q < 2: a configuration error before any trial
+    assert main(["verify", "prop1", "--trials", "3", "--p", "1.5", "--q", *q]) == 2
+    err = capsys.readouterr().err
+    assert "prop1 requires 0 < p < q for every configured q < 2" in err
+    assert "infinite for q < 2" in err and "n=1" not in err
+
+
 def test_sampling_commands_leave_scipy_unimported(tmp_path):
-    # sampling, the Monte Carlo checks and the characteristic function
-    # identities never call scipy; the commands that evaluate special
-    # functions import scipy.special when they first need it
+    # sampling, the Monte Carlo checks, the moment constants, the exact
+    # prop1 sums and the 2-D oracle never call scipy (their Gamma values
+    # come from the standard library); pd-check imports scipy.special for
+    # Kummer's function and the Bessel functions when it first needs them
     code = f"""if True:
         import json, sys
         from stablecomp.cli import main
@@ -278,15 +296,13 @@ def test_sampling_commands_leave_scipy_unimported(tmp_path):
             ["verify", "thm1", "--trials", "2", "-N", "2000", "--seed", "1"],
             ["verify", "lemma1", "--trials", "200", "--seed", "1"],
             ["cf-check", "--reps", "3"],
+            ["moments", "--p", "-0.5", "--q", "1"],
+            ["verify", "prop1", "--trials", "3", "--seed", "1"],
+            ["oracle", "--trials", "1", "-N", "2000"],
         ]
         codes = [main(argv) for argv in lean]
         before = scipy_modules()
-        special = [
-            ["moments", "--p", "-0.5", "--q", "1"],
-            ["verify", "prop1", "--trials", "3", "--seed", "1"],
-            ["pd-check", "--builtin", "max-abs", "2", "-1.5"],
-        ]
-        codes += [main(argv) for argv in special]
+        codes.append(main(["pd-check", "--builtin", "max-abs", "2", "-1.5"]))
         print(json.dumps([codes, before, "scipy.special" in sys.modules]))
     """
     src = str(Path(stablecomp.__file__).resolve().parents[1])
@@ -295,6 +311,6 @@ def test_sampling_commands_leave_scipy_unimported(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     codes, before, special_loaded = json.loads(out.stdout.splitlines()[-1])
-    assert codes == [0] * 9
+    assert codes == [0] * 10
     assert before == []
     assert special_loaded

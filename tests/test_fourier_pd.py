@@ -483,19 +483,19 @@ class TestCentreAlignedRule:
          '"verdict": "consistent-with-pd", "witness": {"center": [4.0, 0.0], '
          '"kind": "gaussian", "normalization": 1.0, "width": 0.126025}}'),
         ("max-abs 2 -1.5", "away-from-origin",
-         '{"evaluations": 56, "family_size": 48, "min_action": 0.4946864351515408, '
+         '{"evaluations": 56, "family_size": 48, "min_action": 0.49468643515154076, '
          '"mode": "away-from-origin", "quadrature_error_bound": 1.0628714240509391e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": [6.0, 0.0], '
          '"kind": "bump", "normalization": 1.0, "width": 0.25205}}'),
         ("l1 2 -1.2", "full-space",
-         '{"evaluations": 93, "family_size": 85, "min_action": 0.18765455948954268, '
+         '{"evaluations": 93, "family_size": 85, "min_action": 0.18765455948954265, '
          '"mode": "full-space", "quadrature_error_bound": 1.2025591230366863e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": '
          '[2.8284271247461903, 2.82842712474619], "kind": "gaussian", '
          '"normalization": 1.0, "width": 0.126025}}'),
         ("l1 2 -1.2", "away-from-origin",
-         '{"evaluations": 56, "family_size": 48, "min_action": 0.1094696099309358, '
-         '"mode": "away-from-origin", "quadrature_error_bound": 5.634525080067533e-07, '
+         '{"evaluations": 56, "family_size": 48, "min_action": 0.10946960993093584, '
+         '"mode": "away-from-origin", "quadrature_error_bound": 5.634525079928755e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": '
          '[4.242640687119286, 4.242640687119285], "kind": "bump", '
          '"normalization": 1.0, "width": 0.25205}}'),

@@ -6,11 +6,11 @@ import pytest
 from scipy.special import gamma
 
 from stablecomp import (BlockSplit, HomogeneousFn, LevyBase, LevyMeasure,
-                        LrMatrixBase, MomentExistenceError, Seed, SpectralRep,
-                        c_pq, c_pq_oracle, decouple, euclidean_power,
-                        evaluate_many, levy_expectation, lp_norm_power,
-                        max_abs_power, mc_expectation, moments, reflect,
-                        sample_batch)
+                        LrMatrixBase, MomentExistenceError, QuadratureFailure,
+                        Seed, SpectralRep, c_pq, c_pq_oracle, decouple,
+                        euclidean_power, evaluate_many, levy_expectation,
+                        lp_norm_power, max_abs_power, mc_expectation, moments,
+                        reflect, sample_batch)
 from stablecomp.sampling import CHUNK
 
 
@@ -41,6 +41,28 @@ class TestClosedForms:
             c_pq(-1.0, 2.0)
         with pytest.raises(MomentExistenceError):
             c_pq_oracle(0.9, 0.8)
+
+    def test_gamma_matches_mpmath(self):
+        """The standard library Gamma behind every closed form, against
+        mpmath at 1998 points over the arguments the package passes it:
+        (-0.5, 0.5) without 0 (the Fourier constant and the finite part of
+        the angular rule) and (0, 12]."""
+        mpmath = pytest.importorskip("mpmath")
+        near = np.linspace(-0.5, 0.5, 1001)
+        xs = np.concatenate([near[near != 0.0][1:-1], np.linspace(0.0, 12.0, 1001)[1:]])
+        with mpmath.workdps(30):
+            worst = max(abs(moments._gamma(x) / mpmath.gamma(x) - 1) for x in xs.tolist())
+        assert worst <= 2e-15
+
+    @pytest.mark.parametrize("x", [171.7, 180.0, 0.0, -1.0])
+    def test_gamma_beyond_a_float_raises(self, x):
+        with pytest.raises(QuadratureFailure, match=rf"Gamma\({x!r}\)"):
+            moments._gamma(x)
+
+    def test_overflowing_constant_raises(self):
+        # Gamma(-p/q) = Gamma(180) overflows: no inf comes back
+        with pytest.raises(QuadratureFailure, match=r"Gamma\(180\.0\)"):
+            c_pq(-0.9, 0.005)
 
 
 class TestOracleAgreement:
@@ -137,6 +159,16 @@ class TestLevyExpectation:
             levy_expectation(rep, g, 1.8)  # p > q with q < 2
         with pytest.raises(ValueError):
             levy_expectation(rep, LevyMeasure(p=1.0, weights=[1.0, 1.0], xis=np.eye(2)), 0.5)
+
+    def test_p_equal_q_below_two_rejected(self):
+        # E||X||^q is infinite for q < 2; at q = 2, p = 2 is allowed
+        rep = SpectralRep.from_atoms(1.5, [(1.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])
+        g = LevyMeasure(p=1.5, weights=[1.0, 1.0], xis=np.eye(2))
+        with pytest.raises(MomentExistenceError, match=r"0 < p < q.*infinite for q < 2"):
+            levy_expectation(rep, g, 1.5)
+        rep2 = SpectralRep.from_atoms(2.0, [(1.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])
+        g2 = LevyMeasure(p=2.0, weights=[1.0, 1.0], xis=np.eye(2))
+        assert levy_expectation(rep2, g2, 2.0) == pytest.approx(4.0, rel=1e-14)  # E|X_i|^2 = 2
 
 
 class TestMCExpectation:

@@ -7,7 +7,7 @@ from stablecomp import (BlockSplit, LevyMeasure, Seed, SpectralRep,
 from stablecomp.oracle2d import _asymmetry, _check_rep
 from scipy.special import gamma
 
-from stablecomp import LrMatrixBase, MaxAbsBase, evaluate_many, oracle2d
+from stablecomp import LrMatrixBase, MaxAbsBase, QuadratureFailure, evaluate_many, oracle2d
 from stablecomp.oracle2d import _angular_expectation, _gaussian_expectation
 from stablecomp.verify import random_rep
 
@@ -291,6 +291,15 @@ class TestAngularRule:
     def test_rejects_positive_exponents(self):
         with pytest.raises(ValueError, match=r"p in \(-2, 0\)"):
             _angular_expectation(euclidean_power(2, 0.5), cauchy_rep())
+
+    def test_constant_overflow_raises(self):
+        """At q = 0.01 the constant Gamma(-p/q) = Gamma(190) overflows a
+        float: the rule raises QuadratureFailure naming it, not inf."""
+        angles = np.arange(64) * np.pi / 64
+        rep = SpectralRep(n=2, q=0.01, weights=np.ones(64),
+                          atoms=np.column_stack([np.cos(angles), np.sin(angles)]))
+        with pytest.raises(QuadratureFailure, match=r"Gamma\(190\.0\)"):
+            _angular_expectation(euclidean_power(2, -1.9), rep)
 
 
 class TestExactRules:

@@ -136,6 +136,13 @@ class TestProp1:
         assert rec.config["reversed"] and rec.passed
         assert rec.lhs >= rec.rhs  # direction flips
 
+    def test_p_equal_q_below_two_rejected(self):
+        # E||X||^q is infinite for q < 2: rejected up front, not inside c_pq
+        rep = SpectralRep.from_atoms(1.3, [(1.0, (1.0, 0.5)), (0.7, (-0.3, 1.0))])
+        g = LevyMeasure(p=1.3, weights=[1.0, 2.0], xis=np.eye(2))
+        with pytest.raises(ValueError, match=r"0 < p < q.*infinite for q < 2"):
+            verify_prop1(rep, BlockSplit(1), g, 1.3)
+
     def test_asymmetric_measure_rejected(self):
         rep = SpectralRep.from_atoms(2.0, [(1.0, (1.0, 1.0))])
         g = LevyMeasure(p=1.0, weights=[1.0],
