@@ -25,7 +25,7 @@ print(f"  margin {rec.margin:+.3f} (tolerance {rec.tolerance:.3f}), "
 # A certified norm power (subspace of L_1) on a partially correlated law.
 rep = SpectralRep.from_atoms(
     1.5, [(1.0, (1.0, 0.4, 0.0)), (0.8, (-0.2, 1.0, 0.5)), (0.5, (0.3, 0.0, 1.0))])
-f = lp_norm_power(3, 1.0, -1.2, block_split=1)
+f = lp_norm_power(3, 1.0, -1.2)
 rec = verify_thm1(rep, BlockSplit(1), f, N, Seed(2))
 print("\nl1-norm power on a 3-D law (certificate:", rec.extra["certificate"], ")")
 print(f"  margin {rec.margin:+.5f} (tolerance {rec.tolerance:.5f}) "

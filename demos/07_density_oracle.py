@@ -42,7 +42,7 @@ oy = oracle_expectation(f, density_2d(rep_y))
 print(f"\nmax-abs^-1.5 margin: {ox.value - oy.value:+.5f} "
       f">= {-(ox.error_bound + oy.error_bound):.1e}  (deterministic)")
 
-fl = lp_norm_power(2, 1.0, -0.5, block_split=1)
+fl = lp_norm_power(2, 1.0, -0.5)
 ox = oracle_expectation(fl, density_2d(rep))
 est = mc_expectation(fl, rep, 400_000, Seed(5))
 print(f"l1^-0.5 value: oracle {ox.value:.5f} +- {ox.error_bound:.1e}, "

@@ -65,7 +65,7 @@ import numpy as np
 
 from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels
 from .homogeneous import HomogeneousFn, _lr_exponent, evaluate_many
-from .moments import _gamma, _quad
+from .moments import _check_cor3_window, _check_thm1_window, _gamma, _quad
 
 __all__ = [
     "ActionResult",
@@ -170,10 +170,8 @@ def radial_fourier_weight(n: int, p: float) -> float:
 
         2^(n+p) sqrt(pi) Gamma((n+p)/2) / Gamma((1-n-p)/2).
     """
-    a = n + p - 1.0
-    if not (-1.0 < a < 0.0):
-        raise ValueError(f"requires p in (-n, -n+1); got n={n}, p={p}")
-    return _fourier_constant(a)
+    _check_cor3_window(p, n)
+    return _fourier_constant(n + p - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +485,16 @@ def _centre_action(f: HomogeneousFn, phi: TestFunction, tables: dict):
             float(wf.sum()) * radial_err, float(wf @ np.abs(g2)))
 
 
-def _validate_action_args(f: HomogeneousFn, phis):
-    if f.n not in (2, 3):
-        raise ValueError("spherical quadrature is implemented for n in {2, 3}; "
+def _check_pd_dimension(n: int) -> None:
+    """The spherical quadrature of ``pd_action`` and the pd trials take n in {2, 3}."""
+    if n not in (2, 3):
+        raise ValueError(f"the pd scan runs in dimensions 2 and 3 only, got n={n}; "
                          "higher dimensions rely on certificate windows instead")
-    if not (-f.n < f.p < 0.0):
-        raise ValueError(f"action requires exponent p in (-n, 0); got p={f.p}, n={f.n}")
+
+
+def _validate_action_args(f: HomogeneousFn, phis):
+    _check_pd_dimension(f.n)
+    _check_thm1_window(f.p, f.n)
     for phi in phis:
         if phi.n != f.n:
             raise ValueError(f"test function dimension {phi.n} != descriptor dimension {f.n}")
@@ -638,8 +640,7 @@ def euclidean_reference_action(n: int, p: float, phi: TestFunction) -> float:
     """
     if phi.kind != "gaussian":
         raise ValueError("reference action is implemented for gaussian tests")
-    if not (-n < p < 0.0):
-        raise ValueError(f"requires p in (-n, 0); got {p}")
+    _check_thm1_window(p, n)
     s2 = phi.width**2
     x = float(phi.center @ phi.center) / (2.0 * s2)
     a = (n + p) / 2.0

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import Seed, as_seed, _chunk_rng
+from .spectral import BlockSplit
 
 __all__ = [
     "DiagEuclideanBase",
@@ -237,22 +238,16 @@ _BASE_KINDS = {
 
 @dataclass(frozen=True)
 class HomogeneousFn:
-    """f(x) = base(x)^p with optional declared block symmetry split k."""
+    """f(x) = base(x)^p; ``check_block_symmetry`` tests f against a split."""
 
     base: object
     p: float
-    block_split: int | None = None
 
     def __post_init__(self):
         p = float(self.p)
         if p == 0.0 or not np.isfinite(p):
             raise ValueError("exponent p must be a nonzero finite real")
         object.__setattr__(self, "p", p)
-        if self.block_split is not None:
-            k = int(self.block_split)
-            if not 1 <= k < self.base.n:
-                raise ValueError(f"declared block split {k} invalid for n={self.base.n}")
-            object.__setattr__(self, "block_split", k)
 
     @property
     def n(self) -> int:
@@ -268,7 +263,6 @@ class HomogeneousFn:
     def to_json_dict(self) -> dict:
         d = self.base.to_json_dict()
         d["p"] = self.p
-        d["block_split"] = self.block_split
         return d
 
 
@@ -283,20 +277,18 @@ def evaluate_many(f: HomogeneousFn, x: np.ndarray) -> np.ndarray:
     return base**f.p
 
 
-def max_abs_power(n: int, p: float, block_split=None) -> HomogeneousFn:
-    return HomogeneousFn(base=MaxAbsBase(n=n), p=p, block_split=block_split)
+def max_abs_power(n: int, p: float) -> HomogeneousFn:
+    return HomogeneousFn(base=MaxAbsBase(n=n), p=p)
 
 
-def lp_norm_power(n: int, r: float, p: float, block_split=None) -> HomogeneousFn:
+def lp_norm_power(n: int, r: float, p: float) -> HomogeneousFn:
     """The coordinate l_r (quasi)norm raised to the power p."""
-    return HomogeneousFn(base=LrMatrixBase(matrix=np.eye(n), r=r), p=p,
-                         block_split=block_split)
+    return HomogeneousFn(base=LrMatrixBase(matrix=np.eye(n), r=r), p=p)
 
 
-def euclidean_power(n: int, p: float, weights=None, block_split=None) -> HomogeneousFn:
+def euclidean_power(n: int, p: float, weights=None) -> HomogeneousFn:
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    return HomogeneousFn(base=DiagEuclideanBase(weights=w), p=p,
-                         block_split=block_split)
+    return HomogeneousFn(base=DiagEuclideanBase(weights=w), p=p)
 
 
 def fn_to_json(f: HomogeneousFn) -> str:
@@ -304,13 +296,12 @@ def fn_to_json(f: HomogeneousFn) -> str:
 
 
 def fn_from_json(s) -> HomogeneousFn:
+    """The descriptor ``fn_to_json`` wrote; an older file's "block_split" key is ignored."""
     d = json.loads(s) if isinstance(s, str) else dict(s)
     kind = d.get("kind")
     if kind not in _BASE_KINDS:
         raise ValueError(f"unknown descriptor kind {kind!r}")
-    base = _BASE_KINDS[kind](d)
-    return HomogeneousFn(base=base, p=float(d["p"]),
-                         block_split=d.get("block_split"))
+    return HomogeneousFn(base=_BASE_KINDS[kind](d), p=float(d["p"]))
 
 
 def _sphere_points(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -346,8 +337,7 @@ def check_block_symmetry(f: HomogeneousFn, k: int, trials: int = 256,
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    if not 1 <= k < f.n:
-        raise ValueError(f"split k={k} invalid for n={f.n}")
+    BlockSplit(k).validate(f.n)
     rng = _chunk_rng(as_seed(seed), 0)
     pts = _sphere_points(rng, trials, f.n)
     flipped = pts.copy()

@@ -141,6 +141,36 @@ def _check_existence(p: float, q: float, n: int = 1) -> None:
             "it needs p > -n, and p < q unless q = 2")
 
 
+# The exponent windows of the paper's hypotheses; every entry point checks them here.
+
+
+def _check_prop1_window(p: float, q: float) -> None:
+    """Prop 1 compares E||X||^p for 0 < p < q, or for any p > 0 at q = 2."""
+    if not (p > 0.0 and _moment_exists(p, q, 1)):
+        raise MomentExistenceError(f"Prop 1 needs 0 < p < q, or q = 2 with any p > 0 (E||X||^q "
+                                   f"is infinite for q < 2); got p={p}, q={q}")
+
+
+def _thm1_window(p: float, n: int) -> bool:
+    """p in (-n, 0): Thm 1's comparison and the Fourier factorization of ``fourier_pd``."""
+    return -n < p < 0.0
+
+
+def _check_thm1_window(p: float, n: int) -> None:
+    if not _thm1_window(p, n):
+        raise ValueError(f"Thm 1 needs p in ({-n}, 0) at n={n}; got p={p}")
+
+
+def _cor3_window(p: float, n: int) -> bool:
+    """p in (-n, -n+1): every even positive homogeneous f is positive definite (Prop 3)."""
+    return -n < p < -n + 1
+
+
+def _check_cor3_window(p: float, n: int) -> None:
+    if not _cor3_window(p, n):
+        raise ValueError(f"Cor 3 and Prop 3 need p in ({-n}, {1 - n}) at n={n}; got p={p}")
+
+
 def c_pq(p, q) -> float:
     """E|Z|^p for the standard symmetric q-stable Z (cf exp(-|t|^q)).
 
@@ -193,13 +223,21 @@ def c_pq_oracle(p, q) -> float:
     if p == 0.0:
         return 1.0
     if p < 0:
-        # E|Z|^-s = (Gamma(s) cos(pi s/2))^-1 * int_0^inf t^(s-1) e^(-t^q) dt,
-        # integrated with the substitution t = u^(1/s) that removes the
-        # endpoint singularity.
+        # E|Z|^-s = (Gamma(s) cos(pi s/2))^-1 * int_0^inf t^(s-1) e^(-t^q) dt.
+        # With t^q = a e^y, a = s/q, the integral is a^a e^-a / q times
+        # int_R exp(a (y + 1 - e^y)) dy, smooth and peaked at y = 0: no tail is cut.
         s = -p
-        upper = 45.0 ** (s / q)
-        val = _quad(lambda u: np.exp(-u ** (q / s)), 0.0, upper) / s
-        return float(val / (_gamma(s) * np.cos(np.pi * s / 2.0)))
+        a = s / q
+
+        def integrand(y):  # e^y capped at e^700, where the integrand is 0 already
+            return np.exp(a * (y + 1.0 - np.exp(min(y, 700.0))))
+
+        val = _quad(integrand, -np.inf, 0.0) + _quad(integrand, 0.0, np.inf)
+        try:  # Gamma(a) = a^a e^-a val, multiplied out in logs
+            val = math.exp(a * math.log(a) - a + math.log(val))
+        except OverflowError:
+            raise QuadratureFailure(f"Gamma({a!r}) does not fit a float") from None
+        return float(val / (q * _gamma(s) * np.cos(np.pi * s / 2.0)))
     if q == 2.0 and p >= 2.0:
         # direct quadrature against the explicit N(0, 2) density
         dens = 1.0 / np.sqrt(4.0 * np.pi)
@@ -230,25 +268,29 @@ def levy_expectation(rep: SpectralRep, gamma: LevyMeasure, p) -> float:
 
         c(p, q) * sum_m c_m * scale_q(rep, xi_m)^p.
 
-    Valid for 0 < p < q, and for q = 2 with any p > 0 (p > 2 is the
-    reversed regime); E||X||^q is infinite for q < 2.  Deterministic: no
-    sampling is involved.
+    Valid in the window of Prop 1 (p > 2 at q = 2 is the reversed regime).
+    Deterministic: no sampling is involved.
     """
     p = float(p)
     if abs(gamma.p - p) > 1e-12:
         raise ValueError(f"measure represents exponent {gamma.p}, requested p={p}")
     if gamma.n != rep.n:
         raise ValueError(f"dimension mismatch: measure n={gamma.n}, rep n={rep.n}")
-    if not (0.0 < p and (p < rep.q or rep.q == 2.0)):
-        raise MomentExistenceError(
-            f"levy_expectation needs 0 < p < q, or q = 2 with any p > 0 "
-            f"(E||X||^q is infinite for q < 2); got p={p}, q={rep.q}")
+    _check_prop1_window(p, rep.q)
     qsums = _qsum(rep, gamma.xis)  # scale^q at each entry
     return float(c_pq(p, rep.q) * (gamma.weights @ qsums ** (p / rep.q)))
 
 
 # Blocks of the median-of-means estimator.
 _MOM_BLOCKS = 32
+
+
+def _check_sample_size(N: int, plain: bool = False) -> None:
+    """The smallest N: two samples for the plain mean, two a block for median-of-means."""
+    need = 2 if plain else 2 * _MOM_BLOCKS
+    if N < need:
+        raise ValueError(f"N={N} too small for the {'plain' if plain else 'median-of-means'} "
+                         f"estimator (need >= {need})")
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -315,11 +357,8 @@ def mc_expectation(f, rep: SpectralRep, N: int, seed, workers=None) -> MCEstimat
     _check_existence(p, q, n)
     # the second moment of f(X) is E f(X)^2 with f^2 of order 2p
     plain = _moment_exists(2.0 * p, q, n)
-    estimator = "plain" if plain else "median-of-means"
     N = int(N)
-    min_n = 2 if plain else 2 * _MOM_BLOCKS
-    if N < min_n:
-        raise ValueError(f"N={N} too small for the {estimator} estimator (need >= {min_n})")
+    _check_sample_size(N, plain)
     seed = as_seed(seed)
     blocks = _mc_moments(f, rep, N, seed, _resolve_workers(workers),
                          1 if plain else _MOM_BLOCKS)

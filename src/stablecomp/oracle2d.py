@@ -87,7 +87,7 @@ import numpy as np
 from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels, _leggauss
 from .fourier_pd import ActionResult
 from .homogeneous import HomogeneousFn, LrMatrixBase, MaxAbsBase, evaluate_many
-from .moments import QuadratureFailure, _check_existence, _gamma
+from .moments import QuadratureFailure, _check_existence, _check_thm1_window, _gamma
 from .sampling import _mix
 from .spectral import SpectralRep, _qsum
 
@@ -145,12 +145,17 @@ def _asymmetry(vals: np.ndarray) -> float:
     return float(np.max(block_max))
 
 
+def _check_two_dimensional(n: int) -> None:
+    """The density grid, the exact rules and the oracle-crosscheck trials are 2-D."""
+    if n != 2:
+        raise ValueError(f"the density grid and the exact rules need a "
+                         f"two-dimensional law, got n={n}")
+
+
 def _check_rep(rep: SpectralRep) -> tuple:
     """(min S, max S, S^q at the angles k pi / 720; S is even) of a 2-D law;
     rank-one and near-rank-one laws raise ValueError."""
-    if rep.n != 2:
-        raise ValueError(f"the density grid and the exact rules need a "
-                         f"two-dimensional law, got n={rep.n}")
+    _check_two_dimensional(rep.n)
     ang = np.arange(720) * (np.pi / 720)
     qs = _qsum(rep, np.column_stack([np.cos(ang), np.sin(ang)]))
     s = qs ** (1.0 / rep.q)
@@ -244,8 +249,7 @@ def density_2d(rep: SpectralRep, M: int | None = None) -> DensityField:
 
 
 def _check_fn(f: HomogeneousFn, q: float) -> None:
-    if f.n != 2:
-        raise ValueError("the oracle is two-dimensional")
+    _check_two_dimensional(f.n)
     _check_existence(f.p, q, 2)
 
 
@@ -490,9 +494,7 @@ def _angular_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
     smin, smax, profile = _check_rep(rep)
     _check_fn(f, rep.q)
     p, q = f.p, rep.q
-    if p >= 0.0:
-        raise ValueError(f"the angular rule needs p in (-2, 0), got p={p}; "
-                         "for p > 0 only q = 2 has an exact rule")
+    _check_thm1_window(p, 2)  # for p > 0 only q = 2 has an exact rule
     mix = _mix(rep)
     fk, fcusp = _fn_kinks(f)
     # S has kinks where omega is orthogonal to a row of mix, unless q = 2

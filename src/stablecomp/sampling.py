@@ -99,9 +99,7 @@ def default_workers() -> int:
             workers = int(env)
         except ValueError:
             raise ValueError(f"{_WORKER_ENV} must be an integer, got {env!r}") from None
-        if workers < 1:
-            raise ValueError(f"{_WORKER_ENV} must be >= 1, got {workers}")
-        return workers
+        return _resolve_workers(workers, _WORKER_ENV)
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))
     else:
@@ -109,12 +107,12 @@ def default_workers() -> int:
     return min(4, usable)
 
 
-def _resolve_workers(workers) -> int:
-    """``workers``, or default_workers() when it is None; ValueError below 1."""
+def _resolve_workers(workers, name: str = "workers") -> int:
+    """``workers``, or default_workers() when it is None; ValueError below 1 naming ``name``."""
     if workers is None:
         return default_workers()
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise ValueError(f"{name} must be >= 1, got {workers}")
     return workers
 
 

@@ -61,10 +61,15 @@ import numpy as np
 from .homogeneous import (HomogeneousFn, LevyMeasure, LrMatrixBase, _lr_exponent,
                           check_block_symmetry, check_homogeneity,
                           euclidean_power, lp_norm_power, max_abs_power)
-from .moments import levy_expectation, mc_expectation
+from .fourier_pd import _check_pd_dimension
+from .moments import (_check_cor3_window, _check_prop1_window, _check_sample_size,
+                      _check_thm1_window, _cor3_window, _thm1_window, levy_expectation,
+                      mc_expectation)
+from .oracle2d import _check_two_dimensional
 from .sampling import (Seed, as_seed, _chunk_rng, _pool_tasks, _resolve_workers,
                        _results, _side_by_side)
-from .spectral import BlockSplit, SpectralRep, decouple, reflect, rep_hash, scale_q
+from .spectral import (BlockSplit, SpectralRep, check_stable_index, decouple, reflect,
+                       rep_hash, scale_q)
 
 __all__ = [
     "ExperimentConfig",
@@ -106,8 +111,7 @@ def lemma1_margin_batch(X: np.ndarray, Y: np.ndarray, q: float, p_list,
         raise ValueError(f"X and Y must be 2-D of one shape; got {X.shape} and {Y.shape}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise ValueError("entries must be finite")
-    if not (0.0 < q <= 2.0):
-        raise ValueError(f"q must lie in (0, 2], got {q}")
+    check_stable_index(q)
     for p in p_list:
         if not (0.0 < p <= q):
             raise ValueError(f"power form needs 0 < p <= q; got p={p}, q={q}")
@@ -236,13 +240,10 @@ def pd_certificate(f: HomogeneousFn) -> str | None:
     r <= 2 qualify for every p in (-n, 0).  None means a numerical
     pd_check would be needed.
     """
-    n, p = f.n, f.p
-    if -n < p < -n + 1:
+    if _cor3_window(f.p, f.n):
         return "prop3-window"
-    if not (-n < p < 0):
-        return None
     r = _lr_exponent(f.base)
-    return "subspace-Lr" if r is not None and r <= 2.0 else None
+    return "subspace-Lr" if _thm1_window(f.p, f.n) and r is not None and r <= 2.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +424,7 @@ def verify_prop1(rep: SpectralRep, split: BlockSplit, gamma: LevyMeasure,
             f"offending entry {witness}: {gamma.xis[witness].tolist()}")
     q = rep.q
     reversed_regime = q == 2.0 and p > 2.0
-    if not (0.0 < p and (p < q or q == 2.0)):
-        raise ValueError(f"prop1 needs 0 < p < q, or q = 2 with any p > 0 "
-                         f"(E||X||^q is infinite for q < 2); got p={p}, q={q}")
-    e_x = levy_expectation(rep, gamma, p)
+    e_x = levy_expectation(rep, gamma, p)  # checks the window of Prop 1
     e_y = levy_expectation(decouple(rep, split), gamma, p)
     e_xm = levy_expectation(reflect(rep, split), gamma, p)
     if reversed_regime:
@@ -460,8 +458,7 @@ def verify_thm1(rep: SpectralRep, split: BlockSplit, f: HomogeneousFn,
     split.validate(rep.n)
     if f.n != rep.n:
         raise ValueError("descriptor and representation dimensions differ")
-    if not (-rep.n < f.p < 0.0):
-        raise ValueError(f"comparison requires exponent p in (-n, 0), got {f.p}")
+    _check_thm1_window(f.p, rep.n)
     hom = check_homogeneity(f, trials=64, seed=Seed(17))
     if not hom.passed:
         raise ValueError(f"descriptor failed the homogeneity check "
@@ -504,10 +501,8 @@ def verify_cor3(rep: SpectralRep, split: BlockSplit, p: float, N: int, seed,
                 index: int = 0, workers=None) -> TrialRecord:
     """Max-coordinate special case; p must lie in the open window (-n, -n+1),
     where no positive definiteness certificate is required."""
-    n = rep.n
-    if not (-n < p < -n + 1):
-        raise ValueError(f"exponent must lie in the open interval (-{n}, -{n - 1}), got {p}")
-    f = max_abs_power(n, p, block_split=split.k)
+    _check_cor3_window(p, rep.n)
+    f = max_abs_power(rep.n, p)
     return verify_thm1(rep, split, f, N, seed, index=index, mode="cor3",
                        workers=workers)
 
@@ -561,34 +556,31 @@ class ExperimentConfig:
                 raise ValueError(f"experiment configuration key {key!r} must not be empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.N < 64:
-            raise ValueError("N must be >= 64")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if not all(0.0 < q <= 2.0 for q in self.q_values):
-            raise ValueError("q values must lie in (0, 2]")
+        _check_sample_size(self.N)
+        if self.workers is not None:
+            _resolve_workers(self.workers)
+        for q in self.q_values:
+            check_stable_index(q)
         if not all(int(n) == n and n >= 2 for n in self.n_values):
             raise ValueError("dimensions must be integers >= 2")
-        if self.mode == "oracle-crosscheck" and any(n != 2 for n in self.n_values):
-            raise ValueError("oracle-crosscheck runs in dimension 2 only")
-        if self.mode == "pd" and any(n not in (2, 3) for n in self.n_values):
-            raise ValueError("pd mode runs in dimensions 2 and 3 only")
+        for n in self.n_values:
+            if self.mode == "oracle-crosscheck":
+                _check_two_dimensional(n)
+            if self.mode == "pd":
+                _check_pd_dimension(n)
         p = self.p_value
         if p is None:
             return
         if self.mode in ("lemma1", "oracle-crosscheck"):
             raise ValueError(f"{self.mode} draws its own exponents; p_value must be unset")
-        if self.mode == "cor3" and not all(-n < p < -n + 1 for n in self.n_values):
-            raise ValueError(
-                f"cor3 requires p in (-n, -n+1) for every configured n; got p={p}")
-        if self.mode in ("thm1", "pd") and not all(-n < p < 0 for n in self.n_values):
-            raise ValueError(f"{self.mode} requires p in (-n, 0); got p={p}")
-        if self.mode == "prop1" and not all(0 < p and (p < q or q == 2.0)
-                                            for q in self.q_values):
-            raise ValueError(
-                f"prop1 requires 0 < p < q for every configured q < 2, and p > 0 "
-                f"for q = 2 (E||X||^q is infinite for q < 2); got p={p}, "
-                f"q values {list(self.q_values)}")
+        if self.mode == "prop1":
+            for q in self.q_values:
+                _check_prop1_window(p, q)
+        for n in self.n_values:
+            if self.mode == "cor3":
+                _check_cor3_window(p, n)
+            if self.mode in ("thm1", "pd"):
+                _check_thm1_window(p, n)
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -655,14 +647,14 @@ def _random_thm1_fn(rng: np.random.Generator, n: int, k: int) -> HomogeneousFn:
     family = ("max_abs", "l1", "euclidean", "lr_subspace")[int(rng.integers(0, 4))]
     if family == "max_abs":
         p = float(rng.uniform(-n + 0.08, -n + 0.92))
-        return max_abs_power(n, p, block_split=k)
+        return max_abs_power(n, p)
     p = float(rng.uniform(-n + 0.08, -0.08))
     if family == "l1":
-        return lp_norm_power(n, 1.0, p, block_split=k)
+        return lp_norm_power(n, 1.0, p)
     if family == "euclidean":
         w = np.exp(rng.uniform(-1.0, 1.0, n))
-        return euclidean_power(n, p, weights=w, block_split=k)
-    return HomogeneousFn(base=_random_lr_subspace(rng, n, k), p=p, block_split=k)
+        return euclidean_power(n, p, weights=w)
+    return HomogeneousFn(base=_random_lr_subspace(rng, n, k), p=p)
 
 
 def _random_lr_subspace(rng: np.random.Generator, n: int, k: int) -> LrMatrixBase:
@@ -738,7 +730,7 @@ def _thm1_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) -> T
     n, k, rep = _mc_rep(config, rng)
     f = _random_thm1_fn(rng, n, k)
     if config.p_value is not None:
-        f = HomogeneousFn(base=f.base, p=config.p_value, block_split=k)
+        f = HomogeneousFn(base=f.base, p=config.p_value)
     return verify_thm1(rep, BlockSplit(k), f, config.N, Seed(config.seed, t), index=t,
                        workers=config.workers)
 
@@ -758,7 +750,7 @@ def _pd_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) -> Tri
     f = _random_thm1_fn(rng, n, n - 1)
     p = config.p_value if config.p_value is not None \
         else float(rng.uniform(-n + 0.08, -n + 0.92))
-    f = HomogeneousFn(base=f.base, p=p, block_split=None)
+    f = HomogeneousFn(base=f.base, p=p)
     report = pd_check(f)
     return TrialRecord(
         index=t, mode="pd",
@@ -778,13 +770,12 @@ def _oracle_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) ->
     family = ("max_abs", "l1", "euclidean")[int(rng.integers(0, 3))]
     if family == "max_abs":
         p = float(rng.uniform(-1.9, -1.1))
-        f = max_abs_power(2, p, block_split=1)
+        f = max_abs_power(2, p)
     else:
         # plain-variance regime (2p > -n) so the unbiased mean is comparable
         # to the oracle value directly
         p = float(rng.uniform(-0.95, -0.15))
-        f = lp_norm_power(2, 1.0, p, block_split=1) if family == "l1" \
-            else euclidean_power(2, p, block_split=1)
+        f = lp_norm_power(2, 1.0, p) if family == "l1" else euclidean_power(2, p)
     split = BlockSplit(1)
     workers = _resolve_workers(config.workers)
     # the exact rules run on the worker pool while the Monte Carlo runs

@@ -206,13 +206,13 @@ def test_mc_decoupling_bounds():
             rec = verify_cor3(rep, BlockSplit(k), p, N, Seed(2026, t))
         else:
             if family == "l1":
-                f = lp_norm_power(n, 1.0, p, block_split=k)
+                f = lp_norm_power(n, 1.0, p)
             elif family == "euclidean":
-                f = euclidean_power(n, p, block_split=k)
+                f = euclidean_power(n, p)
             else:
                 rng2 = _chunk_rng(Seed(777), t)
                 rng2.uniform()  # the generator's exponent draw; p replaces it
-                f = HomogeneousFn(base=_random_lr_subspace(rng2, n, k), p=p, block_split=k)
+                f = HomogeneousFn(base=_random_lr_subspace(rng2, n, k), p=p)
             rec = verify_thm1(rep, BlockSplit(k), f, N, Seed(2026, t))
         assert rec.passed, rec.to_json_dict()
         if rec.tolerance > 0:
@@ -234,8 +234,7 @@ def test_oracle_crosscheck():
         family = ("l1", "euclidean")[t % 2]
         rep = random_rep(rng, 2, q, full_rank=True, max_condition=1e4)
         p = float(rng.uniform(-0.95, -0.15))
-        f = lp_norm_power(2, 1.0, p, block_split=1) if family == "l1" \
-            else euclidean_power(2, p, block_split=1)
+        f = lp_norm_power(2, 1.0, p) if family == "l1" else euclidean_power(2, p)
         rep_y = decouple(rep, BlockSplit(1))
         ox = oracle_expectation(f, density_2d(rep))
         oy = oracle_expectation(f, density_2d(rep_y))
@@ -266,9 +265,9 @@ def test_exact_decoupling_margins_2d():
         family = ("max_abs", "l1", "euclidean")[t % 3]
         p = float(rng.uniform(-1.9, -1.1) if t // 3 % 2 else rng.uniform(-0.9, -0.1))
         rep = random_rep(rng, 2, q, full_rank=True, max_condition=1e4)
-        f = {"max_abs": max_abs_power(2, p, block_split=1),
-             "l1": lp_norm_power(2, 1.0, p, block_split=1),
-             "euclidean": euclidean_power(2, p, block_split=1)}[family]
+        f = {"max_abs": max_abs_power(2, p),
+             "l1": lp_norm_power(2, 1.0, p),
+             "euclidean": euclidean_power(2, p)}[family]
         ox = _exact_expectation(f, rep)
         oy = _exact_expectation(f, decouple(rep, BlockSplit(1)))
         bound = ox.error_bound + oy.error_bound

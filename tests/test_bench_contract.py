@@ -36,10 +36,10 @@ def test_family_classification(bench):
     workloads, _ = bench
     rng = np.random.default_rng(41)
     cases = [
-        (euclidean_power(3, -1.5, weights=[1.0, 2.0, 0.5], block_split=1), "euclidean"),
-        (lp_norm_power(3, 1.0, -1.5, block_split=1), "l1"),
-        (max_abs_power(3, -2.5, block_split=1), "max_abs"),
-        (HomogeneousFn(base=_random_lr_subspace(rng, 3, 1), p=-1.5, block_split=1),
+        (euclidean_power(3, -1.5, weights=[1.0, 2.0, 0.5]), "euclidean"),
+        (lp_norm_power(3, 1.0, -1.5), "l1"),
+        (max_abs_power(3, -2.5), "max_abs"),
+        (HomogeneousFn(base=_random_lr_subspace(rng, 3, 1), p=-1.5),
          "lr_subspace"),
     ]
     for f, family in cases:

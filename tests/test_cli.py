@@ -268,12 +268,22 @@ def test_moments_gamma_overflow_exits_3(capsys):
     assert "numerical failure: Gamma(180.0)" in err
 
 
+def test_moments_oracle_never_prints_a_wrong_number(capsys):
+    # the oracle agrees where its integral converges and raises where not
+    assert main(["moments", "--p", "-0.9", "--q", "0.03", "--oracle", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rel_diff"] <= 1e-11
+    assert main(["moments", "--p", "0.05", "--q", "0.1", "--oracle"]) == 3
+    out, err = capsys.readouterr()
+    assert "c_pq_oracle" not in out
+    assert "numerical failure: quadrature did not converge" in err
+
+
 @pytest.mark.parametrize("q", [["1.5"], ["2", "--q", "1.5"]])
 def test_prop1_p_equal_q_below_two_rejected(capsys, q):
     # E||X||^q is infinite for q < 2: a configuration error before any trial
     assert main(["verify", "prop1", "--trials", "3", "--p", "1.5", "--q", *q]) == 2
     err = capsys.readouterr().err
-    assert "prop1 requires 0 < p < q for every configured q < 2" in err
+    assert "Prop 1 needs 0 < p < q" in err
     assert "infinite for q < 2" in err and "n=1" not in err
 
 

@@ -140,12 +140,20 @@ class TestConstructionAndJson:
         with pytest.raises(ValueError):
             euclidean_power(2, 1.0, weights=(1.0, 0.0))
 
-    def test_invalid_block_split(self):
-        with pytest.raises(ValueError):
-            max_abs_power(2, -1.0, block_split=2)
+    @pytest.mark.parametrize("text, maker", [
+        ('{"block_split": 1, "kind": "max_abs", "n": 3, "p": -2.1}',
+         lambda: max_abs_power(3, -2.1)),
+        ('{"block_split": null, "kind": "diag_euclidean", "p": -0.3, "weights": [0.5, 3.0]}',
+         lambda: euclidean_power(2, -0.3, weights=(0.5, 3.0))),
+    ])
+    def test_descriptor_with_a_block_split_key_loads(self, text, maker):
+        """Older descriptor files hold a "block_split" key, which loading ignores."""
+        f = maker()
+        assert fn_to_json(fn_from_json(text)) == fn_to_json(f)
+        assert "block_split" not in fn_to_json(f)
 
     @pytest.mark.parametrize("maker", [
-        lambda: max_abs_power(3, -2.1, block_split=1),
+        lambda: max_abs_power(3, -2.1),
         lambda: lp_norm_power(2, 0.7, 1.1),
         lambda: euclidean_power(2, -0.3, weights=(0.5, 3.0)),
         lambda: HomogeneousFn(base=LevyBase(measure=LevyMeasure(
@@ -189,7 +197,7 @@ class TestLevyFold:
     def test_levy_descriptor_loads_and_evaluates(self):
         f = fn_from_json(self.LEVY_JSON)
         assert isinstance(f.base, LrMatrixBase) and f.base.r == 1.5
-        assert (f.p, f.block_split) == (-0.9, 1)
+        assert f.p == -0.9
         c = np.array([1.0, 1.0, 0.7, 0.3])
         xis = np.array([[0.6, 0.8], [0.6, -0.8], [1.0, 0.0], [0.0, 1.0]])
         x = np.random.default_rng(31).standard_normal((500, 2))

@@ -63,6 +63,8 @@ class TestClosedForms:
         # Gamma(-p/q) = Gamma(180) overflows: no inf comes back
         with pytest.raises(QuadratureFailure, match=r"Gamma\(180\.0\)"):
             c_pq(-0.9, 0.005)
+        with pytest.raises(QuadratureFailure, match=r"Gamma\(180\.0\)"):
+            c_pq_oracle(-0.9, 0.005)
 
 
 class TestOracleAgreement:
@@ -73,6 +75,13 @@ class TestOracleAgreement:
         a = c_pq(p, q)
         b = c_pq_oracle(p, q)
         assert abs(a - b) / abs(b) <= 1e-6
+
+    @pytest.mark.parametrize("q", [0.03, 0.05, 0.1, 0.3, 0.7, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("p", [-0.99, -0.9, -0.5, -0.1, -0.01])
+    def test_negative_orders_to_infinity(self, q, p):
+        """The oracle integrates the Gamma(-p/q) integral to infinity; cut
+        at t^q = 45 it missed c(-0.9, 0.03) by 7e-3."""
+        assert c_pq_oracle(p, q) == pytest.approx(c_pq(p, q), rel=1e-11)
 
     def test_reversed_regime_q2(self):
         for p in (2.5, 4.0):

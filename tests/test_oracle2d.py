@@ -8,7 +8,7 @@ from stablecomp.oracle2d import _asymmetry, _check_rep
 from scipy.special import gamma
 
 from stablecomp import LrMatrixBase, MaxAbsBase, QuadratureFailure, evaluate_many, oracle2d
-from stablecomp.oracle2d import _angular_expectation, _gaussian_expectation
+from stablecomp.oracle2d import _angular_expectation, _exact_expectation, _gaussian_expectation
 from stablecomp.verify import random_rep
 
 
@@ -87,13 +87,6 @@ class TestOracleExpectation:
         est = mc_expectation(f, cauchy_rep(), 400_000, Seed(31))
         assert abs(val.value - est.value) <= max(3.0 * est.stderr,
                                                  1e-2 * abs(val.value))
-
-    def test_refinement_within_error(self):
-        rep = SpectralRep.from_atoms(2.0, [(1.0, (1.0, 0.3)), (0.5, (-0.2, 1.0))])
-        f = euclidean_power(2, -1.2)
-        coarse = oracle_expectation(f, density_2d(rep, M=512))
-        fine = oracle_expectation(f, density_2d(rep, M=1024))
-        assert abs(fine.value - coarse.value) <= coarse.error_bound + fine.error_bound
 
     def test_origin_integrability_guard(self, gaussian_field):
         from stablecomp import MomentExistenceError
@@ -200,9 +193,9 @@ def sphere_route(f, rep):
 
 
 def family_fn(family, p):
-    return {"max_abs": max_abs_power(2, p, block_split=1),
-            "l1": lp_norm_power(2, 1.0, p, block_split=1),
-            "euclidean": euclidean_power(2, p, block_split=1)}[family]
+    return {"max_abs": max_abs_power(2, p),
+            "l1": lp_norm_power(2, 1.0, p),
+            "euclidean": euclidean_power(2, p)}[family]
 
 
 class TestAngularRule:
@@ -242,8 +235,10 @@ class TestAngularRule:
         assert mc.estimator == "plain"
         assert abs(mc.value - exact.value) <= 4.0 * mc.stderr + exact.error_bound
 
-    @pytest.mark.parametrize("q", [0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("q", [0.5, 0.7, 1.0, 2.0])
     def test_bound_covers_four_times_the_nodes(self, q, monkeypatch):
+        """The exact rule of each regime (the Gaussian circle rule at q = 2)
+        against itself at four times the nodes."""
         rng = np.random.default_rng(int(10 * q))
         cases = []
         for family, p in (("max_abs", -1.7), ("l1", -0.6), ("euclidean", -0.25),
@@ -251,10 +246,10 @@ class TestAngularRule:
             rep = random_rep(rng, 2, q, full_rank=True, max_condition=1e4)
             for r in (rep, decouple(rep, BlockSplit(1))):
                 f = family_fn(family, p)
-                cases.append((f, r, _angular_expectation(f, r)))
+                cases.append((f, r, _exact_expectation(f, r)))
         monkeypatch.setattr(oracle2d, "_NODES", 4 * oracle2d._NODES)
         for f, r, got in cases:
-            assert abs(_angular_expectation(f, r).value - got.value) <= got.error_bound
+            assert abs(_exact_expectation(f, r).value - got.value) <= got.error_bound
 
     def test_p_minus_one_is_the_limit(self):
         rep = tilted_rep(0.7)
@@ -367,7 +362,7 @@ class TestExactRules:
 
     @pytest.mark.parametrize("p", [0.3, 0.6])
     def test_positive_exponents_below_q_rejected(self, p, cauchy_field):
-        # E f(X) exists for 0 < p < q, but no exact rule covers it
-        with pytest.raises(ValueError, match="q = 2") as exc:
+        # E f(X) exists for 0 < p < q, but only q = 2 has an exact rule for p > 0
+        with pytest.raises(ValueError, match=r"p in \(-2, 0\)") as exc:
             oracle_expectation(euclidean_power(2, p), cauchy_field)
         assert type(exc.value) is ValueError

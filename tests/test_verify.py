@@ -203,7 +203,7 @@ class TestThm1Cor3:
         rep = SpectralRep.from_atoms(
             1.5, [(1.0, (1.0, 0.0, 0.0)), (0.5, (0.0, 1.0, 0.3)),
                   (1.2, (0.0, 0.5, -0.8))])
-        f = lp_norm_power(3, 1.0, -1.2, block_split=1)
+        f = lp_norm_power(3, 1.0, -1.2)
         rec = verify_thm1(rep, BlockSplit(1), f, 150_000, Seed(3))
         assert rec.passed
         assert abs(rec.margin) <= rec.tolerance
