@@ -63,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels
+from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels, _read_only
 from .homogeneous import HomogeneousFn, _lr_exponent, evaluate_many
 from .moments import _check_cor3_window, _check_thm1_window, _gamma, _quad
 
@@ -188,39 +188,105 @@ def _circle_grid(spec: tuple):
     return np.column_stack([np.cos(theta), np.sin(theta)]), wq
 
 
-def _special():
-    """scipy.special, imported on first use, for the functions of this module
-    that the standard library lacks: Kummer's hyp1f1, the scaled Bessel
-    functions k0e and k1e, and exprel.
-
-    Importing it takes about 0.3 s and 25 MiB.  The Gamma values take
-    ``moments._gamma`` instead, so sampling, the Monte Carlo estimators, the
-    moment constants and the 2-D oracle never load it.
-    """
-    from scipy import special
-
-    return special
-
-
-# bounds |_kummer_m - M| for a/2 in (0, 1.5], x in [0, 5000]; mpmath scans find 4.2e-15
+# bounds |_kummer_m - M| for a/2 in (0, 1.5), b in {1/2, 1, 3/2} and x in
+# [0, 5000]; mpmath scans find 3.6e-15
 _KUMMER_ERR = 1e-14
+
+# _kummer_m sums the transformed series up to x = _KUMMER_SWITCH and the
+# asymptotic series, cut before its smallest term at that x, past it
+_KUMMER_SWITCH = 40.0
+_KUMMER_ASYMPTOTIC_TERMS = 38
+
+
+def _kummer_terms(x: float) -> int:
+    """Terms of the transformed series at x, past the bulk of the Poisson
+    weights e^-x x^k / k! that bound them: its tail is below 1e-18."""
+    return math.ceil(x + 9.0 * math.sqrt(x)) + 16
+
+
+@lru_cache(maxsize=16)
+def _kummer_ratios(alpha: float, b: float) -> tuple:
+    """Columns of the term ratios of both series of ``_kummer_m`` (the
+    powers of x aside), and the asymptotic prefactor Gamma(b) / Gamma(b -
+    alpha): one scan calls it with one (alpha, b) for every action."""
+    k = np.arange(float(_kummer_terms(_KUMMER_SWITCH)))[:, None]
+    s = np.arange(_KUMMER_ASYMPTOTIC_TERMS - 1.0)[:, None]
+    scale = 0.0 if alpha == b else _gamma(b) / _gamma(b - alpha)
+    return (*_read_only((b - alpha + k) / ((b + k) * (k + 1.0)),
+                        (alpha + s) * (alpha - b + 1.0 + s) / (s + 1.0)), scale)
 
 
 def _kummer_m(alpha: float, x: np.ndarray, b: float = 0.5) -> np.ndarray:
-    """Kummer's M(alpha, b, -x) for x >= 0; it lies in [-1, 1] for b = 1/2.
+    """Kummer's M(alpha, b, -x) for x >= 0, alpha in (0, 1.5) and b in
+    {1/2, 1, 3/2}; it lies in [-1, 1] for b = 1/2.
 
-    scipy's hyp1f1 errs for alpha <= b/10 and x near 2.4, up to 3e-8
-    relative at b = 1/2 and 4e-11 at b = 1 and 3/2.  So for alpha < b/5 and
-    x <= 8 this sums the 60 positive terms of Kummer's transformation
-    exp(-x) M(b - alpha, b, x) instead.
+    Up to x = 40 it sums Kummer's transformation (DLMF 13.2.39)
+
+        M(alpha, b, -x) = e^-x sum_k (b - alpha)_k / (b)_k x^k / k!,
+
+    whose terms past the first keep the sign of b - alpha, so nothing
+    cancels; the term count follows the largest x (``_kummer_terms``).
+    Past 40 it takes the asymptotic series of DLMF 13.7.2,
+
+        M(alpha, b, -x) ~ Gamma(b) / Gamma(b - alpha) x^-alpha
+                          sum_s (alpha)_s (alpha - b + 1)_s / s! x^-s,
+
+    cut at 38 terms, before its smallest term at x = 40.  The e^-x part it
+    drops is below 1e-15 there, and 1/Gamma(b - alpha) vanishes at alpha = b,
+    where M = e^-x.  Each series is one cumulative product over all its x.
     """
-    out = _special().hyp1f1(alpha, b, -x)
-    if alpha < 0.2 * b:
-        near = x <= 8.0
-        k = np.arange(60.0)[:, None]
-        terms = np.cumprod((b - alpha + k) / (b + k) * x[near] / (k + 1.0), axis=0)
-        out[near] = np.exp(-x[near]) * (1.0 + terms.sum(axis=0))
+    near_ratios, far_ratios, scale = _kummer_ratios(alpha, b)
+    out = np.empty_like(x)
+    near = x <= _KUMMER_SWITCH
+    xn = x[near]
+    if xn.size:
+        terms = np.cumprod(near_ratios[:_kummer_terms(float(xn.max()))] * xn, axis=0)
+        out[near] = np.exp(-xn) * (1.0 + terms.sum(axis=0))
+    if xn.size < x.size:
+        xf = x[~near]
+        terms = np.cumprod(far_ratios / xf, axis=0)
+        out[~near] = scale * xf**-alpha * (1.0 + terms.sum(axis=0))
     return out
+
+
+def _exprel(x: np.ndarray) -> np.ndarray:
+    """(e^x - 1) / x, and 1 at x = 0."""
+    zero = x == 0.0
+    return np.where(zero, 1.0, np.expm1(x) / np.where(zero, 1.0, x))
+
+
+# sqrt(b) e^b (K0(b) + K1(b)) as Chebyshev series: in log2(b) on [1/2, 2],
+# and in 4/b - 1 on [2, inf).  The coefficients interpolate mpmath values at
+# 40 Chebyshev points and stop before the first one below 1e-19;
+# tests/test_fourier_pd.py regenerates them.
+_BESSEL_SUM_LOW = (
+    2.8053458563963205, -0.17651376993507722, 0.0248261505887954,
+    -0.002038936559868723, 9.685706572034639e-05, -1.9946612860279497e-06,
+    -2.8597446992750913e-09, -3.4357795553858215e-09, 3.3602382004180183e-10,
+    4.3763876110815665e-12, -1.134703480120998e-12, -2.3123335861378458e-14,
+    4.531692850055494e-15, 1.2219845497702812e-16, -1.768776090689674e-17,
+    -6.851317344653138e-19,
+)
+_BESSEL_SUM_HIGH = (
+    2.580464636275199, 0.07247563526485273, -0.001287932973892726,
+    6.67200226550736e-05, -5.41216602278433e-06, 5.747294251180977e-07,
+    -7.351469636427974e-08, 1.0805942277621016e-08, -1.771728448263871e-09,
+    3.175152458079731e-10, -6.129574779415971e-11, 1.2608259431279172e-11,
+    -2.7401872347286447e-12, 6.250417901078244e-13, -1.488333727424787e-13,
+    3.6832274290406476e-14, -9.438144069417717e-15, 2.496410974733023e-15,
+    -6.797606129381229e-16, 1.9010978831895372e-16, -5.4499127123868447e-17,
+    1.5986244948814477e-17, -4.79071071550094e-18, 1.4647045390209347e-18,
+    -4.563107108959542e-19, 1.4469398958019725e-19,
+)
+
+
+def _bessel_sum(b: np.ndarray) -> np.ndarray:
+    """e^b (K0(b) + K1(b)) for b >= 1/2, from the Chebyshev series above."""
+    low = b <= 2.0
+    out = np.empty_like(b)
+    out[low] = np.polynomial.chebyshev.chebval(np.log2(b[low]), _BESSEL_SUM_LOW)
+    out[~low] = np.polynomial.chebyshev.chebval(4.0 / b[~low] - 1.0, _BESSEL_SUM_HIGH)
+    return out / np.sqrt(b)
 
 
 # the slice rule: panels on [-1, 1], panels on each side of u0 past its
@@ -234,15 +300,15 @@ def _slice_derivative(n: int, u: np.ndarray) -> np.ndarray:
     """m'(u) for the slice integral m(u) = int psi(|(u, v)|) dv, v in R^(n-1),
     of the unit bump psi(r) = exp(1 - 1/(1 - r^2)); 0 where 1 - u^2 < 2e-3,
     as psi < e^-499 there.  n = 3: m'(u) = -2 pi u psi(|u|).  n = 2: with
-    W^2 = 1 - u^2 and b = 1 / (2 W^2),
+    W^2 = 1 - u^2 and b = 1 / (2 W^2) in [1/2, 250],
 
         m'(u) = -u W^-3 e^(1 - b) (K0(b) + K1(b)),
 
-    taken as e^(1 - 2b) times the scaled k0e(b) + k1e(b).  Differentiating
-    under the integral and substituting v = W tanh y, then s = 2y, gives
-    m'(u) = -(e u / W) int_R E (sech^2 y + 2 / W^2) dy with E = exp(-cosh^2 y
-    / W^2) = e^-b exp(-b cosh s), and two identities close it:
-    int_R exp(-b cosh s) ds = 2 K0(b) (DLMF 10.32.9), so int E dy = e^-b
+    taken as e^(1 - 2b) times e^b (K0(b) + K1(b)) from ``_bessel_sum``.
+    Differentiating under the integral and substituting v = W tanh y, then
+    s = 2y, gives m'(u) = -(e u / W) int_R E (sech^2 y + 2 / W^2) dy with
+    E = exp(-cosh^2 y / W^2) = e^-b exp(-b cosh s), and two identities close
+    it: int_R exp(-b cosh s) ds = 2 K0(b) (DLMF 10.32.9), so int E dy = e^-b
     K0(b); and int_b^inf e^-x K0(x) dx = b e^-b (K1(b) - K0(b)), so
     int E sech^2 y dy = 2b e^-b (K1(b) - K0(b)) and the bracket is 2b e^-b
     (K0(b) + K1(b))."""
@@ -253,10 +319,16 @@ def _slice_derivative(n: int, u: np.ndarray) -> np.ndarray:
     if n == 3:
         out[live] = -2.0 * np.pi * u * np.exp(1.0 - 1.0 / w2)
         return out
-    b = 0.5 / w2
-    sp = _special()
-    out[live] = -u / (w2 * np.sqrt(w2)) * np.exp(1.0 - 1.0 / w2) * (sp.k0e(b) + sp.k1e(b))
+    out[live] = -u / (w2 * np.sqrt(w2)) * np.exp(1.0 - 1.0 / w2) * _bessel_sum(0.5 / w2)
     return out
+
+
+@lru_cache(maxsize=16)
+def _slice_rule(n: int, panels: int, nodes: int) -> tuple:
+    """Panel edges, nodes and weights times m' of the rule on [-1, 1]."""
+    edges = np.sin(np.pi * (np.arange(panels + 1) / panels - 0.5))
+    x, w = (v.ravel() for v in _gl_panels(edges[:-1], edges[1:], nodes))
+    return _read_only(edges, x, w * _slice_derivative(n, x))
 
 
 def _slice_integral(n: int, a: float, u0: np.ndarray, nodes: int):
@@ -272,16 +344,15 @@ def _slice_integral(n: int, a: float, u0: np.ndarray, nodes: int):
     doubling outward.  m'(u0)
     adds back its finite part m'(u0) ((hi - u0)^(2-a) - (u0 - lo)^(2-a)) /
     (2 - a).  The absolute sums take |m'(u)| + |m'(u0)| to cover the
-    cancellation."""
+    cancellation.  m' at the fixed nodes on [-1, 1] is cached, and one call
+    takes it at every u0 and side node."""
     panels = _SLICE_PANELS
-    edges = np.sin(np.pi * (np.arange(panels + 1) / panels - 0.5))
-    x, w = (v.ravel() for v in _gl_panels(edges[:-1], edges[1:], nodes))
+    edges, x, wm = _slice_rule(n, panels, nodes)
     k = np.clip(np.searchsorted(edges, u0, side="right") - 1, 0, panels - 1)
     inside = np.abs(u0) < 1.0
     skip = inside[:, None] & (np.abs(np.arange(panels).repeat(nodes) - k[:, None]) <= 1)
     d = np.where(skip, 1.0, x - u0[:, None])
     kernel = np.where(skip, 0.0, np.sign(d) * np.abs(d) ** (1.0 - a))
-    wm = w * _slice_derivative(n, x)
     total, absolute = kernel @ wm, np.abs(kernel) @ np.abs(wm)
 
     # rows: u0 in (-1, 1); axis 1: the sides above and below u0
@@ -295,12 +366,12 @@ def _slice_integral(n: int, a: float, u0: np.ndarray, nodes: int):
     sg, wg = (v.reshape(*h.shape[:2], _SLICE_SIDE_PANELS * nodes)
               for v in _gl_panels(ends[..., :-1], ends[..., 1:], nodes))
     ws = np.concatenate([(h / 2.0) ** (3.0 - a) * wj / sj, wg * sg ** (1.0 - a)], axis=2)
-    m0 = _slice_derivative(n, u0)
     sign = np.array([[1.0], [-1.0]])
-    ms = _slice_derivative(n, u0 + sign * np.concatenate([sj, sg], axis=2))
+    side = u0 + sign * np.concatenate([sj, sg], axis=2)
+    m = _slice_derivative(n, np.concatenate([u0.ravel(), side.ravel()]))
+    m0, ms = m[:u0.size, None, None], m[u0.size:].reshape(side.shape)
     ratio = np.log(length[:, 0, 0] / length[:, 1, 0])
-    closed = (m0[:, 0, 0] * length[:, 1, 0] ** (2.0 - a) * ratio
-              * _special().exprel((2.0 - a) * ratio))
+    closed = m0[:, 0, 0] * length[:, 1, 0] ** (2.0 - a) * ratio * _exprel((2.0 - a) * ratio)
     total[inside] += (sign * (ms - m0) * ws).sum(axis=(1, 2)) + closed
     absolute[inside] += ((np.abs(ms) + np.abs(m0)) * ws).sum(axis=(1, 2)) + np.abs(closed)
     return total, absolute

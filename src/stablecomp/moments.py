@@ -19,9 +19,11 @@ variable is evaluated two independent ways:
 Every scalar Gamma value of the package comes from ``_gamma`` here, which
 wraps the standard library's ``math.gamma``, so ``c_pq``, the Fourier
 constant of ``_quadrature`` and the exact 2-D rules of ``oracle2d`` load no
-scipy.  ``fourier_pd`` loads scipy.special only for the functions the
-standard library lacks, and the reference routes load scipy.integrate
-through ``_quad``.
+scipy.  ``fourier_pd`` takes Kummer's M, the Bessel sum of its slice rule
+and exprel from numpy, so no module of the package loads scipy.special.
+Only the reference routes, ``c_pq_oracle`` and
+``fourier_pd.subordination_norm_power``, load scipy.integrate, through
+``_quad``.
 
 ``levy_expectation`` turns a finite spherical measure representing a norm
 (``LevyMeasure``, kept in ``homogeneous`` with the other norm
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -117,7 +120,7 @@ def _gamma(x: float) -> float:
     """Gamma(x) of a real scalar, from the standard library's ``math.gamma``.
 
     Every closed form of the package takes its Gamma values here, so that
-    none of them loads scipy.special (about 0.3 s and 25 MiB).  Where Gamma
+    none of them loads scipy.special (about 0.2 s and 20 MiB).  Where Gamma
     does not fit a float, past x = 171.6 or at a pole, it raises
     QuadratureFailure naming the argument instead of returning inf.
     """
@@ -171,6 +174,26 @@ def _check_cor3_window(p: float, n: int) -> None:
         raise ValueError(f"Cor 3 and Prop 3 need p in ({-n}, {1 - n}) at n={n}; got p={p}")
 
 
+def _fits_a_float(moment):
+    """``moment(p, q)``, raising QuadratureFailure that names p and q instead
+    of returning inf where E|Z|^p overflows a float although every Gamma
+    value it takes fits one: Gamma(s/q) / (q Gamma(s) cos(pi s / 2)), s = -p,
+    at small q, or 2^p Gamma((p + 1)/2) at q = 2."""
+    @wraps(moment)
+    def checked(p, q) -> float:
+        with np.errstate(over="raise"):
+            try:
+                value = moment(p, q)
+            except (OverflowError, FloatingPointError):
+                value = math.inf
+        if not math.isfinite(value):
+            raise QuadratureFailure(f"E|Z|^p for p={p!r}, q={q!r} does not fit a float")
+        return value
+
+    return checked
+
+
+@_fits_a_float
 def c_pq(p, q) -> float:
     """E|Z|^p for the standard symmetric q-stable Z (cf exp(-|t|^q)).
 
@@ -196,8 +219,7 @@ def c_pq(p, q) -> float:
 def _quad(fn, a, b, epsabs=1e-14, epsrel=1e-11):
     """Adaptive quadrature of fn over [a, b]; QuadratureFailure on any
     convergence warning or on an error estimate above 1e-7 max(1, |value|)."""
-    # 0.5-0.65 s to import, 0.25-0.4 s once scipy.special is loaded;
-    # only reference routes need it
+    # 0.5-0.65 s to import; only the reference routes need it
     from scipy import integrate
 
     out = integrate.quad(fn, a, b, epsabs=epsabs, epsrel=epsrel,
@@ -211,6 +233,7 @@ def _quad(fn, a, b, epsabs=1e-14, epsrel=1e-11):
     return val
 
 
+@_fits_a_float
 def c_pq_oracle(p, q) -> float:
     """E|Z|^p by numerical quadrature of the defining identities.
 

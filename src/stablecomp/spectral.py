@@ -85,9 +85,9 @@ class SpectralRep:
 
     def __post_init__(self):
         q = check_stable_index(self.q)
+        if int(self.n) != self.n or self.n < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.n}")
         n = int(self.n)
-        if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
         w = _readonly(np.atleast_1d(self.weights))
         a = _readonly(np.atleast_2d(self.atoms))
         if w.ndim != 1 or w.size == 0:
@@ -133,7 +133,7 @@ class SpectralRep:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SpectralRep":
         atoms = d["atoms"]
-        return cls(n=int(d["n"]), q=float(d["q"]),
+        return cls(n=d["n"], q=float(d["q"]),
                    weights=np.array([e["w"] for e in atoms], dtype=float),
                    atoms=np.array([e["a"] for e in atoms], dtype=float).reshape(len(atoms), -1))
 

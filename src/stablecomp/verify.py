@@ -556,7 +556,8 @@ class ExperimentConfig:
                 raise ValueError(f"experiment configuration key {key!r} must not be empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        _check_sample_size(self.N)
+        if self.mode in _SAMPLING_MODES:
+            _check_sample_size(self.N)
         if self.workers is not None:
             _resolve_workers(self.workers)
         for q in self.q_values:
@@ -813,6 +814,8 @@ def _oracle_trial(config: ExperimentConfig, t: int, rng: np.random.Generator) ->
 _TRIALS = {"prop1": _prop1_trial, "thm1": _thm1_trial, "cor3": _cor3_trial,
            "pd": _pd_trial, "oracle-crosscheck": _oracle_trial}
 _MODES = ("lemma1", *_TRIALS)
+# the modes whose trials draw N samples; the others never read N
+_SAMPLING_MODES = ("thm1", "cor3", "oracle-crosscheck")
 
 
 def run_experiment(config: ExperimentConfig) -> VerificationReport:

@@ -101,6 +101,22 @@ def test_verify_prop1_csv(tmp_path):
     assert out.read_text().startswith("index,mode,margin")
 
 
+def test_sample_floor_only_where_samples_are_drawn(tmp_path, capsys):
+    # prop1 and lemma1 never read N: an N below the 64-sample median-of-means
+    # floor changes no byte of their output
+    outs = []
+    for extra in ([], ["-N", "10"]):
+        out = tmp_path / f"prop1-{len(extra)}.jsonl"
+        assert main(["verify", "prop1", "--trials", "3", "--seed", "1", *extra,
+                     "--out-jsonl", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert main(["verify", "lemma1", "--trials", "3", "-N", "1"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "thm1", "--trials", "1", "-N", "10"]) == 2
+    assert "N=10 too small for the median-of-means estimator" in capsys.readouterr().err
+
+
 def test_verify_config_file_with_flag_override(tmp_path):
     config = {"trials": 3, "seed": 5, "q_values": [1.0], "n_values": [2]}
     cfg = tmp_path / "config.json"
@@ -266,6 +282,11 @@ def test_moments_gamma_overflow_exits_3(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "numerical failure: Gamma(180.0)" in err
+    # Gamma(170.8) fits, and c(-0.9, 0.00527) is past the largest float
+    assert main(["moments", "--p", "-0.9", "--q", "0.00527", "--oracle"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical failure: E|Z|^p for p=-0.9, q=0.00527 does not fit a float" in err
 
 
 def test_moments_oracle_never_prints_a_wrong_number(capsys):
@@ -289,16 +310,15 @@ def test_prop1_p_equal_q_below_two_rejected(capsys, q):
 
 def test_sampling_commands_leave_scipy_unimported(tmp_path):
     # sampling, the Monte Carlo checks, the moment constants, the exact
-    # prop1 sums and the 2-D oracle never call scipy (their Gamma values
-    # come from the standard library); pd-check imports scipy.special for
-    # Kummer's function and the Bessel functions when it first needs them
+    # prop1 sums, the 2-D oracle and pd-check never call scipy: their Gamma
+    # values come from the standard library, and Kummer's function, the
+    # Bessel sum and exprel of pd-check from numpy.  moments --oracle and
+    # subordination_norm_power load scipy.integrate, through moments._quad
     code = f"""if True:
         import json, sys
         from stablecomp.cli import main
         d = {str(tmp_path)!r}
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        lean = [
+        commands = [
             ["sample", "--random-rep", "3", "1.5", "-N", "1000", "--out", d + "/x.csv"],
             ["sample", "--random-rep", "2", "0.7", "-N", "1000", "--format", "bin",
              "--out", d + "/x.bin"],
@@ -309,18 +329,19 @@ def test_sampling_commands_leave_scipy_unimported(tmp_path):
             ["moments", "--p", "-0.5", "--q", "1"],
             ["verify", "prop1", "--trials", "3", "--seed", "1"],
             ["oracle", "--trials", "1", "-N", "2000"],
+            ["pd-check", "--builtin", "max-abs", "2", "-1.5"],
+            ["pd-check", "--builtin", "max-abs", "2", "-1.5", "--mode", "away-from-origin"],
+            ["pd-check", "--builtin", "l1", "3", "-1.2"],
+            ["pd-check", "--builtin", "l1", "3", "-1.2", "--mode", "away-from-origin"],
         ]
-        codes = [main(argv) for argv in lean]
-        before = scipy_modules()
-        codes.append(main(["pd-check", "--builtin", "max-abs", "2", "-1.5"]))
-        print(json.dumps([codes, before, "scipy.special" in sys.modules]))
+        codes = [main(argv) for argv in commands]
+        print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
     """
     src = str(Path(stablecomp.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    codes, before, special_loaded = json.loads(out.stdout.splitlines()[-1])
-    assert codes == [0] * 10
-    assert before == []
-    assert special_loaded
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * 13
+    assert loaded == []

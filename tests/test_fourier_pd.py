@@ -250,9 +250,9 @@ class TestRadialKernel:
                 assert np.all(np.abs(vals - ref) <= 1e-14 * abs(ref[0]))
 
     def test_kummer_m_matches_mpmath(self):
-        """_kummer_m stays within _KUMMER_ERR of mpmath over a/2 in (0, 1.5]
+        """_kummer_m stays within _KUMMER_ERR of mpmath over a/2 in (0, 1.5)
         and x in [0, 5000], x dense over [2.2, 2.5], where scipy's hyp1f1
-        alone errs up to 3e-8 relative for a/2 <= 0.05."""
+        erred up to 3e-8 relative for a/2 <= 0.05."""
         mpmath = pytest.importorskip("mpmath")
         alphas = np.concatenate([np.geomspace(1e-12, 0.09, 10), np.linspace(0.1, 1.49, 15)])
         x = np.unique(np.concatenate([np.linspace(0.0, 10.0, 41), np.linspace(2.2, 2.5, 61),
@@ -262,6 +262,28 @@ class TestRadialKernel:
                 ref = np.array([float(mpmath.hyp1f1(alpha, 0.5, -v)) for v in x])
                 err = np.abs(fourier_pd._kummer_m(alpha, x) - ref)
                 assert err.max() <= fourier_pd._KUMMER_ERR, (alpha, x[err.argmax()])
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 1.5])
+    def test_kummer_m_across_the_switch(self, b):
+        """Within _KUMMER_ERR on both sides of x = 40, where the transformed
+        series hands over to the asymptotic one, for every b it serves."""
+        mpmath = pytest.importorskip("mpmath")
+        alphas = np.concatenate([[1e-12, 1e-4, 0.02], np.linspace(0.1, 1.49, 12)])
+        x = np.linspace(38.0, 42.0, 161)
+        with mpmath.workdps(25):
+            for alpha in alphas:
+                ref = np.array([float(mpmath.hyp1f1(alpha, b, -v)) for v in x])
+                err = np.abs(fourier_pd._kummer_m(alpha, x, b) - ref)
+                assert err.max() <= fourier_pd._KUMMER_ERR, (alpha, x[err.argmax()])
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 1.5])
+    def test_kummer_m_at_a_equal_b(self, b):
+        """M(b, b, -x) = e^-x: every term of the transformed series past the
+        first vanishes, and so does the asymptotic series' 1/Gamma(b - a),
+        which leaves 0, within e^-40 of e^-x, past x = 40."""
+        near, far = np.linspace(0.0, 40.0, 81), np.array([40.5, 100.0, 5000.0])
+        got = fourier_pd._kummer_m(b, np.concatenate([near, far]), b)
+        assert np.array_equal(got, np.concatenate([np.exp(-near), np.zeros(3)]))
 
     def test_gaussian_actions_near_minus_n_within_bound(self):
         """Euclidean actions at p = -1.95 (a/2 = 0.025) over the default
@@ -325,7 +347,7 @@ def test_half_circle_matches_full_circle(f):
 def test_euclidean_reference_matches_mpmath():
     """The closed form against mpmath over sigma in [0.126, 4] and |center|
     <= 7.3, the reach of refinement on the default family, with p near both
-    ends of (-n, 0), where scipy's hyp1f1 alone errs up to 4e-11; and the
+    ends of (-n, 0), where scipy's hyp1f1 erred up to 4e-11; and the
     closed form itself against an mpmath radial quadrature of
     c(n, p) int |xi|^(-n-p) phi(xi) dxi."""
     mpmath = pytest.importorskip("mpmath")
@@ -478,24 +500,24 @@ class TestCentreAlignedRule:
 
     @pytest.mark.parametrize("builtin,mode,expected", [
         ("max-abs 2 -1.5", "full-space",
-         '{"evaluations": 93, "family_size": 85, "min_action": 0.7506688754388924, '
-         '"mode": "full-space", "quadrature_error_bound": 1.194227615672675e-07, '
+         '{"evaluations": 93, "family_size": 85, "min_action": 0.7506688754388923, '
+         '"mode": "full-space", "quadrature_error_bound": 1.194227616782898e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": [4.0, 0.0], '
          '"kind": "gaussian", "normalization": 1.0, "width": 0.126025}}'),
         ("max-abs 2 -1.5", "away-from-origin",
-         '{"evaluations": 56, "family_size": 48, "min_action": 0.49468643515154076, '
-         '"mode": "away-from-origin", "quadrature_error_bound": 1.0628714240509391e-07, '
+         '{"evaluations": 56, "family_size": 48, "min_action": 0.49468643515154087, '
+         '"mode": "away-from-origin", "quadrature_error_bound": 1.0628714234958276e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": [6.0, 0.0], '
          '"kind": "bump", "normalization": 1.0, "width": 0.25205}}'),
         ("l1 2 -1.2", "full-space",
-         '{"evaluations": 93, "family_size": 85, "min_action": 0.18765455948954265, '
+         '{"evaluations": 93, "family_size": 85, "min_action": 0.18765455948954268, '
          '"mode": "full-space", "quadrature_error_bound": 1.2025591230366863e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": '
          '[2.8284271247461903, 2.82842712474619], "kind": "gaussian", '
          '"normalization": 1.0, "width": 0.126025}}'),
         ("l1 2 -1.2", "away-from-origin",
          '{"evaluations": 56, "family_size": 48, "min_action": 0.10946960993093584, '
-         '"mode": "away-from-origin", "quadrature_error_bound": 5.634525079928755e-07, '
+         '"mode": "away-from-origin", "quadrature_error_bound": 5.634525079651199e-07, '
          '"verdict": "consistent-with-pd", "witness": {"center": '
          '[4.242640687119286, 4.242640687119285], "kind": "bump", '
          '"normalization": 1.0, "width": 0.25205}}'),
@@ -705,6 +727,23 @@ def _mp_slice_integral(mp, n, a, u0):
     return total
 
 
+def _bessel_sum_coefficients(mp, low, terms, nodes=40):
+    """Chebyshev coefficients of sqrt(b) e^b (K0(b) + K1(b)), interpolated at
+    ``nodes`` Chebyshev points of t in [-1, 1] at 40 digits, with b = 2^t
+    (``low``) or b = 4 / (t + 1), and rounded to floats."""
+    with mp.workdps(40):
+        def g(t):
+            b = mp.mpf(2) ** t if low else 4 / (t + 1)
+            return mp.sqrt(b) * mp.exp(b) * (mp.besselk(0, b) + mp.besselk(1, b))
+
+        theta = [mp.pi * (k + mp.mpf(1) / 2) / nodes for k in range(nodes)]
+        values = [g(mp.cos(th)) for th in theta]
+        c = [2 * mp.fsum(v * mp.cos(j * th) for v, th in zip(values, theta)) / nodes
+             for j in range(terms)]
+        c[0] /= 2
+        return tuple(float(v) for v in c)
+
+
 # (n, a) for test_integral_matches_mpmath; its ids give a alone at n = 3
 _SLICE_CASES = ([(3, a) for a in (0.5, 1.0, 1.5, 2.0, 2.5, 2.9)]
                 + [(2, a) for a in (0.5, 1.0, 1.5, 1.98)])
@@ -719,6 +758,31 @@ class TestSliceRule:
             ref = np.array([float(_mp_slice_derivative(mpmath.mp, n, v)) for v in u])
         got = fourier_pd._slice_derivative(n, u)
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_bessel_sum_matches_mpmath(self):
+        """e^b (K0(b) + K1(b)) within 1e-15 relative over the b = 1/(2 W^2)
+        of the live slice nodes, [1/2, 250], dense where the series meet at
+        b = 2."""
+        mpmath = pytest.importorskip("mpmath")
+        b = np.unique(np.concatenate([np.geomspace(0.5, 250.0, 61), np.linspace(1.9, 2.1, 41),
+                                      np.linspace(2.0, 250.0, 32)]))
+        with mpmath.workdps(25):
+            ref = np.array([float(mpmath.exp(v) * (mpmath.besselk(0, v) + mpmath.besselk(1, v)))
+                            for v in map(mpmath.mpf, b)])
+        assert np.all(np.abs(fourier_pd._bessel_sum(b) - ref) <= 1e-15 * ref)
+
+    def test_bessel_sum_coefficients_regenerate(self):
+        mpmath = pytest.importorskip("mpmath")
+        for low, pinned in ((True, fourier_pd._BESSEL_SUM_LOW),
+                            (False, fourier_pd._BESSEL_SUM_HIGH)):
+            c = _bessel_sum_coefficients(mpmath, low, len(pinned) + 1)
+            assert c[:-1] == pinned
+            assert abs(c[-1]) < 1e-19  # the first coefficient left out
+
+    def test_exprel(self):
+        x = np.array([1e-300, -1e-300, 1e-10, -1e-10, 700.0, -700.0])
+        assert np.array_equal(fourier_pd._exprel(x), np.expm1(x) / x)
+        assert fourier_pd._exprel(np.zeros(1))[0] == 1.0
 
     @pytest.mark.parametrize("n,a", _SLICE_CASES,
                              ids=[f"n2-{a}" if n == 2 else str(a) for n, a in _SLICE_CASES])

@@ -65,6 +65,12 @@ class TestClosedForms:
             c_pq(-0.9, 0.005)
         with pytest.raises(QuadratureFailure, match=r"Gamma\(180\.0\)"):
             c_pq_oracle(-0.9, 0.005)
+        # Gamma(-p/q) fits, its quotient by q Gamma(s) cos(pi s / 2) does not;
+        # at q = 2, 2^p Gamma((p + 1)/2) does not
+        for p, q in ((-0.9, 0.00527), (300.0, 2.0)):
+            for moment in (c_pq, c_pq_oracle):
+                with pytest.raises(QuadratureFailure, match=rf"p={p}, q={q} does not fit"):
+                    moment(p, q)
 
 
 class TestOracleAgreement:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,19 @@ class TestScale:
         rep = coord_rep(1.0)
         with pytest.raises(ValueError):
             scale_q(rep, np.zeros(3))
+
+    @pytest.mark.parametrize("n", [2.5, 0, -1])
+    def test_dimension_must_be_a_positive_integer(self, n):
+        # 2.5 used to become n = 2, as in BlockSplit and MaxAbsBase it is an error
+        with pytest.raises(ValueError, match=f"dimension must be a positive integer, got {n}"):
+            SpectralRep(n=n, q=1.0, weights=[1.0], atoms=[[1.0, 0.0]])
+        d = json.loads(coord_rep(1.0).to_json())
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            SpectralRep.from_json_dict({**d, "n": n})
+
+    def test_integral_float_dimension_accepted(self):
+        rep = SpectralRep(n=2.0, q=1.0, weights=[1.0], atoms=[[1.0, 0.0]])
+        assert rep.n == 2 and isinstance(rep.n, int)
 
 
 class TestCharFn:
