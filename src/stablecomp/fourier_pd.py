@@ -10,7 +10,7 @@ decreasing test function phi factorizes in spherical coordinates:
 ``pd_action`` evaluates that factorization for n in {2, 3}; ``pd_check``
 scans a family of test functions for a sign violation.  The inner radial
 integral G depends on theta only through c = <theta, center>
-(``_radial_profile``).  For a Gaussian it has a closed form in Kummer's M,
+(``_radial_profiles``).  For a Gaussian it has a closed form in Kummer's M,
 whose error enters the bound.  For a bump it is a finite integral over the
 derivative m' of the bump's slice integral (``_slice_integral``), by
 Gauss-Legendre and Gauss-Jacobi rules shared with ``oracle2d`` in
@@ -28,21 +28,34 @@ The angular rules:
   multiples of pi/16 sit on the kinks of l1 and max-abs, and a bump adds
   edges where |<theta, center>| = width, at which its radial profile is not
   analytic; so the rule converges spectrally, and the bound is the gap
-  between a coarse and a fine grid.
+  between a coarse and a fine grid.  f(theta) times the weights depends only
+  on f and the rule's panels, nodes and splits, so a scan keeps it per rule
+  (the circle table): all Gaussian members share four rules.
 * n = 3 uses the centre-aligned rule.  With c^ = center/|center| (e3 for a
   centred test) the action is int_0^1 F(t) G(|center| t) dt, where
   F(t) = int_{S^1} f(t c^ + sqrt(1 - t^2) omega) d omega is a ring integral
   (t >= 0 suffices for an even f).  t = cos(psi) on Gauss-Legendre psi panels
   graded toward t = 0, where G peaks on the scale width/|center|; omega on
   15-degree panels of a frame whose edges meet the l1 and max-abs kink
-  planes through an axis or diagonal c^.  So each action needs G at ~150
-  values of c, and F depends only on (f, c^, rule): ``pd_check`` keeps the
-  ring integrals of its scan in one dict, and every test function about the
+  planes through an axis or diagonal c^.  F depends only on (f, c^, rule),
+  so a scan keeps the ring integrals, and every test function about the
   same axis (the family members on a ray, every width and radius
   refinement) reuses them.  The bound sums local gaps, the fine value
   against the coarse t and radial rules per coarse psi panel and F against
   the coarse omega rule per t node, so that errors of opposite sign at
   kinks that cross the rings cannot cancel in it.
+
+A scan runs in stages, the family and then each refinement round's
+candidates, and ``_actions`` takes a stage at once.  Each member's angular
+rule takes f from the scan's tables (the circle table at n = 2, the ring
+integrals at n = 3); then one ``_radial_profiles`` call gives the radial
+profiles of every member at both rules.  All Gaussians go into one
+``_kummer_m`` call, whose Horner sums give each x its own term count, and
+the bumps of each rule into one ``_slice_integral`` call.  So a stage pays
+the fixed costs of those sums once, not per member; their work arrays go in
+blocks of _BLOCK values.  ``pd_action`` is a stage of one, and a member's
+action does not depend on the rest of its stage beyond the roundoff of the
+slice rule's dot products.
 
 Test functions are Gaussians modulated to a center xi0 (their Fourier
 transforms are analytic, which removes one quadrature layer) or, for the
@@ -197,23 +210,41 @@ _KUMMER_ERR = 1e-14
 _KUMMER_SWITCH = 40.0
 _KUMMER_ASYMPTOTIC_TERMS = 38
 
+# elements per work array of a batched stage
+_BLOCK = 1 << 15
 
-def _kummer_terms(x: float) -> int:
-    """Terms of the transformed series at x, past the bulk of the Poisson
-    weights e^-x x^k / k! that bound them: its tail is below 1e-18."""
-    return math.ceil(x + 9.0 * math.sqrt(x)) + 16
+
+def _kummer_terms(x):
+    """Terms of the transformed series at each x, past the bulk of the
+    Poisson weights e^-x x^k / k! that bound them: its tail is below 1e-18."""
+    return np.ceil(x + 9.0 * np.sqrt(x)).astype(np.intp) + 16
 
 
 @lru_cache(maxsize=16)
 def _kummer_ratios(alpha: float, b: float) -> tuple:
-    """Columns of the term ratios of both series of ``_kummer_m`` (the
-    powers of x aside), and the asymptotic prefactor Gamma(b) / Gamma(b -
-    alpha): one scan calls it with one (alpha, b) for every action."""
-    k = np.arange(float(_kummer_terms(_KUMMER_SWITCH)))[:, None]
-    s = np.arange(_KUMMER_ASYMPTOTIC_TERMS - 1.0)[:, None]
+    """The term ratios of both series of ``_kummer_m`` (the powers of x
+    aside), and the asymptotic prefactor Gamma(b) / Gamma(b - alpha): one
+    scan calls it with one (alpha, b) for every action."""
+    k = np.arange(float(_kummer_terms(_KUMMER_SWITCH)))
+    s = np.arange(_KUMMER_ASYMPTOTIC_TERMS - 1.0)
     scale = 0.0 if alpha == b else _gamma(b) / _gamma(b - alpha)
-    return (*_read_only((b - alpha + k) / ((b + k) * (k + 1.0)),
-                        (alpha + s) * (alpha - b + 1.0 + s) / (s + 1.0)), scale)
+    return (tuple(((b - alpha + k) / ((b + k) * (k + 1.0))).tolist()),
+            tuple(((alpha + s) * (alpha - b + 1.0 + s) / (s + 1.0)).tolist()), scale)
+
+
+def _horner(ratios: tuple, z: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """1 + sum_{k=1}^{count} z^k prod_{j<k} ratios[j] per element, for counts
+    in ascending order, by Horner's rule: step k runs over the suffix of
+    elements whose count exceeds k.  So each element takes its own count of
+    terms, in an order that depends on its z and count alone."""
+    s = np.ones_like(z)
+    starts = np.searchsorted(counts, np.arange(counts[-1]), side="right")
+    for k in range(counts[-1] - 1, -1, -1):
+        t = s[starts[k]:]
+        t *= z[starts[k]:]
+        t *= ratios[k]
+        t += 1.0
+    return s
 
 
 def _kummer_m(alpha: float, x: np.ndarray, b: float = 0.5) -> np.ndarray:
@@ -225,27 +256,32 @@ def _kummer_m(alpha: float, x: np.ndarray, b: float = 0.5) -> np.ndarray:
         M(alpha, b, -x) = e^-x sum_k (b - alpha)_k / (b)_k x^k / k!,
 
     whose terms past the first keep the sign of b - alpha, so nothing
-    cancels; the term count follows the largest x (``_kummer_terms``).
-    Past 40 it takes the asymptotic series of DLMF 13.7.2,
+    cancels; each x takes ``_kummer_terms(x)`` terms.  Past 40 it takes the
+    asymptotic series of DLMF 13.7.2,
 
         M(alpha, b, -x) ~ Gamma(b) / Gamma(b - alpha) x^-alpha
                           sum_s (alpha)_s (alpha - b + 1)_s / s! x^-s,
 
     cut at 38 terms, before its smallest term at x = 40.  The e^-x part it
     drops is below 1e-15 there, and 1/Gamma(b - alpha) vanishes at alpha = b,
-    where M = e^-x.  Each series is one cumulative product over all its x.
+    where M = e^-x.  Both series go by ``_horner`` over blocks of _BLOCK
+    values, the near ones sorted by term count, so a value does not depend
+    on the other x of the call or on their order.
     """
     near_ratios, far_ratios, scale = _kummer_ratios(alpha, b)
     out = np.empty_like(x)
-    near = x <= _KUMMER_SWITCH
-    xn = x[near]
-    if xn.size:
-        terms = np.cumprod(near_ratios[:_kummer_terms(float(xn.max()))] * xn, axis=0)
-        out[near] = np.exp(-xn) * (1.0 + terms.sum(axis=0))
-    if xn.size < x.size:
-        xf = x[~near]
-        terms = np.cumprod(far_ratios / xf, axis=0)
-        out[~near] = scale * xf**-alpha * (1.0 + terms.sum(axis=0))
+    near = np.flatnonzero(x <= _KUMMER_SWITCH)
+    counts = _kummer_terms(x[near])
+    order = np.argsort(counts, kind="stable")
+    near, counts = near[order], counts[order]
+    for lo in range(0, near.size, _BLOCK):
+        i = near[lo:lo + _BLOCK]
+        out[i] = np.exp(-x[i]) * _horner(near_ratios, x[i], counts[lo:lo + _BLOCK])
+    far = np.flatnonzero(x > _KUMMER_SWITCH)
+    for lo in range(0, far.size, _BLOCK):
+        xf = x[far[lo:lo + _BLOCK]]
+        out[far[lo:lo + _BLOCK]] = scale * xf**-alpha * _horner(
+            far_ratios, 1.0 / xf, np.full(xf.size, len(far_ratios)))
     return out
 
 
@@ -344,16 +380,31 @@ def _slice_integral(n: int, a: float, u0: np.ndarray, nodes: int):
     doubling outward.  m'(u0)
     adds back its finite part m'(u0) ((hi - u0)^(2-a) - (u0 - lo)^(2-a)) /
     (2 - a).  The absolute sums take |m'(u)| + |m'(u0)| to cover the
-    cancellation.  m' at the fixed nodes on [-1, 1] is cached, and one call
-    takes it at every u0 and side node."""
+    cancellation.  m' at the fixed nodes on [-1, 1] is cached, and one
+    ``_slice_block`` takes it at every u0 and side node of a block of u0,
+    whose work arrays hold at most _BLOCK values."""
+    rows = max(1, _BLOCK // (_SLICE_PANELS * nodes))
+    blocks = [_slice_block(n, a, u0[lo:lo + rows], nodes) for lo in range(0, u0.size, rows)]
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _slice_block(n: int, a: float, u0: np.ndarray, nodes: int):
+    """``_slice_integral`` on one block of u0."""
     panels = _SLICE_PANELS
     edges, x, wm = _slice_rule(n, panels, nodes)
     k = np.clip(np.searchsorted(edges, u0, side="right") - 1, 0, panels - 1)
     inside = np.abs(u0) < 1.0
-    skip = inside[:, None] & (np.abs(np.arange(panels).repeat(nodes) - k[:, None]) <= 1)
-    d = np.where(skip, 1.0, x - u0[:, None])
-    kernel = np.where(skip, 0.0, np.sign(d) * np.abs(d) ** (1.0 - a))
-    total, absolute = kernel @ wm, np.abs(kernel) @ np.abs(wm)
+    # the nodes of panels k - 1 to k + 1, skipped for u0 in (-1, 1)
+    j = np.arange(panels * nodes)
+    skip = ((j >= np.where(inside, (k - 1) * nodes, 0)[:, None])
+            & (j < np.where(inside, (k + 2) * nodes, 0)[:, None]))
+    d = x - u0[:, None]
+    np.copyto(d, 1.0, where=skip)
+    kernel = np.abs(d)
+    kernel **= 1.0 - a
+    np.copyto(kernel, 0.0, where=skip)
+    absolute = kernel @ np.abs(wm)
+    total = np.copysign(kernel, d, out=kernel) @ wm
 
     # rows: u0 in (-1, 1); axis 1: the sides above and below u0
     u0, k = u0[inside, None, None], k[inside, None, None]
@@ -377,14 +428,21 @@ def _slice_integral(n: int, a: float, u0: np.ndarray, nodes: int):
     return total, absolute
 
 
-def _radial_profile(f_p: float, n: int, phi: TestFunction, cabs: np.ndarray,
-                    fine: bool):
-    """Inner radial integral of the spherical factorization, per direction.
+def _split(values: np.ndarray, arrays: list) -> list:
+    """``values`` cut into pieces the sizes of ``arrays``."""
+    return np.split(values, np.cumsum([v.size for v in arrays])[:-1])
 
-    Returns (values per direction, bound on their error past the coarse and
-    fine rules' gap).  For a Gaussian, phi^(r theta) = K exp(-sigma^2 r^2 / 2)
-    cos(r c) with c = <theta, center> and K = normalization (2 pi sigma^2)^(n/2),
-    and with a = n + p the integral is known exactly (Kummer's M, DLMF 13):
+
+def _radial_profiles(f_p: float, n: int, requests: list) -> list:
+    """Inner radial integrals of the spherical factorization, per direction,
+    for a list of (phi, c, fine) requests, c the values of <theta, center>
+    (or of its absolute value) at a rule's directions.
+
+    Returns per request (values per direction, bound on their error past
+    the coarse and fine rules' gap).  For a Gaussian, phi^(r theta) = K
+    exp(-sigma^2 r^2 / 2) cos(r c) with K = normalization (2 pi
+    sigma^2)^(n/2), and with a = n + p the integral is known exactly
+    (Kummer's M, DLMF 13):
 
         2 int_0^inf r^(a-1) K exp(-sigma^2 r^2 / 2) cos(r c) dr
             = K Gamma(a/2) (2/sigma^2)^(a/2) M(a/2, 1/2, -c^2 / (2 sigma^2)).
@@ -397,19 +455,36 @@ def _radial_profile(f_p: float, n: int, phi: TestFunction, cabs: np.ndarray,
     -2^(a-1) sqrt(pi) Gamma(a/2) / Gamma((3-a)/2), smooth through a = 1, and
     J by the slice rule at ``fine``; the bound is 1e-14 of J's largest
     absolute sum.
+
+    Every Gaussian request goes into one ``_kummer_m`` call, and the bumps
+    of each rule into one ``_slice_integral`` call.  Each value depends on
+    its own request alone: a Kummer value on its x, a slice integral on its
+    u0 up to the roundoff of the rule's dot products.
     """
     a = n + f_p
-    if phi.kind == "gaussian":
-        s2 = phi.width**2
-        K = phi.normalization * (2.0 * np.pi * s2) ** (n / 2.0)
-        pref = K * _gamma(a / 2.0) * (2.0 / s2) ** (a / 2.0)
-        return pref * _kummer_m(a / 2.0, cabs**2 / (2.0 * s2)), _KUMMER_ERR * pref
+    out = [None] * len(requests)
+    gauss = [(i, phi, c) for i, (phi, c, _) in enumerate(requests) if phi.kind == "gaussian"]
+    if gauss:
+        x = [c**2 / (2.0 * phi.width**2) for _, phi, c in gauss]
+        for (i, phi, _), m in zip(gauss, _split(_kummer_m(a / 2.0, np.concatenate(x)), x)):
+            s2 = phi.width**2
+            K = phi.normalization * (2.0 * np.pi * s2) ** (n / 2.0)
+            pref = K * _gamma(a / 2.0) * (2.0 / s2) ** (a / 2.0)
+            out[i] = pref * m, _KUMMER_ERR * pref
 
-    w = phi.width
-    values, absolute = _slice_integral(n, a, -cabs / w, _SLICE_NODES[fine])
-    pref = (-phi.normalization * w ** (n - a) * 2.0 ** (a - 1.0) * np.sqrt(np.pi)
-            * _gamma(a / 2.0) / _gamma((3.0 - a) / 2.0))
-    return pref * values, 1e-14 * abs(pref) * float(absolute.max())
+    for fine in (False, True):
+        bumps = [(i, phi, c) for i, (phi, c, rule) in enumerate(requests)
+                 if phi.kind == "bump" and rule == fine]
+        if not bumps:
+            continue
+        u0 = [-c / phi.width for _, phi, c in bumps]
+        values, absolute = _slice_integral(n, a, np.concatenate(u0), _SLICE_NODES[fine])
+        for (i, phi, _), v, s in zip(bumps, _split(values, u0), _split(absolute, u0)):
+            w = phi.width
+            pref = (-phi.normalization * w ** (n - a) * 2.0 ** (a - 1.0) * np.sqrt(np.pi)
+                    * _gamma(a / 2.0) / _gamma((3.0 - a) / 2.0))
+            out[i] = pref * v, 1e-14 * abs(pref) * float(s.max())
+    return out
 
 
 def _circle_spec(phi: TestFunction, fine: bool):
@@ -427,22 +502,31 @@ def _circle_spec(phi: TestFunction, fine: bool):
     return panels, nodes, splits
 
 
-def _circle_action(f: HomogeneousFn, phi: TestFunction):
-    """n = 2: returns (value, delta, radial error term, scale) as
-    _centre_action does.  The value takes the fine theta and radial rules,
-    and delta is its gap to the coarse ones.  f is even and the radial profile depends on
-    |<theta, center>|, so theta and theta + pi contribute alike: half the
-    circle, without the factorization's 1/2, is the whole integral."""
-    values = []
+def _circle_terms(f: HomogeneousFn, phi: TestFunction, tables: dict):
+    """n = 2: |<theta, center>| at the coarse and the fine theta rule, and
+    the function that turns the radial profiles there into (value, delta,
+    radial error term, scale) as ``_centre_terms`` does.  The value takes
+    the fine theta and radial rules, and delta is its gap to the coarse
+    ones.  f is even and the radial profile depends on |<theta, center>|, so
+    theta and theta + pi contribute alike: half the circle, without the
+    factorization's 1/2, is the whole integral.  f(theta) times the weights
+    depends only on f and the rule's spec, so ``tables`` keeps it for every
+    test function of a scan on that rule."""
+    rules = []
     for fine in (False, True):
-        dirs, w = _circle_grid(_circle_spec(phi, fine))
-        fv = evaluate_many(f, dirs) * w
-        radial, radial_err = _radial_profile(f.p, 2, phi, np.abs(dirs @ phi.center), fine)
-        values.append(float(fv @ radial))
-    coarse, value = values
-    # fv, radial and radial_err are the fine pass's
-    return (value, abs(value - coarse), float(fv.sum()) * radial_err,
-            float(fv @ np.abs(radial)))
+        spec = _circle_spec(phi, fine)
+        if spec not in tables:
+            dirs, w = _circle_grid(spec)
+            tables[spec] = dirs, evaluate_many(f, dirs) * w
+        rules.append(tables[spec])
+    (dirs1, fv1), (dirs2, fv2) = rules
+
+    def combine(g1, g2, radial_err):
+        coarse, value = float(fv1 @ g1), float(fv2 @ g2)
+        return (value, abs(value - coarse), float(fv2.sum()) * radial_err,
+                float(fv2 @ np.abs(g2)))
+
+    return np.abs(dirs1 @ phi.center), np.abs(dirs2 @ phi.center), combine
 
 
 # n = 3, the centre-aligned rule.  t = cos(psi) with psi in [0, pi/2]: equal
@@ -528,15 +612,17 @@ def _ring_integrals(f: HomogeneousFn, frame: np.ndarray, t_level: int,
     return tables[key]
 
 
-def _centre_action(f: HomogeneousFn, phi: TestFunction, tables: dict):
+def _centre_terms(f: HomogeneousFn, phi: TestFunction, tables: dict):
     """n = 3: the action as int_0^1 F(t) G(|center| t) dt, G the radial profile.
 
-    Returns (value, delta, radial error term, scale).  The value takes the
-    fine t, omega and radial rules.  delta sums two local gaps, so that
-    errors of opposite sign in different places cannot cancel in it: per
-    coarse psi panel, the fine value against the coarse t and radial rules;
-    per t node, the ring integral F against the coarse omega rule.  The
-    radial error term carries the radial profile's own bound past its gap.
+    Returns c = |center| t at the coarse and the fine t nodes, and the
+    function that turns the radial profiles there into (value, delta,
+    radial error term, scale).  The value takes the fine t, omega and radial
+    rules.  delta sums two local gaps, so that errors of opposite sign in
+    different places cannot cancel in it: per coarse psi panel, the fine
+    value against the coarse t and radial rules; per t node, the ring
+    integral F against the coarse omega rule.  The radial error term carries
+    the radial profile's own bound past its gap.
     """
     frame = _axis_frame(phi.center)
     c = float(np.linalg.norm(phi.center))
@@ -545,15 +631,17 @@ def _centre_action(f: HomogeneousFn, phi: TestFunction, tables: dict):
     fine = _ring_integrals(f, frame, 1, 1, tables)
     ring_coarse = _ring_integrals(f, frame, 1, 0, tables)
     t_coarse = _ring_integrals(f, frame, 0, 1, tables)
-    g2, radial_err = _radial_profile(f.p, 3, phi, c * t2, True)
-    g1, _ = _radial_profile(f.p, 3, phi, c * t1, False)
-    wf = w2 * fine
-    parts = wf * g2
-    panel_gaps = (parts.reshape(-1, 2 * _PSI_NODES).sum(axis=1)
-                  - (w1 * t_coarse * g1).reshape(-1, _PSI_NODES).sum(axis=1))
-    ring_gaps = (w2 * np.abs(g2)) @ np.abs(fine - ring_coarse)
-    return (float(parts.sum()), float(np.abs(panel_gaps).sum() + ring_gaps),
-            float(wf.sum()) * radial_err, float(wf @ np.abs(g2)))
+
+    def combine(g1, g2, radial_err):
+        wf = w2 * fine
+        parts = wf * g2
+        panel_gaps = (parts.reshape(-1, 2 * _PSI_NODES).sum(axis=1)
+                      - (w1 * t_coarse * g1).reshape(-1, _PSI_NODES).sum(axis=1))
+        ring_gaps = (w2 * np.abs(g2)) @ np.abs(fine - ring_coarse)
+        return (float(parts.sum()), float(np.abs(panel_gaps).sum() + ring_gaps),
+                float(wf.sum()) * radial_err, float(wf @ np.abs(g2)))
+
+    return c * t1, c * t2, combine
 
 
 def _check_pd_dimension(n: int) -> None:
@@ -574,13 +662,25 @@ def _validate_action_args(f: HomogeneousFn, phis):
 def pd_action(f: HomogeneousFn, phi: TestFunction) -> ActionResult:
     """The pairing (f^, phi) = int f(x) phi^(x) dx with an error bound."""
     _validate_action_args(f, [phi])
-    return _action(f, phi, {})
+    return _actions(f, [phi], {})[0]
 
 
-def _action(f: HomogeneousFn, phi: TestFunction, tables: dict) -> ActionResult:
-    value, delta, radial_err, scale = (_centre_action(f, phi, tables) if f.n == 3
-                                       else _circle_action(f, phi))
-    return ActionResult(value, float(delta + radial_err + 1e-14 * scale))
+def _actions(f: HomogeneousFn, phis: list, tables: dict) -> list:
+    """The action of each test function in ``phis``, in their order.
+
+    The angular rule of each member (``_circle_terms`` or ``_centre_terms``)
+    takes its f values from ``tables``; then one ``_radial_profiles`` call
+    gives the radial profiles of every member at both rules, so a scan
+    stage pays the fixed costs of the Kummer and slice sums once."""
+    terms = [(_circle_terms if f.n == 2 else _centre_terms)(f, phi, tables) for phi in phis]
+    requests = [req for phi, (c1, c2, _) in zip(phis, terms)
+                for req in ((phi, c1, False), (phi, c2, True))]
+    profiles = _radial_profiles(f.p, f.n, requests)
+    out = []
+    for (_, _, combine), (g1, _), (g2, radial_err) in zip(terms, profiles[::2], profiles[1::2]):
+        value, delta, radial_term, scale = combine(g1, g2, radial_err)
+        out.append(ActionResult(value, float(delta + radial_term + 1e-14 * scale)))
+    return out
 
 
 def _center_directions(n: int) -> np.ndarray:
@@ -648,7 +748,8 @@ def _clearly_lower(res: ActionResult, best: ActionResult) -> bool:
 def pd_check(f: HomogeneousFn, family=None, mode: str = "full-space",
              refine_rounds: int = 2) -> PDReport:
     """Scan a test family for a negative action; grid search plus local
-    refinement of widths and center radii around the running minimum."""
+    refinement of widths and center radii around the running minimum, each
+    stage in one ``_actions`` batch."""
     if mode not in ("full-space", "away-from-origin"):
         raise ValueError(f"unknown mode {mode!r}")
     if family is None:
@@ -660,19 +761,17 @@ def pd_check(f: HomogeneousFn, family=None, mode: str = "full-space",
         raise ValueError("away-from-origin mode admits only compact bumps")
     _validate_action_args(f, family)
 
-    tables = {}  # ring integrals of f, shared by every action of this scan
-    evaluations = 0
+    tables = {}  # f on the angular rules, shared by every action of this scan
     best = None
-    for phi in family:
-        res = _action(f, phi, tables)
-        evaluations += 1
+    for phi, res in zip(family, _actions(f, family, tables)):
         if best is None or _clearly_lower(res, best[0]):
             best = (res, phi)
+    evaluations = len(family)
     for _ in range(refine_rounds):
+        cands = _refine_neighbors(best[1])
+        evaluations += len(cands)
         improved = False
-        for cand in _refine_neighbors(best[1]):
-            res = _action(f, cand, tables)
-            evaluations += 1
+        for cand, res in zip(cands, _actions(f, cands, tables)):
             if _clearly_lower(res, best[0]):
                 best = (res, cand)
                 improved = True

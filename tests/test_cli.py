@@ -310,12 +310,14 @@ def test_prop1_p_equal_q_below_two_rejected(capsys, q):
 
 def test_sampling_commands_leave_scipy_unimported(tmp_path):
     # sampling, the Monte Carlo checks, the moment constants, the exact
-    # prop1 sums, the 2-D oracle and pd-check never call scipy: their Gamma
-    # values come from the standard library, and Kummer's function, the
-    # Bessel sum and exprel of pd-check from numpy.  moments --oracle and
-    # subordination_norm_power load scipy.integrate, through moments._quad
+    # prop1 sums, the 2-D oracle (on a density grid too) and pd-check never
+    # call scipy: their Gamma values come from the standard library, and
+    # Kummer's function, the Bessel sum and exprel of pd-check from numpy.
+    # moments --oracle and subordination_norm_power load scipy.integrate,
+    # through moments._quad
     code = f"""if True:
         import json, sys
+        from stablecomp import SpectralRep, density_2d, euclidean_power, oracle_expectation
         from stablecomp.cli import main
         d = {str(tmp_path)!r}
         commands = [
@@ -335,6 +337,8 @@ def test_sampling_commands_leave_scipy_unimported(tmp_path):
             ["pd-check", "--builtin", "l1", "3", "-1.2", "--mode", "away-from-origin"],
         ]
         codes = [main(argv) for argv in commands]
+        rep = SpectralRep.from_atoms(2.0, [(1.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])
+        oracle_expectation(euclidean_power(2, -1.0), density_2d(rep, M=256))
         print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
     """
     src = str(Path(stablecomp.__file__).resolve().parents[1])

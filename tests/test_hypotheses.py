@@ -151,7 +151,8 @@ def test_entry_point_windows(name, q):
 @pytest.mark.parametrize("name, q", _cases(COMMANDS))
 def test_command_line_windows(name, q, monkeypatch, capsys):
     # a pd scan past its guards is not the subject here: one cheap action
-    monkeypatch.setattr(fourier_pd, "_action", lambda f, phi, tables: ActionResult(1.0, 0.0))
+    monkeypatch.setattr(fourier_pd, "_actions",
+                        lambda f, phis, tables: [ActionResult(1.0, 0.0)] * len(phis))
 
     def run(n, p, q):
         code = COMMANDS[name](n, p, q)
