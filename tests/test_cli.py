@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import stablecomp
-from stablecomp import Seed, SpectralRep, fn_to_json, max_abs_power, sample_batch
+from stablecomp import Seed, SpectralRep, cli, fn_to_json, max_abs_power, sample_batch
 from stablecomp.sampling import CHUNK
 from stablecomp.cli import main
 
@@ -210,6 +211,35 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense-mode"])
     assert exc.value.code == 2
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
+    """One process runs a pd-check, a lemma1 run, an oracle run and a usage
+    error on the parser built once; each gives the exit code and output of a
+    run on a freshly built parser (the verify summary's runtime aside)."""
+    commands = [["pd-check", "--builtin", "max-abs", "2", "-1.5", "--json"],
+                ["verify", "lemma1", "--trials", "3", "--seed", "3"],
+                ["oracle", "--trials", "1", "-N", "100000", "--seed", "1", "--q", "1.5",
+                 "--out-jsonl", str(tmp_path / "o.jsonl")],
+                ["verify", "nonsense-mode"]]
+
+    def run_all():
+        results = []
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            results.append((code, re.sub(r"runtime=\S+", "runtime=", out), err))
+        return results
+
+    cli._build_parser.cache_clear()
+    reused = run_all()
+    assert cli._build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert run_all() == reused
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2]
 
 
 @pytest.mark.parametrize("argv, value", [

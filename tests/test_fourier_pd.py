@@ -810,6 +810,42 @@ def _bessel_sum_coefficients(mp, low, terms, nodes=40):
         return tuple(float(v) for v in c)
 
 
+# _slice_integral's (value, absolute sum) per u0 before the side table
+# (``_side_rule``), when each block built its side rule node by node: interior
+# points, panel edges, points within 1e-3 of +-1, and points outside [-1, 1]
+_SLICE_PIN_U0 = (
+    -0.6, -0.05, 0.3, 0.77, -0.9238795325112867, -0.7071067811865475, 0.0,
+    0.3826834323650898, 0.9238795325112867, -0.9995, -0.99995, 0.9991, 0.99999,
+    -1.0, 1.0, -1.02, 1.3, -1.6, 2.5, 0.001,
+)
+_SLICE_PINS = {
+    (2, 1.5, 16): (
+        (-0.7750073409745496, 11.85538216625686), (-3.6386860640049883, 4.41405315355426),
+        (-2.9591642680427164, 8.704039251408865), (0.8645725805985596, 8.835863901258088),
+        (1.182615763844257, 3.41957351024975), (0.28848435973311504, 11.806125001300842),
+        (-3.6577525672102054, 3.6577525672102054), (-2.5095429443061033, 9.484532072664013),
+        (1.1826157638442543, 3.3484395460737733), (0.9163629646073637, 2.8846178375936904),
+        (0.9152179379529354, 2.8831740758950346), (0.9173837182500835, 2.885904250109397),
+        (0.9151163272779065, 2.8830459177126517), (0.9150909293335097, 2.8830138830627643),
+        (0.9150909293335097, 2.8830138830627634), (0.8674574459813912, 2.822242543657182),
+        (0.509674192313123, 2.304770223119153), (0.3488218036886694, 2.010287368325037),
+        (0.16711117329397435, 1.55721017223843), (-3.6577449446610575, 3.671573123117017),
+    ),
+    (3, 2.5, 24): (
+        (6.107757913678147, 2793.7238216471023), (-19.015005318750394, 378.20778642649657),
+        (-13.045939180797554, 2025.4127696293572), (17.829129500901495, 1781.1906864532316),
+        (7.801226716652242, 44.838358603744325), (14.536847689668006, 2330.9274801123815),
+        (-19.181675501169888, 19.181675501169888), (-9.074076623131003, 2572.585771834461),
+        (7.801226716652222, 50.58945981595636), (3.972965432960489, 5.442662070838871),
+        (3.9629161379625786, 5.431906690527805), (3.9819411714834296, 5.452265925251444),
+        (3.962025332839521, 5.430953150174334), (3.9618026942400557, 5.430714828478912),
+        (3.9618026942400566, 5.43071482847891), (3.5607952244250853, 4.998901065065352),
+        (1.3365690893504298, 2.4366307387155866), (0.6904456711688975, 1.5549380711014535),
+        (0.19757894823076383, 0.6964598071018433), (-19.181608878623923, 25.204610662453995),
+    ),
+}
+
+
 # (n, a) for test_integral_matches_mpmath; its ids give a alone at n = 3
 _SLICE_CASES = ([(3, a) for a in (0.5, 1.0, 1.5, 2.0, 2.5, 2.9)]
                 + [(2, a) for a in (0.5, 1.0, 1.5, 1.98)])
@@ -844,6 +880,43 @@ class TestSliceRule:
             c = _bessel_sum_coefficients(mpmath, low, len(pinned) + 1)
             assert c[:-1] == pinned
             assert abs(c[-1]) < 1e-19  # the first coefficient left out
+
+    def test_chebval_matches_numpy(self):
+        """The in-place Clenshaw sum keeps numpy's chebval bit for bit."""
+        x = np.random.default_rng(8).uniform(-1.0, 1.0, 100_000)
+        for c in (fourier_pd._BESSEL_SUM_LOW, fourier_pd._BESSEL_SUM_HIGH):
+            assert np.array_equal(fourier_pd._chebval(x, c),
+                                  np.polynomial.chebyshev.chebval(x, c))
+
+    @pytest.mark.parametrize("nodes", [16, 24])
+    @pytest.mark.parametrize("a", [0.5, 1.5, 1.98, 2.5, 2.9])
+    def test_side_rule_matches_per_node_construction(self, nodes, a):
+        """h offsets and h^(2-a) weights of the side table against the rule
+        built on each side of length L = 2^S h node by node: Gauss-Jacobi
+        nodes h (x_j + 1) / 2 with weights (h/2)^(3-a) w_j / s_j, then
+        Gauss-Legendre panels [2^i h, 2^(i+1) h] with weights w_k s_k^(1-a)."""
+        panels = fourier_pd._SLICE_SIDE_PANELS
+        offsets, weights = fourier_pd._side_rule(nodes, a, panels)
+        xj, wj = _gauss_jacobi(nodes, 2.0 - a)
+        for h in np.geomspace(1e-4, 1.0, 37):
+            sj = h * (xj + 1.0) / 2.0
+            ends = h * 2.0 ** np.arange(panels + 1)
+            sg, wg = (v.ravel() for v in _gl_panels(ends[:-1], ends[1:], nodes))
+            for got, ref in ((h * offsets, np.concatenate([sj, sg])),
+                             (h ** (2.0 - a) * weights,
+                              np.concatenate([(h / 2.0) ** (3.0 - a) * wj / sj,
+                                              wg * sg ** (1.0 - a)]))):
+                assert np.all(np.abs(got - ref) <= 8 * np.spacing(np.abs(ref))), h
+
+    @pytest.mark.parametrize("n,a,nodes", sorted(_SLICE_PINS))
+    def test_integral_keeps_per_node_values(self, n, a, nodes):
+        """Values within 8 eps of their absolute sum, and absolute sums within
+        8 eps relative, of those the per-node side rule gave."""
+        value, absolute = fourier_pd._slice_integral(n, a, np.array(_SLICE_PIN_U0), nodes)
+        pinned_value, pinned_absolute = np.array(_SLICE_PINS[n, a, nodes]).T
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(value - pinned_value) <= 8 * eps * pinned_absolute)
+        assert np.all(np.abs(absolute - pinned_absolute) <= 8 * eps * pinned_absolute)
 
     def test_exprel(self):
         x = np.array([1e-300, -1e-300, 1e-10, -1e-10, 700.0, -700.0])
