@@ -1,20 +1,21 @@
-"""Quadrature primitives of the Fourier criterion, shared by ``fourier_pd``
-and ``oracle2d``.
+"""Quadrature primitives: every integral of the package is taken here.
 
-Both modules integrate the Fourier transform of Gamma(-p/2) |x|^p restricted
-to the sphere: ``fourier_pd`` pairs it with test functions, ``oracle2d``
-turns it into exact 2-D expectations.  They share Gauss-Legendre panels,
-a Gauss-Jacobi rule for the power singularity at the origin, and the
-constant C(a) of the one-dimensional transform of |r|^a.
+``fourier_pd`` and ``oracle2d`` integrate the Fourier transform of
+Gamma(-p/2) |x|^p over the sphere with Gauss-Legendre panels, a Gauss-Jacobi
+rule for the power singularity at the origin and the constant C(a) of the
+one-dimensional transform of |r|^a.  ``_line_integral`` runs the same panels
+over the whole line for the reference routes ``moments.c_pq_oracle`` and
+``fourier_pd.subordination_norm_power``.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .moments import _gamma
+from .moments import QuadratureFailure, _gamma
 
 
 def _read_only(*arrays) -> tuple:
@@ -36,6 +37,39 @@ def _gl_panels(a: np.ndarray, b: np.ndarray, m: int) -> tuple:
     x, w = _leggauss(m)
     h = (b - a)[..., None] / 2.0
     return (a + b)[..., None] / 2.0 + h * x, h * w
+
+
+def _line_integral(log_g, center: float, width: float) -> float:
+    """int_R exp(log_g(y)) dy for a numpy function log_g that falls away on
+    both sides of ``center`` (a concave one, say).
+
+    Gauss-Legendre panels of ``width`` sit at ``center`` and grow 1.3x
+    outward until exp(log_g) is below 1e-18 of its value there.  The sums
+    at 32 and 64 nodes a panel must agree to 1e-12, or QuadratureFailure is
+    raised.  Both are scaled by the largest node value, in logs, so no
+    factor overflows; a value past the largest float raises OverflowError.
+    """
+    floor = float(log_g(center)) + math.log(1e-18)
+    edges = [center]
+    for step in (-width, width):
+        y = center
+        for _ in range(160):  # an integrand still above the floor this far out does not decay
+            y, step = y + step, 1.3 * step
+            edges.append(y)
+            if float(log_g(y)) < floor:
+                break
+        else:
+            raise QuadratureFailure(f"integrand does not fall below 1e-18 of its value at "
+                                    f"{center!r} within 160 panels")
+    edges = np.sort(edges)
+    rules = [_gl_panels(edges[:-1], edges[1:], m) for m in (32, 64)]
+    logs = [log_g(y) for y, _ in rules]
+    peak = float(max(v.max() for v in logs))
+    coarse, fine = (float(np.sum(w * np.exp(v - peak))) for v, (_, w) in zip(logs, rules))
+    if not abs(fine - coarse) <= 1e-12 * fine:
+        raise QuadratureFailure(f"quadrature did not converge: 32 and 64 nodes per panel "
+                                f"give {coarse!r} and {fine!r} (scaled by e^{peak!r})")
+    return math.exp(peak + math.log(fine))
 
 
 @lru_cache(maxsize=64)

@@ -79,9 +79,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels, _read_only
+from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels, _line_integral, _read_only
 from .homogeneous import HomogeneousFn, _lr_exponent, evaluate_many
-from .moments import _check_cor3_window, _check_thm1_window, _gamma, _quad
+from .moments import _check_cor3_window, _check_thm1_window, _gamma
 
 __all__ = [
     "ActionResult",
@@ -865,7 +865,7 @@ def subordination_norm_power(f: HomogeneousFn, x, r=None) -> float:
 
         N(x)^p = (r / Gamma(-p/r)) * int_0^inf t^(-1-p) exp(-t^r N(x)^r) dt,
 
-    evaluated by quadrature (substitution t = e^u).  Agreement with direct
+    evaluated by the whole-line panel rule after t = e^u.  Agreement with direct
     evaluation validates the same integral that transports positive
     definiteness of exp(-N^r) to N^p.
     """
@@ -879,18 +879,12 @@ def subordination_norm_power(f: HomogeneousFn, x, r=None) -> float:
     r = float(r)
     if r <= 0:
         raise ValueError(f"subordination exponent must be positive, got {r}")
-    x = np.asarray(x, dtype=float)
-    nval = float(f.base.values(x))
+    nval = replace(f, p=1.0)(x)  # N(x), the point's shape checked as for f(x)
     if nval <= 0:
         raise ValueError("norm vanishes; reconstruction undefined at the origin")
+    # t = e^u: exp(-p u - c e^(r u)) peaks where c r e^(r u) = -p, with
+    # curvature -p r, and falls on a scale of 1/r past the peak
     c = nval**r
-    u_star = math.log(-p / (c * r)) / r
-    u_lo = u_star - 45.0 / (-p) - 3.0
-    u_hi = math.log(50.0 / c) / r
-    u_hi = math.log((50.0 + max(0.0, -p * u_hi)) / c) / r + 2.0
-
-    def integrand(u):
-        return np.exp(-p * u - c * np.exp(r * u))
-
-    return float(r / _gamma(-p / r) * _quad(integrand, u_lo, u_hi,
-                                            epsabs=1e-300, epsrel=1e-12))
+    integral = _line_integral(lambda u: -p * u - c * np.exp(r * u),
+                              math.log(-p / (c * r)) / r, min(1.0 / r, (-p * r) ** -0.5))
+    return float(r / _gamma(-p / r) * integral)

@@ -13,17 +13,15 @@ variable is evaluated two independent ways:
                 * int_0^inf t^(s-1) exp(-t^q) dt,              0 < s < 1,
 
   with C_p = (2/pi) sin(pi p / 2) Gamma(1 + p) the cosine-integral
-  normalization.  The closed forms are gated by agreement tests against
-  this oracle.
+  normalization, each after t = e^y by the whole-line panel rule
+  ``_quadrature._line_integral``.  The closed forms are gated by agreement
+  tests against this oracle.
 
 Every scalar Gamma value of the package comes from ``_gamma`` here, which
-wraps the standard library's ``math.gamma``, so ``c_pq``, the Fourier
-constant of ``_quadrature`` and the exact 2-D rules of ``oracle2d`` load no
-scipy.  ``fourier_pd`` takes Kummer's M, the Bessel sum of its slice rule
-and exprel from numpy, so no module of the package loads scipy.special.
-Only the reference routes, ``c_pq_oracle`` and
-``fourier_pd.subordination_norm_power``, load scipy.integrate, through
-``_quad``.
+wraps the standard library's ``math.gamma``, and every integral from the
+panel rules of ``_quadrature``; ``fourier_pd`` takes Kummer's M, the Bessel
+sum of its slice rule and exprel from numpy.  So no module of the package
+loads scipy.
 
 ``levy_expectation`` turns a finite spherical measure representing a norm
 (``LevyMeasure``, kept in ``homogeneous`` with the other norm
@@ -216,30 +214,12 @@ def c_pq(p, q) -> float:
     return float(_gamma(s / q) / (q * _gamma(s) * np.cos(np.pi * s / 2.0)))
 
 
-def _quad(fn, a, b, epsabs=1e-14, epsrel=1e-11):
-    """Adaptive quadrature of fn over [a, b]; QuadratureFailure on any
-    convergence warning or on an error estimate above 1e-7 max(1, |value|)."""
-    # 0.5-0.65 s to import; only the reference routes need it
-    from scipy import integrate
-
-    out = integrate.quad(fn, a, b, epsabs=epsabs, epsrel=epsrel,
-                         limit=400, full_output=1)
-    if len(out) > 3:
-        raise QuadratureFailure(f"quadrature did not converge: {out[3]}")
-    val, err = out[0], out[1]
-    if err > 1e-7 * max(1.0, abs(val)):
-        raise QuadratureFailure(
-            f"quadrature error estimate {err:.3e} too large for value {val:.6e}")
-    return val
-
-
 @_fits_a_float
 def c_pq_oracle(p, q) -> float:
-    """E|Z|^p by numerical quadrature of the defining identities.
+    """E|Z|^p by quadrature of the defining identities, independent of the
+    closed forms in c_pq; QuadratureFailure where the panel rule does not converge."""
+    from ._quadrature import _line_integral  # _quadrature imports this module
 
-    Independent of the closed forms in c_pq; target relative accuracy 1e-8.
-    Nonconvergence raises QuadratureFailure rather than truncating.
-    """
     q = check_stable_index(q)
     p = float(p)
     _check_existence(p, q)
@@ -248,42 +228,32 @@ def c_pq_oracle(p, q) -> float:
     if p < 0:
         # E|Z|^-s = (Gamma(s) cos(pi s/2))^-1 * int_0^inf t^(s-1) e^(-t^q) dt.
         # With t^q = a e^y, a = s/q, the integral is a^a e^-a / q times
-        # int_R exp(a (y + 1 - e^y)) dy, smooth and peaked at y = 0: no tail is cut.
-        s = -p
-        a = s / q
-
-        def integrand(y):  # e^y capped at e^700, where the integrand is 0 already
-            return np.exp(a * (y + 1.0 - np.exp(min(y, 700.0))))
-
-        val = _quad(integrand, -np.inf, 0.0) + _quad(integrand, 0.0, np.inf)
+        # int_R exp(a (y + 1 - e^y)) dy, peaked at y = 0 with curvature a.
+        s, a = -p, -p / q
+        val = _line_integral(lambda y: a * (y + 1.0 - np.exp(y)), 0.0, min(1.0, a**-0.5))
         try:  # Gamma(a) = a^a e^-a val, multiplied out in logs
             val = math.exp(a * math.log(a) - a + math.log(val))
         except OverflowError:
             raise QuadratureFailure(f"Gamma({a!r}) does not fit a float") from None
         return float(val / (q * _gamma(s) * np.cos(np.pi * s / 2.0)))
     if q == 2.0 and p >= 2.0:
-        # direct quadrature against the explicit N(0, 2) density
-        dens = 1.0 / np.sqrt(4.0 * np.pi)
+        # int_0^inf z^p 2 exp(-z^2/4) / sqrt(4 pi) dz against the N(0, 2) density;
+        # with z = e^y it peaks at e^2y = b = 2 (p + 1), with curvature b
+        b, log_dens = 2.0 * (p + 1.0), -math.log(math.pi) / 2.0
+        return _line_integral(lambda y: log_dens + (p + 1.0) * y - np.exp(2.0 * y) / 4.0,
+                              math.log(b) / 2.0, b**-0.5)
+    # 0 < p < min(q, 2):  C_p * int_0^inf (1 - e^(-t^q)) t^(-1-p) dt.  With
+    # t^q = e^y = u it is int_R (1 - e^(-u)) e^(-p y / q) dy / q: slopes
+    # (q - p)/q and -p/q about the knee at y = 0, each a product with y (a sum
+    # would lose (q - p) y / q to rounding far out), times (1 - e^(-u)) / u or
+    # 1 - e^(-u); past |y| = 700 that factor is 1 to the last bit
+    def log_g(y):
+        u, below = np.exp(np.clip(y, -700.0, 700.0)), y < 0.0
+        return np.where(below, q - p, -p) / q * y + np.log(-np.expm1(-u) / np.where(below, u, 1.0))
 
-        def integrand(z):
-            return 2.0 * dens * z**p * np.exp(-z * z / 4.0)
-
-        return float(_quad(integrand, 0.0, 20.0 + 4.0 * p))
-    # 0 < p < min(q, 2):  C_p * int_0^inf (1 - e^(-t^q)) t^(-1-p) dt.
-    # On [0, 1] substitute t = u^(1/(q-p)) to remove the origin singularity;
-    # on [1, inf) split off the exactly integrable 1/p piece.
-    qp = q - p
-
-    def near(u):
-        t = u ** (1.0 / qp)
-        tq = t**q
-        return np.where(tq > 1e-250, -np.expm1(-tq) / np.where(tq > 0, tq, 1.0), 1.0)
-
-    near_val = _quad(near, 0.0, 1.0) / qp
-    far_cut = 45.0 ** (1.0 / q)
-    far_val = 1.0 / p - _quad(lambda t: np.exp(-t**q) * t ** (-1.0 - p), 1.0, far_cut)
-    C_p = (2.0 / np.pi) * np.sin(np.pi * p / 2.0) * _gamma(1.0 + p)
-    return float(C_p * (near_val + far_val))
+    # sin(pi p / 2) from 2 - p, exact past p = 1: it vanishes as p -> 2 at q = 2
+    C_p = (2.0 / np.pi) * np.sin(np.pi * min(p, 2.0 - p) / 2.0) * _gamma(1.0 + p)
+    return float(C_p * _line_integral(log_g, 0.0, 1.0) / q)
 
 
 def levy_expectation(rep: SpectralRep, gamma: LevyMeasure, p) -> float:

@@ -244,7 +244,7 @@ class SampleBatch:
         that ``%`` to each value.  Here a block of rows is formatted at once
         by ``_text.g17_slots``, which gives exactly those bytes for a whole
         column and leaves only non-finite and subnormal values to ``%``."""
-        from ._text import chunks, g17_slots  # loaded on first use, like scipy
+        from ._text import chunks, g17_slots  # only the text writers import it
 
         seps = [b","] * (self.n - 1) + [b"\n"]
         with open(path, "w") as fh:

@@ -347,7 +347,7 @@ class _Lemma1Batch:
         return segments + [line.encode()], order
 
     def jsonl(self) -> str:
-        from ._text import chunks, int_slots, repr_slots  # loaded on first use, like scipy
+        from ._text import chunks, int_slots, repr_slots  # only the text writers import it
 
         segments, order = self._template()
         columns = self._values()

@@ -320,13 +320,11 @@ def test_moments_gamma_overflow_exits_3(capsys):
 
 
 def test_moments_oracle_never_prints_a_wrong_number(capsys):
-    # the oracle agrees where its integral converges and raises where not
-    assert main(["moments", "--p", "-0.9", "--q", "0.03", "--oracle", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["rel_diff"] <= 1e-11
-    assert main(["moments", "--p", "0.05", "--q", "0.1", "--oracle"]) == 3
-    out, err = capsys.readouterr()
-    assert "c_pq_oracle" not in out
-    assert "numerical failure: quadrature did not converge" in err
+    # the oracle agrees where its panel rule converges; where it does not it
+    # raises (tests/test_quadrature.py), and the command exits 3
+    for p, q in (("-0.9", "0.03"), ("0.05", "0.1")):
+        assert main(["moments", "--p", p, "--q", q, "--oracle", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rel_diff"] <= 1e-11
 
 
 @pytest.mark.parametrize("q", [["1.5"], ["2", "--q", "1.5"]])
@@ -339,15 +337,16 @@ def test_prop1_p_equal_q_below_two_rejected(capsys, q):
 
 
 def test_sampling_commands_leave_scipy_unimported(tmp_path):
-    # sampling, the Monte Carlo checks, the moment constants, the exact
-    # prop1 sums, the 2-D oracle (on a density grid too) and pd-check never
-    # call scipy: their Gamma values come from the standard library, and
-    # Kummer's function, the Bessel sum and exprel of pd-check from numpy.
-    # moments --oracle and subordination_norm_power load scipy.integrate,
-    # through moments._quad
+    # sampling, the Monte Carlo checks, the moment constants and their
+    # quadrature oracle, the exact prop1 sums, the 2-D oracle (on a density
+    # grid too), pd-check and the subordination identity never call scipy:
+    # their Gamma values come from the standard library, Kummer's function,
+    # the Bessel sum and exprel of pd-check from numpy, and every integral
+    # from the panel rules of stablecomp._quadrature
     code = f"""if True:
         import json, sys
-        from stablecomp import SpectralRep, density_2d, euclidean_power, oracle_expectation
+        from stablecomp import (SpectralRep, density_2d, euclidean_power, oracle_expectation,
+                                subordination_norm_power)
         from stablecomp.cli import main
         d = {str(tmp_path)!r}
         commands = [
@@ -359,6 +358,7 @@ def test_sampling_commands_leave_scipy_unimported(tmp_path):
             ["verify", "lemma1", "--trials", "200", "--seed", "1"],
             ["cf-check", "--reps", "3"],
             ["moments", "--p", "-0.5", "--q", "1"],
+            ["moments", "--p", "-0.5", "--q", "1", "--oracle"],
             ["verify", "prop1", "--trials", "3", "--seed", "1"],
             ["oracle", "--trials", "1", "-N", "2000"],
             ["pd-check", "--builtin", "max-abs", "2", "-1.5"],
@@ -369,6 +369,7 @@ def test_sampling_commands_leave_scipy_unimported(tmp_path):
         codes = [main(argv) for argv in commands]
         rep = SpectralRep.from_atoms(2.0, [(1.0, (1.0, 0.0)), (1.0, (0.0, 1.0))])
         oracle_expectation(euclidean_power(2, -1.0), density_2d(rep, M=256))
+        subordination_norm_power(euclidean_power(2, -1.0), [0.3, -1.2])
         print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
     """
     src = str(Path(stablecomp.__file__).resolve().parents[1])
@@ -377,5 +378,5 @@ def test_sampling_commands_leave_scipy_unimported(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     codes, loaded = json.loads(out.stdout.splitlines()[-1])
-    assert codes == [0] * 13
+    assert codes == [0] * 14
     assert loaded == []

@@ -716,6 +716,13 @@ class TestSubordination:
         with pytest.raises(ValueError):
             subordination_norm_power(f, np.array([1.0, 1.0]))
 
+    def test_point_shape_checked(self):
+        # a 3-vector read N of its first two coordinates; a (2, 2) array raised TypeError
+        f = lp_norm_power(2, 1.0, -0.5)
+        for x in (np.array([1.0, 0.5, 7.0]), np.ones((2, 2))):
+            with pytest.raises(ValueError, match=r"expected \(2,\)"):
+                subordination_norm_power(f, x)
+
     def test_max_abs_needs_explicit_exponent(self):
         f = max_abs_power(2, -1.5)
         with pytest.raises(ValueError):

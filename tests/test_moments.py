@@ -73,6 +73,19 @@ class TestClosedForms:
                     moment(p, q)
 
 
+def _mp_moment(p, q):
+    """E|Z|^p from the closed forms in mpmath at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        if q == 2:
+            return 2**p * mpmath.gamma((p + 1) / 2) / mpmath.sqrt(mpmath.pi)
+        if p < 0:
+            return mpmath.gamma(-p / q) / (q * mpmath.gamma(-p) * mpmath.cos(mpmath.pi * p / 2))
+        return (2 / mpmath.pi * mpmath.sin(mpmath.pi * p / 2) * mpmath.gamma(p)
+                * mpmath.gamma(1 - p / q))
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("q", [0.8, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("p_spec", [-0.9, -0.5, -0.1, 0.3, "0.7q"])
@@ -88,6 +101,30 @@ class TestOracleAgreement:
         """The oracle integrates the Gamma(-p/q) integral to infinity; cut
         at t^q = 45 it missed c(-0.9, 0.03) by 7e-3."""
         assert c_pq_oracle(p, q) == pytest.approx(c_pq(p, q), rel=1e-11)
+
+    def test_grid_against_mpmath(self):
+        """279 (p, q) points: negative p, p/q from 0.001 to 0.999, and q = 2
+        up to p = 100, each within 1e-11 of mpmath; none raises.  QUADPACK
+        returned 29 of them off by 1.5e-4 to 5e-2 (c(0.01, 0.02) as 1.85089,
+        not 1.76232) and raised on 34."""
+        qs = [0.006, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0, 1.2,
+              1.5, 1.8, 1.99, 2.0]
+        negative = [-0.999, -0.99, -0.9, -0.5, -0.1, -0.01, -0.001]
+        ratios = [0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999]
+        points = [(p, q) for q in qs for p in negative + [r * q for r in ratios]]
+        points += [(p, 2.0) for p in (2.0, 2.5, 3.3, 4.0, 7.5, 20.0, 100.0)]
+        assert len(points) == 279
+        wrong = [(p, q) for p, q in points
+                 if not abs(c_pq_oracle(p, q) / _mp_moment(p, q) - 1) <= 1e-11]
+        assert wrong == []
+
+    @pytest.mark.parametrize("p, q", [(1.5 * (1 - 1e-7), 1.5), (1.9999, 2.0),
+                                      (2.0 - 1e-9, 2.0), (1.0 - 1e-12, 1.0)])
+    def test_orders_near_q(self, p, q):
+        """As p -> q the integral grows like q / (q - p), and at q = 2 the
+        factor sin(pi p / 2) vanishes; formed from p / q and p, they lost up
+        to 2e-5 (at p = 1.9999, q = 2)."""
+        assert abs(c_pq_oracle(p, q) / _mp_moment(p, q) - 1) <= 1e-11
 
     def test_reversed_regime_q2(self):
         for p in (2.5, 4.0):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from stablecomp._quadrature import _gauss_jacobi, _gl_panels, _leggauss
+from stablecomp import QuadratureFailure
+from stablecomp._quadrature import _gauss_jacobi, _gl_panels, _leggauss, _line_integral
 
 
 @pytest.mark.parametrize("beta", [-0.95, -0.5, 0.0, 0.5, 1.9])
@@ -32,3 +35,37 @@ def test_cached_rules_are_read_only():
     for a in (*_leggauss(8), *_gauss_jacobi(8, -0.5)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.5, 1.0, 7.0, 150.0])
+def test_line_integral_of_the_gamma_integrand(a):
+    """int_R exp(a y - e^y) dy = Gamma(a): an exponential tail of slope a on
+    the left, a double-exponential fall on the right, peak e^(a log a - a)."""
+    got = _line_integral(lambda y: a * y - np.exp(y), math.log(a), min(1.0, a**-0.5))
+    assert got == pytest.approx(math.gamma(a), rel=1e-13)
+
+
+def test_line_integral_of_a_gaussian_off_its_centre():
+    # the panels need not sit exactly at the peak
+    got = _line_integral(lambda y: -((y - 0.3) ** 2) / 2.0, 0.0, 1.0)
+    assert got == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-14)
+
+
+@pytest.mark.parametrize("log_g", [
+    lambda y: np.log1p(0.5 * np.cos(200.0 * y)) - y * y / 2.0,  # too fast for 64 nodes
+    lambda y: -(((y - 0.3) / 0.003) ** 2),  # a spike narrower than the node spacing
+    lambda y: -((y / 0.04) ** 2) / 2.0,  # 25 times narrower than its panels: a 3e-11 gap
+], ids=["oscillating", "spike", "narrow"])
+def test_line_integral_raises_where_its_panels_cannot_resolve(log_g):
+    with pytest.raises(QuadratureFailure, match="did not converge"):
+        _line_integral(log_g, 0.0, 1.0)
+
+
+def test_line_integral_raises_on_an_integrand_that_does_not_decay():
+    with pytest.raises(QuadratureFailure, match="does not fall below 1e-18"):
+        _line_integral(lambda y: 0.0 * y, 0.0, 1.0)
+
+
+def test_line_integral_past_the_largest_float_overflows():
+    with pytest.raises(OverflowError):
+        _line_integral(lambda y: 800.0 - y * y, 0.0, 1.0)
