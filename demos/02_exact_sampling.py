@@ -2,7 +2,8 @@
 analytic characteristic function.
 
 The one-dimensional generator uses the Chambers-Mallows-Stuck transform,
-normalized so E exp(itZ) = exp(-|t|^q).  Vectors combine independent
+normalized so E exp(itZ) = exp(-|t|^q), in Weron's one-log form, with the
+exponentials drawn a block at a time.  Vectors combine independent
 one-dimensional draws along the atoms, which reproduces the target law
 exactly (no approximation beyond Monte Carlo noise appears anywhere).
 """

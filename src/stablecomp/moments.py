@@ -209,7 +209,7 @@ def c_pq(p, q) -> float:
         return float(2.0**p * _gamma((p + 1.0) / 2.0) / np.sqrt(np.pi))
     if p > 0:
         return float((2.0 / np.pi) * np.sin(np.pi * p / 2.0) * _gamma(p)
-                     * _gamma(1.0 - p / q))
+                     * _gamma((q - p) / q))  # not 1 - p/q, which cancels as p -> q
     s = -p
     return float(_gamma(s / q) / (q * _gamma(s) * np.cos(np.pi * s / 2.0)))
 

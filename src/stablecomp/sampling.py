@@ -2,7 +2,9 @@
 
 The one-dimensional generator is the Chambers-Mallows-Stuck transform of a
 uniform angle and a unit exponential, specialized to the symmetric case and
-normalized so that E exp(itZ) = exp(-|t|^q).  The Gaussian (q = 2) and
+normalized so that E exp(itZ) = exp(-|t|^q).  For general q it is evaluated
+in Weron's form, with one log and one exp per draw, over blocks of values
+whose exponentials are drawn a block at a time.  The Gaussian (q = 2) and
 Cauchy (q = 1) endpoints take dedicated closed-form paths.
 
 Multivariate draws combine independent one-dimensional draws along the
@@ -122,13 +124,9 @@ def _chunk_rng(seed: Seed, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-# pi/2 as a float plus its rounding error, so cosines near +-pi/2 keep their digits
-_HALF_PI = 0.5 * np.pi
-_HALF_PI_LO = 6.123233995736766e-17
-
-
 def _sin(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """sin x in place for |x| < pi, as 2t / (1 + t^2) with t = tan(x/2).
+    """sin x in place for |x| < pi, as 2t / (1 + t^2) with t = tan(x/2);
+    ``tmp`` is left holding 1 + t^2.
 
     numpy's float64 tan is several times cheaper than its sin and cos.
     """
@@ -141,68 +139,77 @@ def _sin(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cos(x: np.ndarray, tmp: np.ndarray, out=None) -> np.ndarray:
-    """cos x for |x| <= pi/2, as sin(pi/2 - |x|), into ``out`` (default x)."""
-    x = np.abs(x, out=x if out is None else out)
-    np.subtract(_HALF_PI, x, out=x)
-    x += _HALF_PI_LO
-    return _sin(x, tmp)
-
-
-# Values per block of the CMS transform.  A block's slices of u and w and its
-# two scratch arrays take 256 KiB each, so its dozen passes stay in a 2 MiB
-# L2 cache.  At 2^20 draws on a 2-core Xeon, 2^14 ran as fast and 2^16 and
-# 2^17 ran 10-20% slower.
+# Values per block of the CMS transform.  A block's slice of u and its three
+# scratch arrays take 256 KiB each, so its twenty passes stay in a 2 MiB L2
+# cache.  At 2^20 draws on a 2-core Xeon, 2^14 ran as fast and 2^16 and
+# 2^17 ran up to 15% slower.
 _DRAW_BLOCK = 1 << 15
 
 
-def _cms_block(q: float, u: np.ndarray, w: np.ndarray, expo: np.ndarray,
-               tmp: np.ndarray) -> None:
-    """One block of general-q CMS draws, written into ``u``; ``w`` and the
-    scratch arrays ``expo`` and ``tmp`` are overwritten."""
-    _cos(np.multiply(u, 1.0 - q, out=expo), tmp)  # cos((1-q) u)
-    expo /= w
+def _cms_block(q: float, rng: np.random.Generator, u: np.ndarray,
+               tau: np.ndarray, c: np.ndarray, expo: np.ndarray) -> None:
+    """One block of general-q CMS draws, written into ``u``; its exponentials
+    are drawn from ``rng`` into ``c`` on the way, and the scratch arrays
+    ``tau``, ``c`` and ``expo`` are overwritten.
+
+    Weron's form, sin(q u) sqrt(1 + tau^2) ((cos(q u) + tau sin(q u)) / w)^((1-q)/q)
+    with tau = tan u, and with sin(q u) and cos(q u) from t = tan(q u / 2).
+    """
+    np.tan(u, out=tau)
+    u *= q
+    _sin(u, c)
+    np.divide(2.0, c, out=c)
+    c -= 1.0  # cos(q u) = 2 / (1 + t^2) - 1
+    np.multiply(tau, u, out=expo)
+    expo += c  # cos((1-q) u) / cos u, at least 1
+    rng.standard_exponential(out=c)
+    expo /= c
     np.log(expo, out=expo)
     expo *= (1.0 - q) / q
-    cu = np.log(_cos(u, tmp, out=w), out=w)  # log cos(u)
-    cu /= q
-    expo -= cu
     np.exp(expo, out=expo)
-    u *= q
-    _sin(u, tmp)
+    np.multiply(tau, tau, out=tau)
+    tau += 1.0
+    np.sqrt(tau, out=tau)  # 1 / cos u
+    u *= tau
     u *= expo
 
 
 def _draw_standard(rng: np.random.Generator, q: float, size):
     """CMS draws with characteristic function exp(-|t|^q).
 
-    For general q this is sin(q u) cos(u)^(-1/q) (cos((1-q) u) / w)^((1-q)/q),
-    with both powers folded into one exp of two logs.
+    For general q this is sin(q u) cos(u)^(-1/q) (cos((1-q) u) / w)^((1-q)/q).
+    ``_cms_block`` takes it in Weron's form: cos(u)^(-1/q) is 1 / cos u times
+    cos(u)^(-(1-q)/q), whose power joins that of w, so one log and one exp
+    serve both, and the base cos((1-q) u) / (w cos u) is at least 1 / w.
 
-    All of ``u`` and then all of ``w`` are drawn first, so the stream is
-    consumed as by one whole-array transform.  The transform then runs over
-    contiguous blocks of _DRAW_BLOCK values with block-sized scratch arrays.
-    It is elementwise, and each value meets the same rounded operations in
-    the same order whatever block it falls in, so the draws have the bytes
-    of the whole-array transform for any size.
+    All of ``u`` is drawn first.  The transform then runs over contiguous
+    blocks of _DRAW_BLOCK values, and draws each block's exponentials ``w``
+    into a block-sized scratch array as it needs them.  The generator hands
+    out the same exponentials in the same order as one whole-array call, so
+    the stream is consumed as by one whole-array transform.  The transform
+    is elementwise, and each value meets the same rounded operations in the
+    same order whatever block it falls in, so the draws have the bytes of
+    the whole-array transform for any size.
     """
     u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
     if q == 1.0:
         # standard Cauchy
         return np.tan(u, out=u)
-    w = rng.standard_exponential(size)
-    flat_u, flat_w = u.reshape(-1), w.reshape(-1)
-    expo, tmp = np.empty((2, min(_DRAW_BLOCK, flat_u.size)))
+    flat_u = u.reshape(-1)
+    scratch = np.empty((3, min(_DRAW_BLOCK, flat_u.size)))
     for lo in range(0, flat_u.size, _DRAW_BLOCK):
-        ub, wb = flat_u[lo:lo + _DRAW_BLOCK], flat_w[lo:lo + _DRAW_BLOCK]
+        ub = flat_u[lo:lo + _DRAW_BLOCK]
+        a, b, c = scratch[:, :ub.size]
         if q == 2.0:
             # centered Gaussian with variance 2
-            np.sqrt(wb, out=wb)
-            wb *= 2.0
-            wb *= _sin(ub, tmp[:ub.size])
+            rng.standard_exponential(out=a)
+            np.sqrt(a, out=a)
+            a *= 2.0
+            _sin(ub, b)
+            ub *= a
         else:
-            _cms_block(q, ub, wb, expo[:ub.size], tmp[:ub.size])
-    return w if q == 2.0 else u
+            _cms_block(q, rng, ub, a, b, c)
+    return u
 
 
 def sample_standard(q, seed, size=None):

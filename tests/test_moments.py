@@ -86,6 +86,15 @@ def _mp_moment(p, q):
                 * mpmath.gamma(1 - p / q))
 
 
+class TestClosedFormAccuracy:
+    @pytest.mark.parametrize("p, q", [(1.5 * (1 - 1e-7), 1.5), (1.5 * (1 - 1e-12), 1.5),
+                                      (0.7 * (1 - 1e-9), 0.7)])
+    def test_orders_near_q(self, p, q):
+        """Gamma(1 - p/q) with 1 - p/q formed in floating point cancels as
+        p -> q: it was off by 3.7e-10, 3.7e-5 and 4.8e-8 at these points."""
+        assert abs(c_pq(p, q) / _mp_moment(p, q) - 1) <= 1e-14
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("q", [0.8, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("p_spec", [-0.9, -0.5, -0.1, 0.3, "0.7q"])
@@ -283,19 +292,25 @@ class TestMCExpectation:
         def close(got, want):
             return abs(got - want) <= 8 * np.finfo(float).eps * abs(want)
 
+        parts = {blocks: moments._mc_moments(f, rep, N, Seed(32), 2, blocks)
+                 for blocks in (1, 32)}
         if est.estimator == "plain":
             assert close(est.value, values.mean())
             assert close(est.stderr, values.std(ddof=1) / np.sqrt(N))
         else:
-            block_means = np.array([b.mean() for b in np.array_split(values, 32)])
-            value = np.median(block_means)
-            assert close(est.value, value)
-            mad = np.median(np.abs(block_means - value))
-            assert close(est.dev_bound, 1.2533 * 1.4826 * mad / np.sqrt(32))
+            assert close(est.value, np.median([b.mean() for b in np.array_split(values, 32)]))
+            # the MAD of the block means cancels (|mean| / MAD is about 40 at
+            # p = -1.6), so a last-bit difference of one block mean can move
+            # it by tens of eps: the bound is checked exactly on the streamed
+            # block means, each of which is checked below
+            means = np.array([mean for _, mean, _ in parts[32]])
+            value = np.median(means)
+            assert est.value == value
+            mad = np.median(np.abs(means - value))
+            assert est.dev_bound == 1.2533 * (1.4826 * mad) / np.sqrt(32)
         # every block's count, mean and squared deviations, for both block counts
-        for blocks in (1, 32):
-            parts = moments._mc_moments(f, rep, N, Seed(32), 2, blocks)
-            for (count, mean, m2), b in zip(parts, np.array_split(values, blocks),
+        for blocks, streamed in parts.items():
+            for (count, mean, m2), b in zip(streamed, np.array_split(values, blocks),
                                             strict=True):
                 assert count == b.size
                 assert close(mean, b.mean())

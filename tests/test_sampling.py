@@ -15,7 +15,7 @@ from stablecomp import (BlockSplit, SampleBatch, Seed, SpectralRep, char_fn,
                         sample_batch, sample_standard, scale_q)
 from stablecomp import sampling
 from stablecomp.sampling import (_CSV_ROWS, _DRAW_BLOCK, _MIX_BLOCK, CHUNK,
-                                 _chunk_points, _chunk_rng, _cos, _draw_standard,
+                                 _chunk_points, _chunk_rng, _cms_block, _draw_standard,
                                  _mix, _pool_tasks)
 
 
@@ -67,10 +67,8 @@ class TestStandardGenerator:
 
 def _whole_array_cms(rng, q, size):
     """The CMS transform of _draw_standard in one pass over whole arrays, with
-    a full-size scratch array: the operations, in order, whose bytes the
-    blocked transform must reproduce."""
-    half_pi, half_pi_lo = 0.5 * np.pi, 6.123233995736766e-17
-
+    all exponentials drawn at once and full-size scratch arrays: the
+    operations, in order, whose bytes the blocked transform must reproduce."""
     def sin(x, tmp):
         x *= 0.5
         np.tan(x, out=x)
@@ -80,13 +78,7 @@ def _whole_array_cms(rng, q, size):
         x /= tmp
         return x
 
-    def cos(x, tmp):
-        np.abs(x, out=x)
-        np.subtract(half_pi, x, out=x)
-        x += half_pi_lo
-        return sin(x, tmp)
-
-    u = rng.uniform(-half_pi, half_pi, size)
+    u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
     if q == 1.0:
         return np.tan(u, out=u)
     w = rng.standard_exponential(size)
@@ -94,19 +86,24 @@ def _whole_array_cms(rng, q, size):
     if q == 2.0:
         np.sqrt(w, out=w)
         w *= 2.0
-        w *= sin(u, tmp)
-        return w
-    expo = cos(np.multiply(u, 1.0 - q), tmp)
+        sin(u, tmp)
+        u *= w
+        return u
+    tau = np.tan(u)
+    u *= q
+    sin(u, tmp)
+    np.divide(2.0, tmp, out=tmp)
+    tmp -= 1.0
+    expo = tau * u
+    expo += tmp
     expo /= w
     np.log(expo, out=expo)
     expo *= (1.0 - q) / q
-    np.copyto(w, u)
-    cu = np.log(cos(w, tmp), out=w)
-    cu /= q
-    expo -= cu
     np.exp(expo, out=expo)
-    u *= q
-    sin(u, tmp)
+    np.multiply(tau, tau, out=tau)
+    tau += 1.0
+    np.sqrt(tau, out=tau)
+    u *= tau
     u *= expo
     return u
 
@@ -117,6 +114,23 @@ def _cms_reference(u, w, q):
         return 2.0 * np.sqrt(w) * np.sin(u)
     return ((np.sin(q * u) / np.cos(u) ** (1.0 / q))
             * (np.cos((1.0 - q) * u) / w) ** ((1.0 - q) / q))
+
+
+class _Exponentials:
+    """Stands in for a generator whose exponentials are ``w``."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def standard_exponential(self, out):
+        out[:] = self.w
+
+
+def _transform(q, u, w):
+    """The general-q transform of ``_draw_standard`` at given angles and exponentials."""
+    u = u.copy()
+    _cms_block(q, _Exponentials(w), u, *np.empty((3, u.size)))
+    return u
 
 
 class TestCmsTransform:
@@ -131,11 +145,30 @@ class TestCmsTransform:
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
-    def test_cosine_near_the_endpoints(self):
-        # cos u at u = -pi/2 (the lowest uniform draw) is 6.1e-17, not 0
-        u = np.array([-0.5 * np.pi, np.nextafter(0.5 * np.pi, 0.0), 1e-300])
-        cu = _cos(u.copy(), np.empty(3))
-        assert np.allclose(cu, np.cos(u), rtol=1e-15, atol=0.0)
+    def test_matches_mpmath(self):
+        # the transform against the CMS formula at 40 digits, at the ends of
+        # the angle's range, at and beside u = 0, and at random angles, with
+        # exponentials from 1e-12 to 40
+        mpmath = pytest.importorskip("mpmath")
+
+        def reference(q, u, w):
+            q, u, w = mpmath.mpf(q), mpmath.mpf(u), mpmath.mpf(w)
+            return (mpmath.sin(q * u) * mpmath.cos(u) ** (-1 / q)
+                    * (mpmath.cos((1 - q) * u) / w) ** ((1 - q) / q))
+
+        rng = np.random.default_rng(43)
+        for q in (0.1, 0.5, 0.999, 1.001, 1.5, 1.99):
+            u = np.r_[-0.5 * np.pi, np.nextafter(0.5 * np.pi, 0.0), 1e-300, -1e-300,
+                      rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 300)]
+            w = np.exp(rng.uniform(np.log(1e-12), np.log(40.0), u.size))
+            got = _transform(q, u, w)
+            with mpmath.workdps(40):
+                ref = np.array([float(reference(q, a, b)) for a, b in zip(u, w)])
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13, q
+
+    @pytest.mark.parametrize("q", [0.1, 0.999, 1.001, 1.99])
+    def test_zero_angle_gives_zero(self, q):
+        assert np.all(_transform(q, np.zeros(3), np.array([1e-12, 1.0, 40.0])) == 0.0)
 
     @pytest.mark.parametrize("q", [0.7, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("size", [_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1,
@@ -231,15 +264,31 @@ class TestMix:
         ref = sample_batch(single, 1000, Seed(33)).points
         assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
 
-    def test_unmerged_batch_bytes_pinned(self):
-        # the n = 3, m = 7, q = 1.5 export representation of the benchmark;
-        # no atoms are parallel, so the draws keep their recorded bytes
+    @staticmethod
+    def _export_digest(q):
+        # the sha256 of a batch of the benchmark's n = 3, m = 7 export
+        # representation, taken at index q; no atoms are parallel
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([11, 4])))
-        rep = SpectralRep(n=3, q=1.5, weights=rng.exponential(1.0, 7) + 0.1,
+        rep = SpectralRep(n=3, q=q, weights=rng.exponential(1.0, 7) + 0.1,
                           atoms=rng.standard_normal((7, 3)))
         pts = sample_batch(rep, 200_003, Seed(2024, 1)).points
-        digest = hashlib.sha256(np.ascontiguousarray(pts, dtype="<f8").tobytes()).hexdigest()
-        assert digest == "4c36b34bd9c3c98a480e71823c4e2281dca3c4eecfe6d3186c80ed795592fe91"
+        return hashlib.sha256(np.ascontiguousarray(pts, dtype="<f8").tobytes()).hexdigest()
+
+    def test_unmerged_batch_bytes_pinned(self):
+        # the benchmark's q = 1.5 export keeps its recorded bytes; re-pinned
+        # when the general-q transform took Weron's form, which rounds
+        # differently from the form before it
+        assert self._export_digest(1.5) == (
+            "6513bb084bf93b4460029ee44447bad0d889ffc1c455f1236618a9010eb30b61")
+
+    @pytest.mark.parametrize("q, digest", [
+        (1.0, "7f03552235925bdafc2d2282c79b2f3192f5b284c3362a71b5bb053b42a17904"),
+        (2.0, "8f5dee399630208c451004aa6231d56827806d2858a54c8bf69dc4af998d7cfa"),
+    ], ids=["q1", "q2"])
+    def test_cauchy_and_gaussian_bytes_kept(self, q, digest):
+        # digests taken before the general-q transform took Weron's form:
+        # the Cauchy and Gaussian paths keep their bytes
+        assert self._export_digest(q) == digest
 
     def test_blocked_mixing_product_bits(self):
         # the mixing product in row blocks of at most _MIX_BLOCK multiply-adds
