@@ -59,9 +59,12 @@ _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's constant: halves of at most 26 bits
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 _MANT = (1 << 52) - 1
 _POW5 = np.array([5 ** j for j in range(28)], dtype=np.int64)
-# values formatted at a time: the temporaries of a larger block fall out of
-# cache and cost several times as much per value
-_BLOCK = 4096
+# Values formatted at a time.  On 600 000 Cauchy values on a 2-core Xeon
+# (2 MiB of L2 a core), '%.17g' took 103, 78 and 98 ns a value at blocks of
+# 4096, 16384 and 65536, and repr 154, 115 and 149 ns: a smaller block pays
+# its per-call overhead more often, and the temporaries of a larger one fall
+# out of L2.  The block does not change the bytes.
+_BLOCK = 16384
 
 # slot rows: sign, '0', '.', three '0's, d0 p0 d1 p1 ... p15 d16, 'e', sign, 3 digits
 _DIGIT = 6  # digit j is row _DIGIT + 2 j, the point after it row _DIGIT + 2 j + 1

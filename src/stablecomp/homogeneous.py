@@ -107,9 +107,11 @@ class LrMatrixBase:
             for j in cols[1:]:
                 row += np.multiply(x[..., j], b[j], out=tmp)
             np.abs(row, out=row)
-            row **= self.r
+            if self.r != 1.0:  # x ** 1.0 is x: the same bytes without two passes
+                row **= self.r
             acc += row
-        acc **= 1.0 / self.r
+        if self.r != 1.0:
+            acc **= 1.0 / self.r
         return acc[()]
 
     def to_json_dict(self) -> dict:

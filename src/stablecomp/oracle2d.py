@@ -51,6 +51,17 @@ cusp meets t = 0.
 H is evaluated for blocks of t nodes, so that no array exceeds
 _BLOCK_POINTS nodes.
 
+Per node.  ``_h_values`` holds a block's alpha nodes node index first, as
+(m, t, panel) arrays, so that a value of each panel runs along contiguous
+rows.  At each node it takes cos alpha and sin alpha from one tan of
+alpha/2 (``sampling._sin``); <a, omega> = cos(alpha) A - sin(alpha) B for
+each row a of the mix, with A and B fixed by t; the base N(theta) of f;
+and every power x^y as exp(y log x), since numpy's exp and log are vector
+loops and its power is not.  At q = 1 no <a, omega> changes sign inside a
+panel, whose edges include the kinks of S, so S is linear in theta there:
+the atoms fold into one signed pair (A, B) a panel, and S costs two
+products and a difference a node.
+
 Bound.  The coarse rule takes 16 nodes per panel in both angles, the fine
 rule 32; the value is the fine one, and the error bound is the gap between
 the two plus 1e-13 times the sum of absolute terms.  A bound above
@@ -84,11 +95,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import _fourier_constant, _gauss_jacobi, _gl_panels, _leggauss
+from ._quadrature import _fourier_constant, _gauss_jacobi, _leggauss
 from .fourier_pd import ActionResult
 from .homogeneous import HomogeneousFn, LrMatrixBase, MaxAbsBase, evaluate_many
 from .moments import QuadratureFailure, _check_existence, _check_thm1_window, _gamma
-from .sampling import _mix
+from .sampling import _mix, _sin
 from .spectral import SpectralRep, _qsum
 
 __all__ = ["DensityField", "density_2d", "oracle_expectation"]
@@ -271,9 +282,10 @@ def _exact_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
 _NODES = 16  # Gauss nodes per panel of the coarse rule; the fine rule takes twice as many
 # alpha nodes per block of H.  Each block array takes 256 KiB, so the arrays
 # of the two rules that an oracle trial runs at once on the worker pool stay
-# small beside its Monte Carlo chunks.  On 168 random sides at one thread,
-# 2^15 took a median 12 ms a side against 16.5 ms at 2^17 on a 2-core Xeon,
-# with the same bytes.
+# small beside its Monte Carlo chunks.  On 84 random q < 2 sides at one
+# thread on a 2-core Xeon, the sides took 521, 494, 501 and 509 ms in all at
+# 2^14, 2^15, 2^16 and 2^17 (a median 3.6 to 3.3 ms a side), with the same
+# bytes: past 2^14 the block size hardly matters.
 _BLOCK_POINTS = 1 << 15
 _EDGE_TOL = 1e-12  # edges closer than this are one edge
 _MAX_PANEL = np.pi / 4.0  # widest panel in either angle
@@ -281,9 +293,22 @@ _PEAK_RATIO = 3.0  # graded edges about the minimum of S once max S / min S exce
 _ZERO_LEVELS = 2  # extra t panels, each 4x narrower, where a cusp meets t = 0
 
 
-def _panel_nodes(edges: np.ndarray, cusps: np.ndarray, m: int) -> tuple:
-    """Nodes and weights, each (..., k, m), of m nodes on each of the k panels
-    between consecutive sorted ``edges`` (..., k) of a period pi circle.
+def _outer(v: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """v[j] * x[...] at [j, ...], the products np.multiply would give.  On a
+    (16, 1020) result, einsum took 0.7 ns a value and a broadcast multiply
+    1.1 ns (2-core Xeon)."""
+    return np.einsum("j,...->j...", v, x, out=out)
+
+
+def _panel_nodes(edges: np.ndarray, cusps: np.ndarray, m: int,
+                 out: np.ndarray | None = None) -> tuple:
+    """Nodes and weights, each (m, ..., k), of m nodes on each of the k panels
+    between consecutive sorted ``edges`` (..., k) of a period pi circle; the
+    nodes are written into ``out`` when it is given.
+
+    The node index leads, so every pass runs over whole rows of panels: a
+    value of each panel or of each node index is broadcast along contiguous
+    rows, not along a last axis of m values.
 
     With no cusp, Gauss-Legendre.  Otherwise each panel [a, b] is halved and
     each half is graded toward the nearest cusp g beyond its outer end (a cusp
@@ -296,28 +321,40 @@ def _panel_nodes(edges: np.ndarray, cusps: np.ndarray, m: int) -> tuple:
     k = edges.shape[-1]
     a = edges
     b = np.concatenate([edges[..., 1:], edges[..., :1] + np.pi], axis=-1)
+    nodes = np.empty((m,) + edges.shape) if out is None else out
     if not cusps.any():
-        return _gl_panels(a, b, m)
+        # the arithmetic of _quadrature._gl_panels, node-major
+        x, w = _leggauss(m)
+        h = (b - a) / 2.0
+        _outer(x, h, nodes)
+        nodes += (a + b) / 2.0
+        return nodes, _outer(w, h)
     x, w = _leggauss(m // 2)
     u, w = (x + 1.0) / 2.0, w / 2.0
     ext = np.concatenate([edges - np.pi, edges, edges + np.pi], axis=-1)
     flagged = np.concatenate([cusps, cusps, cusps], axis=-1)
-    idx = np.arange(3 * k)
-    before = np.maximum.accumulate(np.where(flagged, idx, 0), axis=-1)[..., k:2 * k]
-    after = np.minimum.accumulate(np.where(flagged, idx, 3 * k - 1)[..., ::-1],
-                                  axis=-1)[..., ::-1][..., k + 1:2 * k + 1]
+    # flat indices of the nearest cusp at or before, and at or after, each
+    # entry: a row holds a cusp in each third, so that of an entry in the
+    # middle third is in its own row
+    idx = np.arange(ext.size).reshape(ext.shape)
+    before = np.maximum.accumulate(np.where(flagged, idx, 0).ravel())
+    after = np.minimum.accumulate(np.where(flagged, idx, ext.size).ravel()[::-1])[::-1]
+    ext = ext.ravel()
     mid = (a + b) / 2.0
-    nodes, weights = np.empty(a.shape + (m,)), np.empty(a.shape + (m,))
-    for g, end, sign, half in ((np.take_along_axis(ext, before, -1), a, 1.0, slice(0, m // 2)),
-                               (np.take_along_axis(ext, after, -1), b, -1.0, slice(m // 2, m))):
-        r0 = np.cbrt(sign * (end - g))[..., None]
-        dr = np.cbrt(sign * (mid - g))[..., None] - r0
-        y = r0 + dr * u
+    weights = np.empty_like(nodes)
+    for g, end, sign, half in (
+            (ext[before.reshape(idx.shape)[..., k:2 * k]], a, 1.0, slice(0, m // 2)),
+            (ext[after.reshape(idx.shape)[..., k + 1:2 * k + 1]], b, -1.0, slice(m // 2, m))):
+        r0 = np.cbrt(sign * (end - g))
+        dr = np.cbrt(sign * (mid - g)) - r0
+        # y = sign (r0 + dr u), so that sign y^3 + g is y y^2 + g, bit for bit
+        y = _outer(u, sign * dr, nodes[half])
+        y += sign * r0
         y2 = y * y
-        np.multiply(y2, y, out=nodes[..., half])
-        nodes[..., half] *= sign
-        nodes[..., half] += g[..., None]
-        np.multiply(y2, 3.0 * dr * w, out=weights[..., half])
+        _outer(w, 3.0 * dr, weights[half])
+        weights[half] *= y2
+        y *= y2
+        y += g
     return nodes, weights
 
 
@@ -416,6 +453,32 @@ def _grade_toward_zero(edges: np.ndarray, cusps: np.ndarray) -> tuple:
     return edges[order], np.concatenate([cusps, np.zeros(edges.size - cusps.size, bool)])[order]
 
 
+def _atom_sum(c: np.ndarray, s: np.ndarray, A: np.ndarray, B: np.ndarray,
+              q: float) -> np.ndarray:
+    """sum_i |c A[i] - s B[i]|^q, with A[i] and B[i] broadcast along the
+    rows of c and s.  At q = 1 no absolute value is taken: the caller has
+    made every term positive.
+
+    Every power x^y of the kernel is taken as exp(y log x): numpy's float64
+    exp and log are vector loops, its power a libm call at half their speed.
+    """
+    out, tmp = np.empty_like(c), np.empty_like(c)
+    term = np.empty_like(c) if len(A) > 1 else out
+    for i in range(len(A)):
+        acc = term if i else out
+        np.multiply(c, A[i], out=acc)
+        acc -= np.multiply(s, B[i], out=tmp)
+        if q != 1.0:
+            np.abs(acc, out=acc)
+            with np.errstate(divide="ignore"):  # exp(q log 0) is 0
+                np.log(acc, out=acc)
+            acc *= q
+            np.exp(acc, out=acc)
+        if i:
+            out += acc
+    return out
+
+
 def _h_values(f: HomogeneousFn, mix: np.ndarray, q: float, t: np.ndarray,
               fixed: np.ndarray, moving: np.ndarray, cusps: np.ndarray,
               m: int) -> np.ndarray:
@@ -426,42 +489,57 @@ def _h_values(f: HomogeneousFn, mix: np.ndarray, q: float, t: np.ndarray,
     that order.  Blocks of t keep every array at _BLOCK_POINTS nodes.
     """
     k = fixed.size + moving.size
+    # the panels of every t: sorted edges and their cusp flags
+    edges = np.empty((t.size, k))
+    edges[:, :fixed.size] = fixed
+    np.subtract(moving - np.pi / 2.0, t[:, None], out=edges[:, fixed.size:])
+    edges[:, fixed.size:] %= np.pi
+    order = np.argsort(edges, axis=1, kind="stable")
+    edges = edges.ravel()[order + k * np.arange(t.size)[:, None]]
+    cusps = cusps[order]
+    # <a, theta(alpha + pi/2 + t)> = cos(alpha) A - sin(alpha) B with
+    # A = a1 cos t - a0 sin t and B = a0 cos t + a1 sin t, an (atoms, t) array each
+    ct, st = np.cos(t), np.sin(t)
+    A = mix[:, 1, None] * ct - mix[:, 0, None] * st
+    B = mix[:, 0, None] * ct + mix[:, 1, None] * st
     rows = max(1, _BLOCK_POINTS // (k * m))
     out = np.empty(t.size)
     for lo in range(0, t.size, rows):
-        tb = t[lo:lo + rows]
-        edges = np.empty((tb.size, k))
-        edges[:, :fixed.size] = fixed
-        np.subtract(moving - np.pi / 2.0, tb[:, None], out=edges[:, fixed.size:])
-        edges[:, fixed.size:] %= np.pi
-        order = np.argsort(edges, axis=1, kind="stable")
-        edges = np.take_along_axis(edges, order, axis=1)
-        alpha, w = _panel_nodes(edges, cusps[order], m)
-        # theta(alpha), component-major so that the base reads contiguous columns
-        cs = np.empty((2,) + alpha.shape)
-        np.cos(alpha, out=cs[0])
-        np.sin(alpha, out=cs[1])
-        # <a, theta(alpha + pi/2 + t)> = cos(alpha) A - sin(alpha) B with
-        # A = a1 cos t - a0 sin t and B = a0 cos t + a1 sin t
-        ct, st = np.cos(tb)[:, None, None], np.sin(tb)[:, None, None]
-        qsum, proj = np.zeros_like(alpha), alpha  # alpha's buffer takes the projections
-        for a0, a1 in mix:
-            np.multiply(cs[0], a1 * ct - a0 * st, out=proj)
-            proj -= cs[1] * (a0 * ct + a1 * st)
-            np.abs(proj, out=proj)
-            if q != 1.0:
-                proj **= q
-            qsum += proj
-        # f(theta) S^p = (N(theta) S)^p at q = 1: one power
-        base = f.base.values(cs.reshape(2, -1).T).reshape(alpha.shape)
+        tb, n = slice(lo, lo + rows), min(rows, t.size - lo)
+        # theta(alpha), component-major so that the base reads contiguous
+        # columns; the nodes alpha go into the sine row, and _sin leaves
+        # 1 + tan(alpha/2)^2 in the cosine row
+        cs = np.empty((2, m, n, k))
+        c, s = cs
+        w = _panel_nodes(edges[tb], cusps[tb], m, out=s)[1]
+        _sin(s, c)
+        np.divide(2.0, c, out=c)
+        c -= 1.0
+        # one A and one B a panel, so that they run along the rows of c and s
+        Ab = np.repeat(A[:, tb], k, axis=1).reshape(-1, n, k)
+        Bb = np.repeat(B[:, tb], k, axis=1).reshape(-1, n, k)
+        if q == 1.0:
+            # no <a, omega> changes sign inside a panel, so S is linear in
+            # theta there: one signed sum of the atoms, with the signs read
+            # at node m/2 - 1, near the middle of each panel
+            sign = np.copysign(1.0, c[m // 2 - 1] * Ab - s[m // 2 - 1] * Bb)
+            Ab, Bb = (Ab * sign).sum(0, keepdims=True), (Bb * sign).sum(0, keepdims=True)
+        qsum = _atom_sum(c, s, Ab, Bb, q)
+        # f(theta)^p S^p = exp(p/q (q log N(theta) + log(S^q))), with one log
+        # of N(theta) S at q = 1
+        base = f.base.values(np.moveaxis(cs, 0, -1))
         if q == 1.0:
             qsum *= base
-            qsum **= f.p
+            np.log(qsum, out=qsum)
         else:
-            qsum **= f.p / q
-            qsum *= np.power(base, f.p, out=base)
-        out[lo:lo + rows] = 2.0 * np.einsum("ij,ij->i", qsum.reshape(tb.size, -1),
-                                            w.reshape(tb.size, -1))
+            np.log(qsum, out=qsum)
+            np.log(base, out=base)
+            base *= q
+            qsum += base
+        qsum *= f.p / q
+        np.exp(qsum, out=qsum)
+        qsum *= w
+        out[tb] = 2.0 * np.add.reduce(qsum, axis=0).sum(axis=1)
     return out
 
 
@@ -472,7 +550,7 @@ def _t_rule(edges: np.ndarray, cusps: np.ndarray, m: int, s: float, beta: float)
     so g(t) |sin t|^s / |t|^beta must be smooth there; the others take the
     panel rule times |sin t|^s.
     """
-    t, w = _panel_nodes(edges, cusps, m)
+    t, w = (a.T for a in _panel_nodes(edges, cusps, m))
     w *= np.abs(np.sin(t)) ** s
     h = np.diff(edges, append=edges[0] + np.pi)
     x, wj = _gauss_jacobi(m, beta)
@@ -570,7 +648,7 @@ def _gaussian_expectation(f: HomogeneousFn, rep: SpectralRep) -> ActionResult:
     const = 2.0 ** (f.p / 2.0) * _gamma(1.0 + f.p / 2.0) / np.pi
     results = []
     for m in (_NODES, 2 * _NODES):
-        alpha, w = (a.ravel() for a in _panel_nodes(edges, cusps, m))
+        alpha, w = (a.T.ravel() for a in _panel_nodes(edges, cusps, m))
         fv = evaluate_many(f, np.column_stack([np.cos(alpha), np.sin(alpha)]) @ L.T)
         results.append((const * (w @ fv), const * (np.abs(w) @ np.abs(fv))))
     return _fine_result(results, "Gaussian circle rule")

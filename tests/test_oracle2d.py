@@ -8,6 +8,7 @@ from stablecomp.oracle2d import _asymmetry, _check_rep
 from scipy.special import gamma
 
 from stablecomp import LrMatrixBase, MaxAbsBase, QuadratureFailure, evaluate_many, oracle2d
+from stablecomp.homogeneous import HomogeneousFn
 from stablecomp.oracle2d import _angular_expectation, _exact_expectation, _gaussian_expectation
 from stablecomp.verify import random_rep
 
@@ -295,6 +296,55 @@ class TestAngularRule:
                           atoms=np.column_stack([np.cos(angles), np.sin(angles)]))
         with pytest.raises(QuadratureFailure, match=r"Gamma\(190\.0\)"):
             _angular_expectation(euclidean_power(2, -1.9), rep)
+
+
+def reference_h(f, mix, q, t, fixed, moving, cusps, m):
+    """H(t) and the sum of the absolute values of its terms, by the direct
+    arithmetic: np.cos and np.sin of every node, |<a, omega>|^q and the
+    powers by numpy's power, atom by atom and one t at a time."""
+    values, scales = [], []
+    for tj in t:
+        edges = np.concatenate([fixed, (moving - np.pi / 2.0 - tj) % np.pi])
+        order = np.argsort(edges, kind="stable")
+        alpha, w = oracle2d._panel_nodes(edges[order], cusps[order], m)
+        c, s = np.cos(alpha), np.sin(alpha)
+        ct, st = np.cos(tj), np.sin(tj)
+        qsum = sum(np.abs(c * (a1 * ct - a0 * st) - s * (a0 * ct + a1 * st)) ** q
+                   for a0, a1 in mix)
+        base = f.base.values(np.stack([c, s], axis=-1))
+        terms = 2.0 * w * base ** f.p * qsum ** (f.p / q)
+        values.append(terms.sum())
+        scales.append(np.abs(terms).sum())
+    return np.array(values), np.array(scales)
+
+
+class TestHKernel:
+    """``_h_values`` (half-angle trig, blocks, one signed sum of the atoms at
+    q = 1, powers by exp and log) against the direct arithmetic, on the H
+    calls that whole angular rules make."""
+
+    @pytest.mark.parametrize("family,p", [("max_abs", -1.5), ("l1", -0.6),
+                                          ("euclidean", -1.2), ("l1.5", -0.4)])
+    @pytest.mark.parametrize("q", [0.7, 1.0, 1.5])
+    def test_matches_the_direct_arithmetic(self, q, family, p, monkeypatch):
+        # l1.5 is the L_1.5 norm of a tilted matrix: its kinks are cusps, so
+        # the alpha nodes are graded at q = 1 too
+        f = HomogeneousFn(LrMatrixBase(np.array([[1.0, 0.5], [-0.3, 1.0]]), 1.5), p) \
+            if family == "l1.5" else family_fn(family, p)
+        rep = random_rep(np.random.default_rng(int(10 * q) + len(family)), 2, q,
+                         full_rank=True, max_condition=1e4)
+        calls = []
+        kernel = oracle2d._h_values
+
+        def record(*args):
+            calls.append(args)
+            return kernel(*args)
+        monkeypatch.setattr(oracle2d, "_h_values", record)
+        _angular_expectation(f, rep)
+        assert len(calls) == (4 if p > -1.0 else 2)
+        for args in calls:
+            ref, scale = reference_h(*args)
+            assert np.all(np.abs(kernel(*args) - ref) <= 1e-13 * scale)
 
 
 class TestExactRules:

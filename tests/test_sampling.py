@@ -133,6 +133,29 @@ def _transform(q, u, w):
     return u
 
 
+class TestHalfAngle:
+    def test_sin_and_cos_match_mpmath(self):
+        # _sin and cos x = 2 / (1 + t^2) - 1 over |x| < 2 pi, the range of
+        # the sampler's q u and of the 2-D oracle's angles, against 40 digits:
+        # at 0, +-pi/2, +-pi, within 1e-9 of +-pi, beside +-2 pi and at
+        # random points.  The sine is good to a few ulp of its value, the
+        # cosine, a difference, to a few ulp of 1.
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        near_pi = np.pi + np.array([-1e-9, -3e-12, -1e-15, 4e-16, 1e-15, 3e-12, 1e-9])
+        x = np.r_[0.0, 1e-300, np.pi / 2, np.pi, near_pi, np.nextafter(2 * np.pi, 0.0),
+                  np.random.default_rng(47).uniform(-2 * np.pi, 2 * np.pi, 400)]
+        x = np.r_[x, -x]
+        s, t2 = x.copy(), np.empty_like(x)
+        sampling._sin(s, t2)
+        c = 2.0 / t2 - 1.0
+        with mpmath.workdps(40):
+            ref_s = np.array([float(mpmath.sin(mpmath.mpf(v))) for v in x])
+            ref_c = np.array([float(mpmath.cos(mpmath.mpf(v))) for v in x])
+        assert np.all(np.abs(s - ref_s) <= 4 * eps * np.abs(ref_s))
+        assert np.all(np.abs(c - ref_c) <= 4 * eps)
+
+
 class TestCmsTransform:
     @pytest.mark.parametrize("q", [0.1, 0.7, 1.5, 1.99, 2.0])
     def test_matches_direct_formula(self, q):
