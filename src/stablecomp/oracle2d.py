@@ -457,7 +457,8 @@ def _atom_sum(c: np.ndarray, s: np.ndarray, A: np.ndarray, B: np.ndarray,
               q: float) -> np.ndarray:
     """sum_i |c A[i] - s B[i]|^q, with A[i] and B[i] broadcast along the
     rows of c and s.  At q = 1 no absolute value is taken: the caller has
-    made every term positive.
+    made every term positive.  The scratch arrays are freed on return, so
+    they do not sit beside the base's own.
 
     Every power x^y of the kernel is taken as exp(y log x): numpy's float64
     exp and log are vector loops, its power a libm call at half their speed.
