@@ -347,7 +347,7 @@ def _panel_nodes(edges: np.ndarray, cusps: np.ndarray, m: int,
             (ext[after.reshape(idx.shape)[..., k + 1:2 * k + 1]], b, -1.0, slice(m // 2, m))):
         r0 = np.cbrt(sign * (end - g))
         dr = np.cbrt(sign * (mid - g)) - r0
-        # y = sign (r0 + dr u), so that sign y^3 + g is y y^2 + g, bit for bit
+        # y = sign (r0 + dr u), so that g + sign (r0 + dr u)^3 is g + y y^2, bit for bit
         y = _outer(u, sign * dr, nodes[half])
         y += sign * r0
         y2 = y * y
